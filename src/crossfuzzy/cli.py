@@ -24,15 +24,7 @@ from .harness import (
     merge_json,
     run_experiment,
 )
-from .system import (
-    Block,
-    Pipeline,
-    block_infer,
-    has_signal,
-    model_from_json,
-    model_to_json,
-    pipeline_infer,
-)
+from .system import Block, Pipeline, has_signal, model_from_json, model_to_json
 
 
 def _load_model(path: str) -> Block | Pipeline:
@@ -60,10 +52,7 @@ def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
             return FuzzyNumber.from_json(obj)
         return {name: FuzzyNumber.from_json(sub) for name, sub in obj.items()}
     values = [float(v) for v in raw.split(",")]
-    if isinstance(model, Pipeline):
-        sections = model.blocks[0].sections
-    else:
-        sections = model.sections
+    sections = model.sections
     if len(values) != len(sections):
         raise ValueError(f"model expects {len(sections)} input value(s), got {len(values)}")
     out = {}
@@ -77,12 +66,7 @@ def _cmd_infer(args) -> int:
     model = _load_model(args.model)
     inputs = _parse_input(model, args.input, args.sigma)
     try:
-        if isinstance(model, Pipeline):
-            if isinstance(inputs, dict):
-                inputs = next(iter(inputs.values()))
-            output = pipeline_infer(model, inputs)
-        else:
-            output = block_infer(model, inputs)
+        output = model.infer(inputs)
         if not has_signal(output):
             raise EmptyOutputError("no stored signal at this input")
         crisp = defuzzify_centroid(output)
@@ -110,7 +94,6 @@ def _cmd_experiment(args) -> int:
     cfg_json = default_config(args.name).to_json()
     if args.config:
         cfg_json = merge_json(cfg_json, json.loads(Path(args.config).read_text()))
-    cfg_json.pop("resolved_t0", None)
     cfg = ExperimentConfig.from_json(cfg_json)
     if args.fault_fraction is not None:
         cfg.fault_fraction = args.fault_fraction

@@ -3,8 +3,8 @@
 Writes: a pulse drives the columns with one grade vector and the rows with
 the negated other, so the cell at (row i, column j) sees the voltage
 ``col[j] + row[i]`` for ``t0`` seconds and integrates that flux per the
-device closed form. Stuck cells (fault mask) ignore writes and always hold
-``r_off``.
+device closed form (``device.drift``). Stuck cells (fault mask) ignore
+writes and always hold ``r_off``.
 
 Reads: the row amplifiers sum cell currents against an ``r_off`` feedback
 resistor, and a compensation row cancels the raw input sum, leaving
@@ -19,11 +19,12 @@ stored-value matrix. Reads never disturb the stored state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import MemristorParams, beta
+from .device import MemristorParams, drift
 
 __all__ = ["ReadConfig", "Crossbar", "save_delta_csv", "load_delta_csv"]
 
@@ -33,7 +34,6 @@ READ_MODES = ("exact", "ideal")
 @dataclass(frozen=True)
 class ReadConfig:
     mode: str = "exact"
-    r_c: float | None = None  # compensation-row resistance; recorded, not used
 
     def __post_init__(self) -> None:
         if self.mode not in READ_MODES:
@@ -64,7 +64,7 @@ class Crossbar:
                 raise ValueError(
                     f"memristance shape {memristance.shape} != ({rows}, {cols})"
                 )
-            if memristance.min() < params.r_on or memristance.max() > params.r_off:
+            if not (memristance.min() >= params.r_on and memristance.max() <= params.r_off):
                 raise ValueError("memristance outside [r_on, r_off]")
         self.memristance = memristance
         if fault_mask is None:
@@ -98,20 +98,17 @@ class Crossbar:
         if row.shape != (self.rows,):
             raise ValueError(f"row grades shape {row.shape} != ({self.rows},)")
         for name, g in (("column", col), ("row", row)):
-            if g.min() < 0.0 or g.max() > 1.0:
+            if not (g.min() >= 0.0 and g.max() <= 1.0):
                 raise ValueError(f"{name} grades must lie in [0, 1]")
-        if t0 <= 0:
-            raise ValueError(f"t0 must be positive, got {t0}")
-        flux = (col[None, :] + row[:, None]) * t0
-        m_sq = self.memristance**2 - beta(self.params) * flux
-        floor = self.params.r_on**2
-        clamped = m_sq < floor
-        new_m = np.sqrt(np.maximum(m_sq, floor))
-        # Zero flux means zero drift: keep those cells bit-identical.
-        new_m = np.where(flux > 0.0, new_m, self.memristance)
-        live = ~self.fault_mask
-        self.saturation_count += int(np.count_nonzero(clamped & live))
-        self.memristance = np.where(live, new_m, self.memristance)
+        if not (math.isfinite(t0) and t0 > 0):
+            raise ValueError(f"t0 must be positive and finite, got {t0}")
+        flux = np.add.outer(row, col)
+        flux *= t0
+        new_m, clamped = drift(self.memristance, flux, self.params)
+        clamped[self.fault_mask] = False
+        self.saturation_count += int(np.count_nonzero(clamped))
+        np.copyto(new_m, self.memristance, where=self.fault_mask)
+        self.memristance = new_m
 
     def inject_faults(self, fraction: float, seed: int) -> None:
         """Mark ``floor(fraction * m * n)`` distinct cells stuck at r_off.

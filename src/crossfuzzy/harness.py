@@ -23,17 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .crossbar import ReadConfig, save_delta_csv
-from .device import DEFAULT_PARAMS, MemristorParams, beta
+from .device import DEFAULT_PARAMS, MemristorParams, beta, drift
 from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, defuzzify_centroid, fuzzify_gaussian
-from .system import (
-    Block,
-    Pipeline,
-    block_infer,
-    block_train,
-    has_signal,
-    model_to_json,
-    pipeline_infer,
-)
+from .system import Block, Pipeline, block_train, has_signal, model_to_json
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -274,18 +266,12 @@ def evaluate_mse(
     midpoint = 0.5 * (out_u.lo + out_u.hi)
     per_point, flagged = [], []
     for idx, pt in enumerate(points):
-        if isinstance(model, Pipeline):
-            name = model.blocks[0].sections[0].name
-            fz = fuzzify_gaussian(pt[name], input_sigmas[name], model.input_universe)
-            run = lambda: pipeline_infer(model, fz)
-        else:
-            fz = {
-                sec.name: fuzzify_gaussian(pt[sec.name], input_sigmas[sec.name], sec.universe)
-                for sec in model.sections
-            }
-            run = lambda: block_infer(model, fz)
+        fz = {
+            sec.name: fuzzify_gaussian(pt[sec.name], input_sigmas[sec.name], sec.universe)
+            for sec in model.sections
+        }
         try:
-            out = run()
+            out = model.infer(fz)
             if not has_signal(out):
                 raise EmptyOutputError("read out no signal")
             prediction = defuzzify_centroid(out)
@@ -318,7 +304,6 @@ class ExperimentConfig:
     eval: EvalSpec
     t0: float | None = None  # None: auto-scaled from the sample count
     read_mode: str = "exact"
-    r_c: float | None = None
     pipeline_targets: tuple[str, ...] | None = None  # one target per chained stage
     fault_fraction: float = 0.0
     fault_seed: int = 0
@@ -336,12 +321,10 @@ class ExperimentConfig:
         if not (0.0 <= self.fault_fraction <= 1.0):
             raise ValueError("fault fraction must lie in [0, 1]")
         t0 = self.resolved_t0()
-        if t0 <= 0:
-            raise ValueError("t0 must be positive")
+        if not (math.isfinite(t0) and t0 > 0):
+            raise ValueError(f"t0 must be positive and finite, got {t0}")
         worst_flux = 2.0 * self.dataset.n * t0
-        worst_delta = self.device.r_off - math.sqrt(
-            max(self.device.r_off**2 - beta(self.device) * worst_flux, self.device.r_on**2)
-        )
+        worst_delta = self.device.r_off - drift(self.device.r_off, worst_flux, self.device)[0]
         if worst_delta > MAX_DELTA_FRACTION * self.device.r_off * (1.0 + 1e-9):
             raise ValueError(
                 f"t0={t0:g} violates the write budget: worst-case stored value "
@@ -362,7 +345,6 @@ class ExperimentConfig:
             eval=EvalSpec.from_json(obj["eval"]),
             t0=obj.get("t0"),
             read_mode=obj.get("read_mode", "exact"),
-            r_c=obj.get("r_c"),
             pipeline_targets=tuple(obj["pipeline_targets"])
             if obj.get("pipeline_targets")
             else None,
@@ -383,7 +365,6 @@ class ExperimentConfig:
             "t0": self.t0,
             "resolved_t0": self.resolved_t0(),
             "read_mode": self.read_mode,
-            "r_c": self.r_c,
             "pipeline_targets": list(self.pipeline_targets) if self.pipeline_targets else None,
             "fault": {"fraction": self.fault_fraction, "seed": self.fault_seed},
             "eval_target": self.eval_target,
@@ -502,28 +483,22 @@ def merge_json(base: dict, override: dict) -> dict:
 
 
 def _build_and_train(cfg: ExperimentConfig) -> Block | Pipeline:
+    """Train one block per stage; stage i shifts the dataset and fault seeds by i."""
     t0 = cfg.resolved_t0()
-    read = ReadConfig(cfg.read_mode, cfg.r_c)
+    read = ReadConfig(cfg.read_mode)
     inputs = list(cfg.input_universes.items())
-    if cfg.pipeline_targets:
-        if len(inputs) != 1:
-            raise ValueError("chained experiments need a single input variable")
-        blocks = []
-        for i, target in enumerate(cfg.pipeline_targets):
-            spec = replace(cfg.dataset, target=target, seed=cfg.dataset.seed + i)
-            dataset = generate_dataset(spec, cfg.input_universes, cfg.output_universe)
-            blk = Block.pristine(inputs, cfg.output_universe, cfg.device, read=read)
-            if cfg.fault_fraction > 0:
-                blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed + i)
-            train_block(blk, dataset, t0)
-            blocks.append(blk)
-        return Pipeline(blocks)
-    dataset = generate_dataset(cfg.dataset, cfg.input_universes, cfg.output_universe)
-    blk = Block.pristine(inputs, cfg.output_universe, cfg.device, read=read)
-    if cfg.fault_fraction > 0:
-        blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed)
-    train_block(blk, dataset, t0)
-    return blk
+    if cfg.pipeline_targets and len(inputs) != 1:
+        raise ValueError("chained experiments need a single input variable")
+    blocks = []
+    for i, target in enumerate(cfg.pipeline_targets or (cfg.dataset.target,)):
+        spec = replace(cfg.dataset, target=target, seed=cfg.dataset.seed + i)
+        dataset = generate_dataset(spec, cfg.input_universes, cfg.output_universe)
+        blk = Block.pristine(inputs, cfg.output_universe, cfg.device, read=read)
+        if cfg.fault_fraction > 0:
+            blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed + i)
+        train_block(blk, dataset, t0)
+        blocks.append(blk)
+    return Pipeline(blocks) if cfg.pipeline_targets else blocks[0]
 
 
 def _export_surfaces(model: Block | Pipeline, out_dir: Path, r_off: float) -> list[str]:

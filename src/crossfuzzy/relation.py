@@ -7,7 +7,7 @@ fuzzy numbers deposits ``f(input_grade + output_grade)`` at every cell, where
     f(nu) = r_off - sqrt(r_off**2 - beta * t0 * nu)
 
 is the increment one write pulse of duration ``t0`` leaves on a pristine
-device seeing the summed grade as its drive voltage.
+device seeing the summed grade as its drive voltage (``device.drift``).
 
 Two accumulation modes exist. ``additive`` sums the per-pulse increments
 (the mathematical idealization); ``hardware`` chains the device state
@@ -23,11 +23,12 @@ scale anyway.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import MemristorParams, beta
+from .device import MemristorParams, drift
 from .fuzzy import FuzzyNumber, Universe
 
 __all__ = ["ImplicationParams", "Relation", "implication_f", "relation_from_sets"]
@@ -43,8 +44,8 @@ class ImplicationParams:
     t0: float  # seconds
 
     def __post_init__(self) -> None:
-        if self.t0 <= 0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
+        if not (math.isfinite(self.t0) and self.t0 > 0):
+            raise ValueError(f"t0 must be positive and finite, got {self.t0}")
 
 
 def implication_f(nu, params: ImplicationParams):
@@ -54,16 +55,16 @@ def implication_f(nu, params: ImplicationParams):
     the pulse would clamp the device. Accepts scalars or arrays.
     """
     nu = np.asarray(nu, dtype=float)
-    if np.any(nu < 0):
+    if not np.all(nu >= 0):
         raise ValueError("summed grades must be non-negative")
     r_off = params.device.r_off
-    floor = params.device.r_on**2
-    arg = r_off * r_off - beta(params.device) * params.t0 * nu
-    out = r_off - np.sqrt(np.maximum(arg, floor))
+    out = r_off - drift(r_off, params.t0 * nu, params.device)[0]
     return float(out) if out.ndim == 0 else out
 
 
 class Relation:
+    saturation_count = 0  # clamp events are counted by crossbars only
+
     def __init__(
         self,
         input_universe: Universe,
@@ -99,16 +100,24 @@ class Relation:
         nu = a.grades[None, :] + b.grades[:, None]
         if self.mode == "additive":
             self.mu = self.mu + implication_f(nu, params)
-        else:
-            # Chain the device state: the current mu is a memristance drop,
-            # so continue the flux integration from r_off - mu. Zero summed
-            # grade means zero drift: keep those cells bit-identical.
-            r_off = params.device.r_off
-            floor = params.device.r_on**2
-            m_sq = (r_off - self.mu) ** 2 - beta(params.device) * params.t0 * nu
-            self.mu = np.where(
-                nu > 0, r_off - np.sqrt(np.maximum(m_sq, floor)), self.mu
-            )
+            return
+        if not (np.all(a.grades >= 0) and np.all(b.grades >= 0)):
+            raise ValueError("training grades must be non-negative")
+        # Chain the device state: continue the flux integration from
+        # m = r_off - mu and add the drop m - m_new. Cells without flux add
+        # exactly 0, so they keep mu bit-identical. While M stays above
+        # r_off / 2 every step is exact, so a relation trained from zero
+        # holds exactly r_off - M of the crossbar it mirrors.
+        m = params.device.r_off - self.mu
+        nu *= params.t0
+        m_new, _ = drift(m, nu, params.device)
+        np.subtract(m, m_new, out=m_new)
+        m_new += self.mu
+        self.mu = m_new
+
+    def snapshot_delta(self) -> np.ndarray:
+        """A copy of the stored-value matrix mu (ohm)."""
+        return self.mu.copy()
 
     def infer(self, a: FuzzyNumber) -> FuzzyNumber:
         """Compose an input fuzzy number with the relation."""

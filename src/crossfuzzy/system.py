@@ -133,7 +133,10 @@ class Block:
 
     @property
     def saturation_count(self) -> int:
-        return self.backend.saturation_count if self.is_crossbar else 0
+        return self.backend.saturation_count
+
+    def infer(self, inputs) -> FuzzyNumber:
+        return block_infer(self, inputs)
 
     def _as_mapping(self, inputs) -> dict[str, FuzzyNumber]:
         if isinstance(inputs, FuzzyNumber):
@@ -165,13 +168,11 @@ class Block:
         one relation surface per section)."""
         for sec in self.sections:
             if sec.name == name:
-                if self.is_crossbar:
-                    return self.backend.snapshot_delta()[:, sec.start : sec.stop]
-                return self.backend.mu.copy()
+                return self.snapshot_delta()[:, sec.start : sec.stop]
         raise ValueError(f"no section named {name!r}")
 
     def snapshot_delta(self) -> np.ndarray:
-        return self.backend.snapshot_delta() if self.is_crossbar else self.backend.mu.copy()
+        return self.backend.snapshot_delta()
 
 
 def block_train(block: Block, inputs, output: FuzzyNumber, t0: float) -> None:
@@ -218,8 +219,8 @@ class Pipeline:
         self.blocks = blocks
 
     @property
-    def input_universe(self) -> Universe:
-        return self.blocks[0].input_universe
+    def sections(self) -> list[Section]:
+        return self.blocks[0].sections
 
     @property
     def output_universe(self) -> Universe:
@@ -229,17 +230,20 @@ class Pipeline:
     def saturation_count(self) -> int:
         return sum(blk.saturation_count for blk in self.blocks)
 
+    def infer(self, inputs) -> FuzzyNumber:
+        return pipeline_infer(self, inputs)
 
-def pipeline_infer(pipe: Pipeline, fn: FuzzyNumber) -> FuzzyNumber:
-    """Propagate a fuzzy number through the chain without defuzzifying.
 
-    After every stage the signal is sign-corrected (crossbar reads invert),
-    peak-normalized, and regridded onto the next stage's input universe. An
-    all-zero intermediate raises ``EmptyOutputError`` (untrained region).
+def pipeline_infer(pipe: Pipeline, inputs) -> FuzzyNumber:
+    """Propagate an input through the chain without defuzzifying.
+
+    Takes the same inputs as ``block_infer`` on the first stage, which also
+    checks them. After every stage the signal is sign-corrected (crossbar
+    reads invert), peak-normalized, and regridded onto the next stage's
+    input universe. An all-zero intermediate raises ``EmptyOutputError``
+    (untrained region).
     """
-    if fn.universe != pipe.input_universe:
-        raise ValueError("pipeline input lives on the wrong universe")
-    signal = fn
+    signal = inputs
     for i, blk in enumerate(pipe.blocks):
         out = block_infer(blk, signal)
         if not has_signal(out):
@@ -264,7 +268,6 @@ def block_to_json(block: Block) -> dict:
         ],
         "output_universe": block.output_universe.to_json(),
         "read_mode": block.read.mode,
-        "r_c": block.read.r_c,
         "device": block.device_params.to_json(),
     }
     if block.is_crossbar:
@@ -284,7 +287,7 @@ def block_to_json(block: Block) -> dict:
 def block_from_json(obj: dict) -> Block:
     inputs = [(e["name"], Universe.from_json(e["universe"])) for e in obj["inputs"]]
     output_universe = Universe.from_json(obj["output_universe"])
-    read = ReadConfig(obj.get("read_mode", "exact"), obj.get("r_c"))
+    read = ReadConfig(obj.get("read_mode", "exact"))  # an old "r_c" key is ignored
     params = MemristorParams.from_json(obj["device"])
     if obj["backend"] == "crossbar":
         memristance = np.asarray(obj["memristance"], dtype=float)

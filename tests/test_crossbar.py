@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from crossfuzzy.crossbar import Crossbar, ReadConfig, load_delta_csv, save_delta_csv
 from crossfuzzy.device import DEFAULT_PARAMS, MemristorState, apply_flux
-from oracles import rk4_memristance
+from crossfuzzy.harness import default_config
+from crossfuzzy.relation import ImplicationParams
+from oracles import closed_form_memristance, rk4_memristance
 
 R_ON = DEFAULT_PARAMS.r_on
 R_OFF = DEFAULT_PARAMS.r_off
@@ -54,8 +56,8 @@ def test_write_pulse_matches_per_cell_device_update():
     xb.write_pulse(col, row, 2e-4)
     for i in range(3):
         for j in range(5):
-            cell = apply_flux(MemristorState(R_OFF), DEFAULT_PARAMS, (col[j] + row[i]) * 2e-4)
-            assert xb.memristance[i, j] == pytest.approx(cell.memristance, rel=1e-12)
+            cell = closed_form_memristance(R_OFF, (col[j] + row[i]) * 2e-4, DEFAULT_PARAMS)
+            assert xb.memristance[i, j] == pytest.approx(cell, rel=1e-12)
 
 
 def test_write_pulse_validation():
@@ -70,6 +72,47 @@ def test_write_pulse_validation():
         xb.write_pulse([-0.1, 0.5, 0.1], [0.1, 0.2], 1e-4)  # negative grade
     with pytest.raises(ValueError):
         xb.write_pulse([1.0, 0.5, 0.1], [0.1, 0.2], 0.0)  # non-positive pulse
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _validate_with_t0(t0):
+    cfg = default_config("exp-f1")
+    cfg.t0 = t0
+    cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda: Crossbar(1, 2, DEFAULT_PARAMS).write_pulse([NAN, 0.5], [0.5], 1e-4),
+        lambda: Crossbar(2, 1, DEFAULT_PARAMS).write_pulse([0.5], [0.5, NAN], 1e-4),
+        lambda: Crossbar(1, 1, DEFAULT_PARAMS).write_pulse([0.5], [0.5], NAN),
+        lambda: Crossbar(1, 1, DEFAULT_PARAMS).write_pulse([0.5], [0.5], INF),
+        lambda: ImplicationParams(DEFAULT_PARAMS, NAN),
+        lambda: ImplicationParams(DEFAULT_PARAMS, INF),
+        lambda: _validate_with_t0(NAN),
+        lambda: _validate_with_t0(INF),
+        lambda: Crossbar(1, 2, DEFAULT_PARAMS, memristance=[[R_OFF, NAN]]),
+        lambda: apply_flux(MemristorState(R_OFF), DEFAULT_PARAMS, NAN),
+    ],
+    ids=[
+        "nan-column-grade",
+        "nan-row-grade",
+        "nan-t0-write",
+        "inf-t0-write",
+        "nan-t0-implication",
+        "inf-t0-implication",
+        "nan-t0-config",
+        "inf-t0-config",
+        "nan-memristance",
+        "nan-flux",
+    ],
+)
+def test_non_finite_write_inputs_are_rejected(write):
+    with pytest.raises(ValueError):
+        write()
 
 
 def test_saturation_counting():

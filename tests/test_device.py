@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import (
     DEFAULT_PARAMS,
     MemristorParams,
@@ -12,7 +13,9 @@ from crossfuzzy.device import (
     beta,
     delta_m,
 )
-from oracles import rk4_memristance
+from crossfuzzy.fuzzy import FuzzyNumber, Universe
+from crossfuzzy.relation import ImplicationParams, Relation, implication_f
+from oracles import closed_form_memristance, rk4_memristance
 
 R_ON = DEFAULT_PARAMS.r_on
 R_OFF = DEFAULT_PARAMS.r_off
@@ -116,6 +119,47 @@ def test_flux_monotonicity_and_bounds(m0, flux, extra):
     assert R_ON <= b.memristance <= a.memristance <= m0
     if not b.saturated:
         assert b.memristance < a.memristance
+
+
+grade = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m0=state_m, c=grade, r=grade, t0=st.floats(min_value=1e-9, max_value=1e-3))
+def test_every_writer_matches_the_closed_form_oracle(m0, c, r, t0):
+    """Device, crossbar, implication f and hardware relation against the oracle.
+
+    Two-cell grids drive cell (i, j) with ``(col[j] + row[i]) * t0``; cell
+    (1, 1) gets no drive at all, and zero flux must leave every writer
+    bit-identical.
+    """
+    params = DEFAULT_PARAMS
+    flux = (c + r) * t0
+    device = apply_flux(MemristorState(m0), params, flux).memristance
+    assert device == pytest.approx(closed_form_memristance(m0, flux, params), rel=1e-12)
+    assert apply_flux(MemristorState(m0), params, 0.0).memristance == m0
+
+    f = implication_f(c + r, ImplicationParams(params, t0))
+    want = closed_form_memristance(R_OFF, flux, params)
+    assert R_OFF - f == pytest.approx(want, rel=1e-12)
+    assert implication_f(0.0, ImplicationParams(params, t0)) == 0.0
+
+    col, row = np.array([c, 0.0]), np.array([r, 0.0])
+    xb = Crossbar(2, 2, params, memristance=np.full((2, 2), m0))
+    xb.write_pulse(col, row, t0)
+    u = Universe(0.0, 1.0, 2)
+    mu0 = np.full((2, 2), R_OFF - m0)
+    rel = Relation(u, u, mode="hardware", mu=mu0)
+    rel.accumulate(FuzzyNumber(u, col), FuzzyNumber(u, row), ImplicationParams(params, t0))
+    for i in range(2):
+        for j in range(2):
+            cell_flux = (col[j] + row[i]) * t0
+            want = closed_form_memristance(m0, cell_flux, params)
+            assert xb.memristance[i, j] == pytest.approx(want, rel=1e-12)
+            assert R_OFF - rel.mu[i, j] == pytest.approx(want, rel=1e-12)
+            if cell_flux == 0.0:
+                assert xb.memristance[i, j] == m0
+                assert rel.mu[i, j] == mu0[i, j]
 
 
 def test_ode_agreement_on_random_states():

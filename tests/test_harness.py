@@ -197,6 +197,9 @@ def test_config_json_round_trip():
     assert back.eval == cfg.eval
     assert back.fault_fraction == cfg.fault_fraction
     assert back.fault_seed == cfg.fault_seed
+    # Older files carry "r_c": null; the key is ignored.
+    old = ExperimentConfig.from_json(dict(blob, r_c=None))
+    assert old.to_json() == back.to_json()
 
 
 def test_merge_json_nested_override():

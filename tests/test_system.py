@@ -212,6 +212,9 @@ def test_pipeline_determinism_bitwise():
     a = pipeline_infer(pipe, probe)
     b = pipeline_infer(pipe, probe)
     assert np.array_equal(a.grades, b.grades)
+    # The same input as a {name: FuzzyNumber} mapping, as block_infer takes it.
+    c = pipeline_infer(pipe, {"x": probe})
+    assert np.array_equal(a.grades, c.grades)
 
 
 def test_pipeline_untrained_region_raises():
@@ -230,8 +233,9 @@ def test_pipeline_validation():
     b = Block.pristine([("x", far)], far, DEFAULT_PARAMS)
     with pytest.raises(ValueError):
         Pipeline([a, b])
-    with pytest.raises(ValueError):
-        pipeline_infer(Pipeline([a]), fuzzify_gaussian(10.5, 0.1, far))
+    for probe in (fuzzify_gaussian(10.5, 0.1, far), {"x": fuzzify_gaussian(10.5, 0.1, far)}):
+        with pytest.raises(ValueError):
+            pipeline_infer(Pipeline([a]), probe)
 
 
 def test_block_json_round_trip():
@@ -250,6 +254,10 @@ def test_block_json_round_trip():
     y1 = block_infer(blk, inputs).grades
     y2 = block_infer(back, inputs).grades
     assert np.array_equal(y1, y2)
+    # Older files carry "r_c": null; the key is ignored.
+    old = model_from_json(dict(json.loads(blob), r_c=None))
+    assert np.array_equal(old.backend.memristance, blk.backend.memristance)
+    assert np.array_equal(block_infer(old, inputs).grades, y1)
 
 
 def test_pipeline_json_round_trip():
