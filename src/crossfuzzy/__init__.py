@@ -1,13 +1,11 @@
 """Memristor-crossbar fuzzy-relation learning and inference simulator."""
 
-from .crossbar import Crossbar, ReadConfig, load_delta_csv, save_delta_csv
+from .crossbar import Crossbar, load_delta_csv, save_delta_csv
 from .device import (
     DEFAULT_PARAMS,
     MemristorParams,
-    MemristorState,
     apply_flux,
     beta,
-    delta_m,
 )
 from .fuzzy import (
     EmptyOutputError,
@@ -34,7 +32,7 @@ from .harness import (
     target_function,
     train_block,
 )
-from .relation import ImplicationParams, Relation, implication_f, relation_from_sets
+from .relation import Relation, implication_f, relation_from_sets
 from .system import (
     Block,
     Pipeline,
@@ -59,11 +57,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FuzzyNumber",
-    "ImplicationParams",
     "MemristorParams",
-    "MemristorState",
     "Pipeline",
-    "ReadConfig",
     "Relation",
     "Sample",
     "Section",
@@ -75,7 +70,6 @@ __all__ = [
     "block_train",
     "default_config",
     "defuzzify_centroid",
-    "delta_m",
     "eval_points",
     "evaluate_mse",
     "fuzzify_gaussian",

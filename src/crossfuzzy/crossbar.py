@@ -13,32 +13,19 @@ resistor, and a compensation row cancels the raw input sum, leaving
     exact:  y_i = -(sum_j x_j * r_off / M_ij  -  sum_j x_j)
     ideal:  y_i = -(1 / r_off) * sum_j (r_off - M_ij) * x_j
 
-The ideal form is the first-order limit of the exact one for stored values
-much smaller than ``r_off`` and is exactly a matrix-vector product with the
-stored-value matrix. Reads never disturb the stored state.
+computed by ``read_exact`` and ``read_ideal``; a ``Block``'s ``read_mode``
+picks one. The ideal form is the first-order limit of the exact one for
+stored values much smaller than ``r_off`` and is exactly a matrix-vector
+product with the stored-value matrix. Reads never disturb the stored state.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .device import MemristorParams, drift, pulse_flux
 
-__all__ = ["ReadConfig", "Crossbar", "save_delta_csv", "load_delta_csv"]
-
-READ_MODES = ("exact", "ideal")
-
-
-@dataclass(frozen=True)
-class ReadConfig:
-    mode: str = "exact"
-
-    def __post_init__(self) -> None:
-        if self.mode not in READ_MODES:
-            raise ValueError(f"read mode must be one of {READ_MODES}, got {self.mode!r}")
+__all__ = ["Crossbar", "save_delta_csv", "load_delta_csv"]
 
 
 class Crossbar:
@@ -91,8 +78,9 @@ class Crossbar:
 
         Cell (i, j) integrates flux
         ``max(0, col_grades[j] + row_grades[i] - v_th) * t0``, where ``v_th``
-        is the device's write threshold (0 by default). Stuck cells are
-        skipped; clamp events add to ``saturation_count``.
+        is the device's write threshold (0 by default). Grades must lie in
+        [0, 1]; ``pulse_flux`` rejects negative or NaN ones and a bad ``t0``.
+        Stuck cells are skipped; clamp events add to ``saturation_count``.
         """
         col = np.asarray(col_grades, dtype=float)
         row = np.asarray(row_grades, dtype=float)
@@ -100,12 +88,10 @@ class Crossbar:
             raise ValueError(f"column grades shape {col.shape} != ({self.cols},)")
         if row.shape != (self.rows,):
             raise ValueError(f"row grades shape {row.shape} != ({self.rows},)")
-        for name, g in (("column", col), ("row", row)):
-            if not (g.min() >= 0.0 and g.max() <= 1.0):
-                raise ValueError(f"{name} grades must lie in [0, 1]")
-        if not (math.isfinite(t0) and t0 > 0):
-            raise ValueError(f"t0 must be positive and finite, got {t0}")
         flux = pulse_flux(col, row, t0, self.params)
+        for name, g in (("column", col), ("row", row)):
+            if not g.max() <= 1.0:
+                raise ValueError(f"{name} grades must lie in [0, 1]")
         new_m, clamped = drift(self.memristance, flux, self.params)
         clamped[self.fault_mask] = False
         self.saturation_count += int(np.count_nonzero(clamped))
@@ -145,9 +131,6 @@ class Crossbar:
             raise ValueError(f"input shape {x.shape} != ({self.cols},)")
         alpha = -1.0 / self.params.r_off
         return alpha * ((self.params.r_off - self.memristance) @ x)
-
-    def read(self, x, config: ReadConfig) -> np.ndarray:
-        return self.read_exact(x) if config.mode == "exact" else self.read_ideal(x)
 
     def snapshot_delta(self) -> np.ndarray:
         """Stored-value matrix r_off - M (ohm); zero at stuck cells."""

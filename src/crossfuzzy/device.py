@@ -10,8 +10,9 @@ linearly with flux:
 so a write pulse is a single closed-form update instead of a time-stepped
 integration. ``drift`` is the only place that update is computed; every
 writer (single devices, crossbars, software relations and the write-budget
-check) calls it. M is clamped at ``r_on`` (fully switched film); the clamp
-is reported through ``MemristorState.saturated``. Only the polarity that
+check) calls it. M is clamped at ``r_on`` (fully switched film); ``drift``
+and ``apply_flux`` return ``(m_new, clamped)``, where ``clamped`` marks the
+devices where the clamp fired on this update. Only the polarity that
 decreases memristance is modeled: ``flux`` must be non-negative.
 
 A write pulse drives a device at ``v`` volts for ``t0`` seconds. Below the
@@ -20,6 +21,8 @@ drives the dopants (the threshold of the TEAM/VTEAM models), so one pulse
 deposits ``max(0, v - v_th) * t0`` volt-seconds (``pulse_flux``). The
 threshold acts on the drive, not on the state, so flux still adds up per
 device. With the default ``v_th = 0`` every pulse writes its full drive.
+``pulse_flux`` is also where every writer's inputs are checked: ``t0`` must
+be finite and positive, and drives must be non-negative (NaN is rejected).
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ import numpy as np
 
 __all__ = [
     "MemristorParams",
-    "MemristorState",
     "DEFAULT_PARAMS",
     "beta",
     "drift",
     "pulse_flux",
     "apply_flux",
-    "delta_m",
 ]
 
 
@@ -52,13 +53,13 @@ class MemristorParams:
     v_th: float = 0.0  # write threshold, V: drive below it moves no flux
 
     def __post_init__(self) -> None:
-        if not (self.mu_v > 0):
-            raise ValueError(f"mu_v must be positive, got {self.mu_v}")
-        if not (self.d > 0):
-            raise ValueError(f"d must be positive, got {self.d}")
-        if not (0 < self.r_on < self.r_off):
+        if not (0 < self.mu_v < math.inf):
+            raise ValueError(f"mu_v must be positive and finite, got {self.mu_v}")
+        if not (0 < self.d < math.inf):
+            raise ValueError(f"d must be positive and finite, got {self.d}")
+        if not (0 < self.r_on < self.r_off < math.inf):
             raise ValueError(
-                f"need 0 < r_on < r_off, got r_on={self.r_on}, r_off={self.r_off}"
+                f"need 0 < r_on < r_off < inf, got r_on={self.r_on}, r_off={self.r_off}"
             )
         if not (math.isfinite(self.v_th) and self.v_th >= 0):
             raise ValueError(f"v_th must be finite and non-negative, got {self.v_th}")
@@ -90,14 +91,6 @@ class MemristorParams:
 DEFAULT_PARAMS = MemristorParams(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=1e5)
 
 
-@dataclass(frozen=True)
-class MemristorState:
-    """One device: current memristance plus a sticky clamp flag."""
-
-    memristance: float  # ohm, always within [r_on, r_off]
-    saturated: bool = False
-
-
 def beta(params: MemristorParams) -> float:
     """Drift constant (ohm^2 / (V s)): d(M^2)/dflux = -beta."""
     return 2.0 * params.mu_v * params.r_on * (params.r_off - params.r_on) / params.d**2
@@ -106,9 +99,10 @@ def beta(params: MemristorParams) -> float:
 def drift(m, flux, params: MemristorParams):
     """The closed form: ``M_new**2 = M**2 - beta * flux``, clamped at ``r_on``.
 
-    ``flux`` is a scalar or an array and must be non-negative (callers check
-    it); ``m`` is a scalar or has the shape of ``flux``. Returns
-    ``(m_new, clamped)``, where ``clamped`` marks where the r_on clamp fired.
+    ``flux`` is a scalar or an array and must be non-negative (``pulse_flux``
+    and ``apply_flux`` check it); ``m`` is a scalar or has the shape of
+    ``flux``. Returns ``(m_new, clamped)``, where ``clamped`` marks where the
+    r_on clamp fired.
     Zero flux leaves M bit-identical, because ``sqrt(M * M) == M`` exactly
     in binary64.
     """
@@ -130,11 +124,16 @@ def pulse_flux(col, row, t0: float, params: MemristorParams):
 
     ``col`` and ``row`` are the drives (V) on the two lines; the result has
     shape ``row.shape + col.shape`` (``np.add.outer``), so a scalar ``row``
-    of 0 turns an already summed drive ``col`` into its flux. Callers check
-    that drives are non-negative. At ``v_th = 0`` no clip is applied: it
-    could not change a non-negative drive, and the default device does not
-    pay for it.
+    of 0 turns an already summed drive ``col`` into its flux. A ``t0`` that
+    is not finite and positive, and a negative or NaN drive, raise
+    ``ValueError``. At ``v_th = 0`` no clip is applied: it could not change a
+    non-negative drive, and the default device does not pay for it.
     """
+    if not (0 < t0 < math.inf):
+        raise ValueError(f"t0 must be positive and finite, got {t0}")
+    col, row = np.asarray(col), np.asarray(row)
+    if not (col.min() >= 0 and row.min() >= 0):
+        raise ValueError("drives must be non-negative (write polarity reversal not modeled)")
     if params.v_th > 0:
         flux = np.asarray(np.add.outer(np.subtract(row, params.v_th), col))
         np.maximum(flux, 0.0, out=flux)
@@ -144,25 +143,16 @@ def pulse_flux(col, row, t0: float, params: MemristorParams):
     return flux
 
 
-def apply_flux(
-    state: MemristorState, params: MemristorParams, flux: float
-) -> MemristorState:
-    """Advance one device by a write pulse carrying ``flux`` volt-seconds.
+def apply_flux(m: float, params: MemristorParams, flux: float) -> tuple[float, bool]:
+    """Advance one device of memristance ``m`` by a pulse carrying ``flux`` volt-seconds.
 
-    Returns a new state; saturated is set iff the r_on clamp fired on this
-    update. Negative or NaN flux (polarity reversal) is rejected.
+    Returns ``(m_new, clamped)`` as ``drift`` does; ``clamped`` is set iff
+    the r_on clamp fired on this update. Negative or NaN flux (polarity
+    reversal) and a memristance outside ``[r_on, r_off]`` are rejected.
     """
     if not flux >= 0:
         raise ValueError(f"flux must be >= 0 (polarity reversal not modeled), got {flux}")
-    m_old = state.memristance
-    if not (params.r_on <= m_old <= params.r_off):
-        raise ValueError(
-            f"memristance {m_old} outside [{params.r_on}, {params.r_off}]"
-        )
-    m_new, clamped = drift(m_old, flux, params)
-    return MemristorState(memristance=float(m_new), saturated=bool(clamped))
-
-
-def delta_m(state: MemristorState, params: MemristorParams) -> float:
-    """Stored value of a device: how far memristance has dropped from r_off."""
-    return params.r_off - state.memristance
+    if not (params.r_on <= m <= params.r_off):
+        raise ValueError(f"memristance {m} outside [{params.r_on}, {params.r_off}]")
+    m_new, clamped = drift(m, flux, params)
+    return float(m_new), bool(clamped)

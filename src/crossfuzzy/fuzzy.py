@@ -10,6 +10,8 @@ which is fine because centroid defuzzification is scale- and sign-invariant.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,10 +43,10 @@ class Universe:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ValueError(f"universe needs at least 2 points, got {self.count}")
-        if not (self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not (isinstance(self.count, numbers.Integral) and self.count >= 2):
+            raise ValueError(f"universe needs an integer count >= 2, got {self.count!r}")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def resolution(self) -> float:
@@ -94,8 +96,8 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
     grid resolution degrade gracefully to a one-hot at the nearest grid point
     (the crisp limit). Values outside the universe are accepted but warned.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not (universe.lo <= x0 <= universe.hi):
         warnings.warn(
             f"crisp value {x0} lies outside universe [{universe.lo}, {universe.hi}]",

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossbar import ReadConfig, save_delta_csv
+from .crossbar import save_delta_csv
 from .device import DEFAULT_PARAMS, MemristorParams, beta, drift
 from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, defuzzify_centroid, fuzzify_gaussian
-from .system import Block, Pipeline, block_train, has_signal, model_to_json
+from .system import READ_MODES, Block, Pipeline, block_train, has_signal, model_to_json
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -123,8 +123,9 @@ class DatasetSpec:
                 raise ValueError(f"invalid domain for {name!r}: [{lo}, {hi}]")
         if set(self.input_sigmas) != set(self.domains):
             raise ValueError("input_sigmas keys must match domains keys")
-        if any(s <= 0 for s in self.input_sigmas.values()) or self.output_sigma <= 0:
-            raise ValueError("sigmas must be positive")
+        sigmas = [*self.input_sigmas.values(), self.output_sigma]
+        if not all(0 < s < math.inf for s in sigmas):
+            raise ValueError(f"sigmas must be positive and finite, got {sigmas}")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -328,8 +329,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if set(self.input_universes) != set(self.dataset.domains):
             raise ValueError("input universes must match dataset variables")
-        if self.read_mode not in ("exact", "ideal"):
-            raise ValueError(f"bad read mode {self.read_mode!r}")
+        if self.read_mode not in READ_MODES:
+            raise ValueError(f"read mode must be one of {READ_MODES}, got {self.read_mode!r}")
         if not (0.0 <= self.fault_fraction <= 1.0):
             raise ValueError("fault fraction must lie in [0, 1]")
         drive = _worst_drive(self.device)
@@ -498,7 +499,6 @@ def merge_json(base: dict, override: dict) -> dict:
 def _build_and_train(cfg: ExperimentConfig) -> Block | Pipeline:
     """Train one block per stage; stage i shifts the dataset and fault seeds by i."""
     t0 = cfg.resolved_t0()
-    read = ReadConfig(cfg.read_mode)
     inputs = list(cfg.input_universes.items())
     if cfg.pipeline_targets and len(inputs) != 1:
         raise ValueError("chained experiments need a single input variable")
@@ -506,7 +506,7 @@ def _build_and_train(cfg: ExperimentConfig) -> Block | Pipeline:
     for i, target in enumerate(cfg.pipeline_targets or (cfg.dataset.target,)):
         spec = replace(cfg.dataset, target=target, seed=cfg.dataset.seed + i)
         dataset = generate_dataset(spec, cfg.input_universes, cfg.output_universe)
-        blk = Block.pristine(inputs, cfg.output_universe, cfg.device, read=read)
+        blk = Block.pristine(inputs, cfg.output_universe, cfg.device, read_mode=cfg.read_mode)
         if cfg.fault_fraction > 0:
             blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed + i)
         train_block(blk, dataset, t0)

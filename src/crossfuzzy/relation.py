@@ -10,7 +10,10 @@ is the increment one write pulse of duration ``t0`` leaves on a pristine
 device seeing the summed grade as its drive voltage (``device.pulse_flux``
 and ``device.drift``). With the default threshold ``v_th = 0`` every cell
 takes flux ``t0 * nu``; at ``v_th = 1`` the flux ``t0 * max(0, a + b - 1)``
-is the Lukasiewicz conjunction of the two grades.
+is the Lukasiewicz conjunction of the two grades. ``implication_f``,
+``Relation.accumulate`` and ``relation_from_sets`` take the device constants
+and ``t0`` as plain arguments, and ``pulse_flux`` checks both the grades and
+``t0``.
 
 Two accumulation modes exist. ``additive`` sums the per-pulse increments
 (the mathematical idealization); ``hardware`` chains the device state
@@ -26,44 +29,26 @@ scale anyway.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .device import MemristorParams, drift, pulse_flux
 from .fuzzy import FuzzyNumber, Universe
 
-__all__ = ["ImplicationParams", "Relation", "implication_f", "relation_from_sets"]
+__all__ = ["Relation", "implication_f", "relation_from_sets"]
 
 RELATION_MODES = ("additive", "hardware")
 
 
-@dataclass(frozen=True)
-class ImplicationParams:
-    """Device constants plus the write-pulse duration."""
-
-    device: MemristorParams
-    t0: float  # seconds
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t0) and self.t0 > 0):
-            raise ValueError(f"t0 must be positive and finite, got {self.t0}")
-
-
-def implication_f(nu, params: ImplicationParams):
+def implication_f(nu, device: MemristorParams, t0: float):
     """Stored-value increment for a summed membership grade ``nu``.
 
     Zero up to the write threshold ``v_th``, then strictly increasing and
     convex in nu; saturates at ``r_off - r_on`` once the pulse would clamp
-    the device. Accepts scalars or arrays.
+    the device. Accepts scalars or arrays; ``t0`` is the pulse duration (s).
     """
     nu = np.asarray(nu, dtype=float)
-    if not np.all(nu >= 0):
-        raise ValueError("summed grades must be non-negative")
-    r_off = params.device.r_off
-    flux = pulse_flux(nu, 0.0, params.t0, params.device)
-    out = r_off - drift(r_off, flux, params.device)[0]
+    r_off = device.r_off
+    out = r_off - drift(r_off, pulse_flux(nu, 0.0, t0, device), device)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -89,8 +74,8 @@ class Relation:
             mu = np.array(mu, dtype=float)
             if mu.shape != shape:
                 raise ValueError(f"mu shape {mu.shape} != {shape}")
-            if mu.min() < 0:
-                raise ValueError("mu must be non-negative")
+            if not (mu.min() >= 0 and np.isfinite(mu).all()):
+                raise ValueError("mu must be finite and non-negative")
         self.mu = mu
 
     def _check_pair(self, a: FuzzyNumber, b: FuzzyNumber) -> None:
@@ -99,24 +84,29 @@ class Relation:
         if b.universe != self.output_universe:
             raise ValueError("output fuzzy number lives on the wrong universe")
 
-    def accumulate(self, a: FuzzyNumber, b: FuzzyNumber, params: ImplicationParams) -> None:
-        """Fold one training pair (input a, output b) into the relation."""
+    def accumulate(
+        self, a: FuzzyNumber, b: FuzzyNumber, device: MemristorParams, t0: float
+    ) -> None:
+        """Fold one training pair (input a, output b) into the relation.
+
+        One write pulse of ``t0`` seconds on a device with constants
+        ``device``. Hardware mode checks each grade; additive mode, like
+        ``implication_f``, checks each cell's summed grade.
+        """
         self._check_pair(a, b)
         if self.mode == "additive":
             nu = a.grades[None, :] + b.grades[:, None]
-            self.mu = self.mu + implication_f(nu, params)
+            self.mu = self.mu + implication_f(nu, device, t0)
             return
-        if not (np.all(a.grades >= 0) and np.all(b.grades >= 0)):
-            raise ValueError("training grades must be non-negative")
         # Chain the device state: continue the flux integration from
         # m = r_off - mu and add the drop m - m_new. Cells without flux add
         # exactly 0, so they keep mu bit-identical. The flux is the
         # crossbar's, and while M stays above r_off / 2 every step is exact,
         # so a relation trained from zero holds exactly r_off - M of the
         # crossbar it mirrors.
-        flux = pulse_flux(a.grades, b.grades, params.t0, params.device)
-        m = params.device.r_off - self.mu
-        m_new, _ = drift(m, flux, params.device)
+        flux = pulse_flux(a.grades, b.grades, t0, device)
+        m = device.r_off - self.mu
+        m_new, _ = drift(m, flux, device)
         np.subtract(m, m_new, out=m_new)
         m_new += self.mu
         self.mu = m_new
@@ -133,9 +123,9 @@ class Relation:
 
 
 def relation_from_sets(
-    a: FuzzyNumber, b: FuzzyNumber, params: ImplicationParams, mode: str = "hardware"
+    a: FuzzyNumber, b: FuzzyNumber, device: MemristorParams, t0: float, mode: str = "hardware"
 ) -> Relation:
     """Relation written by a single pulse pairing fuzzy sets a (input) and b (output)."""
     rel = Relation(a.universe, b.universe, mode=mode)
-    rel.accumulate(a, b, params)
+    rel.accumulate(a, b, device, t0)
     return rel

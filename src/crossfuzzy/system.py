@@ -13,6 +13,11 @@ A ``Pipeline`` chains single-input blocks. Crossbar reads come out negated
 inverting unity stage, is peak-normalized (reads are tiny fractions of the
 input scale and inference is scale-invariant), and is re-sampled onto the
 next block's input grid when the universes differ.
+
+A crossbar block reads in one of ``READ_MODES``: ``"exact"`` (the full
+amplifier algebra, ``Crossbar.read_exact``) or ``"ideal"`` (its first-order
+limit, ``Crossbar.read_ideal``); ``Block.read_mode`` picks one, and model
+JSON stores it under the same name.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import Crossbar, ReadConfig
+from .crossbar import Crossbar
 from .device import MemristorParams
 from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, normalize_peak, regrid
-from .relation import ImplicationParams, Relation
+from .relation import Relation
 
 __all__ = [
+    "READ_MODES",
     "SIGNAL_FLOOR",
     "Section",
     "Block",
@@ -42,6 +48,8 @@ __all__ = [
     "model_to_json",
     "model_from_json",
 ]
+
+READ_MODES = ("exact", "ideal")
 
 #: Read-outs at or below this magnitude carry no stored signal. Exact-mode
 #: reads of an untouched crossbar cancel only to float rounding (~1e-14 of
@@ -68,9 +76,11 @@ class Block:
         backend: Crossbar | Relation,
         inputs: list[tuple[str, Universe]],
         output_universe: Universe,
-        read: ReadConfig = ReadConfig("exact"),
+        read_mode: str = "exact",
         device_params: MemristorParams | None = None,
     ):
+        if read_mode not in READ_MODES:
+            raise ValueError(f"read mode must be one of {READ_MODES}, got {read_mode!r}")
         if not inputs:
             raise ValueError("block needs at least one input section")
         names = [name for name, _ in inputs]
@@ -83,7 +93,7 @@ class Block:
             start = stop
         self.sections = sections
         self.output_universe = output_universe
-        self.read = read
+        self.read_mode = read_mode
         self.backend = backend
         if isinstance(backend, Crossbar):
             if backend.cols != start:
@@ -115,11 +125,11 @@ class Block:
         inputs: list[tuple[str, Universe]],
         output_universe: Universe,
         params: MemristorParams,
-        read: ReadConfig = ReadConfig("exact"),
+        read_mode: str = "exact",
     ) -> "Block":
         cols = sum(u.count for _, u in inputs)
         xbar = Crossbar(output_universe.count, cols, params)
-        return cls(xbar, inputs, output_universe, read=read)
+        return cls(xbar, inputs, output_universe, read_mode=read_mode)
 
     @property
     def is_crossbar(self) -> bool:
@@ -184,19 +194,21 @@ def block_train(block: Block, inputs, output: FuzzyNumber, t0: float) -> None:
         block.backend.write_pulse(col, output.grades, t0)
     else:
         a = FuzzyNumber(block.sections[0].universe, col)
-        block.backend.accumulate(a, output, ImplicationParams(block.device_params, t0))
+        block.backend.accumulate(a, output, block.device_params, t0)
 
 
 def block_infer(block: Block, inputs) -> FuzzyNumber:
     """One read over the concatenated input vector.
 
     Crossbar-backed blocks return raw read-out voltages (negative for
-    non-negative inputs); relation-backed blocks return the non-negative
-    matrix-product grades.
+    non-negative inputs), read in the block's ``read_mode``; relation-backed
+    blocks return the non-negative matrix-product grades.
     """
     col = block.concat_grades(inputs)
     if block.is_crossbar:
-        return FuzzyNumber(block.output_universe, block.backend.read(col, block.read))
+        xbar = block.backend
+        out = xbar.read_exact(col) if block.read_mode == "exact" else xbar.read_ideal(col)
+        return FuzzyNumber(block.output_universe, out)
     return block.backend.infer(FuzzyNumber(block.sections[0].universe, col))
 
 
@@ -267,7 +279,7 @@ def block_to_json(block: Block) -> dict:
             {"name": sec.name, "universe": sec.universe.to_json()} for sec in block.sections
         ],
         "output_universe": block.output_universe.to_json(),
-        "read_mode": block.read.mode,
+        "read_mode": block.read_mode,
         "device": block.device_params.to_json(),
     }
     if block.is_crossbar:
@@ -287,12 +299,17 @@ def block_to_json(block: Block) -> dict:
 def block_from_json(obj: dict) -> Block:
     inputs = [(e["name"], Universe.from_json(e["universe"])) for e in obj["inputs"]]
     output_universe = Universe.from_json(obj["output_universe"])
-    read = ReadConfig(obj.get("read_mode", "exact"))  # an old "r_c" key is ignored
+    read_mode = obj.get("read_mode", "exact")  # an old "r_c" key is ignored
     params = MemristorParams.from_json(obj["device"])
     if obj["backend"] == "crossbar":
         memristance = np.asarray(obj["memristance"], dtype=float)
+        cells = obj.get("fault_cells", [])
+        if not all(type(c) is int and 0 <= c < memristance.size for c in cells):
+            raise ValueError(
+                f"fault_cells must be integer cell indices in [0, {memristance.size})"
+            )
         mask = np.zeros(memristance.size, dtype=bool)
-        mask[np.asarray(obj.get("fault_cells", []), dtype=int)] = True
+        mask[np.asarray(cells, dtype=int)] = True
         xbar = Crossbar(
             memristance.shape[0],
             memristance.shape[1],
@@ -301,9 +318,9 @@ def block_from_json(obj: dict) -> Block:
             fault_mask=mask.reshape(memristance.shape),
         )
         xbar.saturation_count = int(obj.get("saturation_count", 0))
-        return Block(xbar, inputs, output_universe, read=read)
+        return Block(xbar, inputs, output_universe, read_mode=read_mode)
     rel = Relation(inputs[0][1], output_universe, mode=obj["mode"], mu=np.asarray(obj["mu"]))
-    return Block(rel, inputs, output_universe, read=read, device_params=params)
+    return Block(rel, inputs, output_universe, read_mode=read_mode, device_params=params)
 
 
 def pipeline_to_json(pipe: Pipeline) -> dict:

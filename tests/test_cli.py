@@ -177,6 +177,21 @@ def test_infer_untrained_model_reports_error(tmp_path, capsys):
     assert "untrained" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("cells", [[-1], [1.7], [99]])
+def test_infer_rejects_bad_fault_cells(tmp_path, capsys, cells):
+    from crossfuzzy.device import DEFAULT_PARAMS
+    from crossfuzzy.system import Block, model_to_json
+
+    u = Universe(0.0, 1.0, 3)
+    obj = dict(model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS)), fault_cells=cells)
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps(obj))
+    code = main(["infer", "--model", str(path), "--input", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: fault_cells")
+
+
 def test_bad_arguments_exit_2(tmp_path, capsys):
     code = main(["infer", "--model", str(tmp_path / "missing.json"), "--input", "0.5"])
     capsys.readouterr()

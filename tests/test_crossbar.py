@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossfuzzy.crossbar import Crossbar, ReadConfig, load_delta_csv, save_delta_csv
-from crossfuzzy.device import DEFAULT_PARAMS, MemristorState, apply_flux
+from crossfuzzy.crossbar import Crossbar, load_delta_csv, save_delta_csv
+from crossfuzzy.device import DEFAULT_PARAMS, apply_flux
+from crossfuzzy.fuzzy import FuzzyNumber, Universe
 from crossfuzzy.harness import default_config
-from crossfuzzy.relation import ImplicationParams
+from crossfuzzy.relation import Relation, implication_f
+from crossfuzzy.system import Block
 from oracles import closed_form_memristance, rk4_memristance
 
 R_ON = DEFAULT_PARAMS.r_on
@@ -90,12 +92,12 @@ def _validate_with_t0(t0):
         lambda: Crossbar(2, 1, DEFAULT_PARAMS).write_pulse([0.5], [0.5, NAN], 1e-4),
         lambda: Crossbar(1, 1, DEFAULT_PARAMS).write_pulse([0.5], [0.5], NAN),
         lambda: Crossbar(1, 1, DEFAULT_PARAMS).write_pulse([0.5], [0.5], INF),
-        lambda: ImplicationParams(DEFAULT_PARAMS, NAN),
-        lambda: ImplicationParams(DEFAULT_PARAMS, INF),
+        lambda: implication_f(1.0, DEFAULT_PARAMS, NAN),
+        lambda: implication_f(1.0, DEFAULT_PARAMS, INF),
         lambda: _validate_with_t0(NAN),
         lambda: _validate_with_t0(INF),
         lambda: Crossbar(1, 2, DEFAULT_PARAMS, memristance=[[R_OFF, NAN]]),
-        lambda: apply_flux(MemristorState(R_OFF), DEFAULT_PARAMS, NAN),
+        lambda: apply_flux(R_OFF, DEFAULT_PARAMS, NAN),
     ],
     ids=[
         "nan-column-grade",
@@ -113,6 +115,57 @@ def _validate_with_t0(t0):
 def test_non_finite_write_inputs_are_rejected(write):
     with pytest.raises(ValueError):
         write()
+
+
+U2 = Universe(0.0, 1.0, 2)
+
+
+def _accumulate(mode, a_grades, b_grades, t0):
+    a, b = FuzzyNumber(U2, np.zeros(2)), FuzzyNumber(U2, np.zeros(2))
+    # Set the grades after construction: FuzzyNumber would reject NaN itself.
+    a.grades, b.grades = a_grades, b_grades
+    Relation(U2, U2, mode=mode).accumulate(a, b, DEFAULT_PARAMS, t0)
+
+
+WRITERS = {
+    "write_pulse": lambda col, row, t0: Crossbar(2, 2, DEFAULT_PARAMS).write_pulse(col, row, t0),
+    "accumulate-hardware": lambda col, row, t0: _accumulate("hardware", col, row, t0),
+    "accumulate-additive": lambda col, row, t0: _accumulate("additive", col, row, t0),
+    "implication_f": lambda col, row, t0: implication_f(
+        np.add.outer(row, col), DEFAULT_PARAMS, t0
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize(
+    "col, row, t0",
+    [
+        ([0.5, 0.5], [0.5, 0.0], NAN),
+        ([0.5, 0.5], [0.5, 0.0], INF),
+        ([0.5, 0.5], [0.5, 0.0], 0.0),
+        ([0.5, 0.5], [0.5, 0.0], -1e-4),
+        ([-0.5, 0.5], [0.5, 0.0], 1e-4),
+        ([0.5, 0.5], [0.5, -0.75], 1e-4),
+        ([NAN, 0.5], [0.5, 0.0], 1e-4),
+        ([0.5, 0.5], [NAN, 0.0], 1e-4),
+    ],
+    ids=[
+        "nan-t0",
+        "inf-t0",
+        "zero-t0",
+        "negative-t0",
+        "negative-column",
+        "negative-row",
+        "nan-column",
+        "nan-row",
+    ],
+)
+def test_every_writer_rejects_bad_t0_and_grades(writer, col, row, t0):
+    # Each negative case also drives one cell negative: the additive relation
+    # and implication_f see only each cell's summed grade.
+    with pytest.raises(ValueError):
+        WRITERS[writer](np.array(col), np.array(row), t0)
 
 
 def test_saturation_counting():
@@ -175,11 +228,19 @@ def test_read_dimension_mismatch():
 
 
 def test_read_config_dispatch():
-    xb = one_cell_after_pulse()
-    assert xb.read([0.5], ReadConfig("exact"))[0] == xb.read_exact([0.5])[0]
-    assert xb.read([0.5], ReadConfig("ideal"))[0] == xb.read_ideal([0.5])[0]
+    u = Universe(0.0, 1.0, 2)
+    xb = Crossbar(2, 2, DEFAULT_PARAMS)
+    xb.write_pulse([1.0, 0.3], [0.8, 0.0], 1e-4)
+    x = FuzzyNumber(u, [0.5, 0.25])
+    exact = Block(xb, [("x", u)], u).infer(x).grades
+    ideal = Block(xb, [("x", u)], u, read_mode="ideal").infer(x).grades
+    assert np.array_equal(exact, xb.read_exact(x.grades))
+    assert np.array_equal(ideal, xb.read_ideal(x.grades))
+    assert not np.array_equal(exact, ideal)
     with pytest.raises(ValueError):
-        ReadConfig("approximate")
+        Block(xb, [("x", u)], u, read_mode="approximate")
+    with pytest.raises(ValueError):
+        Block.pristine([("x", u)], u, DEFAULT_PARAMS, read_mode="approximate")
 
 
 def test_inject_faults_counts_and_determinism():

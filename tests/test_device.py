@@ -9,13 +9,11 @@ from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import (
     DEFAULT_PARAMS,
     MemristorParams,
-    MemristorState,
     apply_flux,
     beta,
-    delta_m,
 )
 from crossfuzzy.fuzzy import FuzzyNumber, Universe
-from crossfuzzy.relation import ImplicationParams, Relation, implication_f
+from crossfuzzy.relation import Relation, implication_f
 from oracles import closed_form_memristance, pulse_memristance, rk4_memristance
 
 R_ON = DEFAULT_PARAMS.r_on
@@ -47,6 +45,13 @@ def test_beta_linear_in_mobility():
         dict(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=1e5, v_th=-0.1),
         dict(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=1e5, v_th=math.nan),
         dict(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=1e5, v_th=math.inf),
+        dict(mu_v=math.inf, d=1e-8, r_on=1e3, r_off=1e5),
+        dict(mu_v=math.nan, d=1e-8, r_on=1e3, r_off=1e5),
+        dict(mu_v=1e-14, d=math.inf, r_on=1e3, r_off=1e5),
+        dict(mu_v=1e-14, d=math.nan, r_on=1e3, r_off=1e5),
+        dict(mu_v=1e-14, d=1e-8, r_on=math.nan, r_off=1e5),
+        dict(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=math.inf),
+        dict(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=math.nan),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -55,42 +60,30 @@ def test_invalid_params_rejected(kwargs):
 
 
 def test_apply_flux_matches_closed_form_and_ode():
-    out = apply_flux(MemristorState(R_OFF), DEFAULT_PARAMS, 1e-4)
-    assert out.memristance == pytest.approx(M_AFTER_UNIT_FLUX, rel=1e-12)
-    assert not out.saturated
+    m, clamped = apply_flux(R_OFF, DEFAULT_PARAMS, 1e-4)
+    assert m == pytest.approx(M_AFTER_UNIT_FLUX, rel=1e-12)
+    assert R_OFF - m == pytest.approx(DELTA_AFTER_UNIT_FLUX, rel=1e-12)
+    assert not clamped
     ode = rk4_memristance(R_OFF, 1.0, 1e-4, DEFAULT_PARAMS, steps=20000)
-    assert out.memristance == pytest.approx(ode, rel=1e-9)
+    assert m == pytest.approx(ode, rel=1e-9)
 
 
 def test_apply_flux_zero_is_identity():
-    state = MemristorState(54321.0)
-    out = apply_flux(state, DEFAULT_PARAMS, 0.0)
-    assert out.memristance == state.memristance
-    assert not out.saturated
+    assert apply_flux(54321.0, DEFAULT_PARAMS, 0.0) == (54321.0, False)
 
 
 def test_apply_flux_clamps_at_r_on():
-    out = apply_flux(MemristorState(R_OFF), DEFAULT_PARAMS, 1.0)
-    assert out.memristance == R_ON
-    assert out.saturated
+    assert apply_flux(R_OFF, DEFAULT_PARAMS, 1.0) == (R_ON, True)
 
 
 def test_apply_flux_rejects_negative_flux():
     with pytest.raises(ValueError):
-        apply_flux(MemristorState(R_OFF), DEFAULT_PARAMS, -1e-6)
+        apply_flux(R_OFF, DEFAULT_PARAMS, -1e-6)
 
 
 def test_apply_flux_rejects_out_of_range_state():
     with pytest.raises(ValueError):
-        apply_flux(MemristorState(R_OFF * 2), DEFAULT_PARAMS, 1e-6)
-
-
-def test_delta_m_endpoints():
-    assert delta_m(MemristorState(R_OFF), DEFAULT_PARAMS) == 0.0
-    assert delta_m(MemristorState(R_ON), DEFAULT_PARAMS) == R_OFF - R_ON
-    assert delta_m(MemristorState(M_AFTER_UNIT_FLUX), DEFAULT_PARAMS) == pytest.approx(
-        DELTA_AFTER_UNIT_FLUX, rel=1e-12
-    )
+        apply_flux(R_OFF * 2, DEFAULT_PARAMS, 1e-6)
 
 
 # -- properties -------------------------------------------------------------
@@ -103,26 +96,25 @@ small_flux = st.floats(min_value=0.0, max_value=1e-2)
 @given(m0=state_m, flux1=small_flux, flux2=small_flux)
 def test_flux_additivity(m0, flux1, flux2):
     params = DEFAULT_PARAMS
-    combined = apply_flux(MemristorState(m0), params, flux1 + flux2)
-    if combined.saturated:
+    combined, clamped = apply_flux(m0, params, flux1 + flux2)
+    step, step_clamped = apply_flux(apply_flux(m0, params, flux1)[0], params, flux2)
+    if clamped:
         # Once the total clamps, the sequential path clamps too.
-        step = apply_flux(apply_flux(MemristorState(m0), params, flux1), params, flux2)
-        assert step.memristance == R_ON
+        assert step == R_ON
         return
-    step = apply_flux(apply_flux(MemristorState(m0), params, flux1), params, flux2)
-    assert step.memristance == pytest.approx(combined.memristance, rel=1e-12)
-    assert not step.saturated
+    assert step == pytest.approx(combined, rel=1e-12)
+    assert not step_clamped
 
 
 @settings(max_examples=200, deadline=None)
 @given(m0=state_m, flux=st.floats(min_value=1e-9, max_value=1e-2), extra=st.floats(min_value=1e-9, max_value=1e-2))
 def test_flux_monotonicity_and_bounds(m0, flux, extra):
     params = DEFAULT_PARAMS
-    a = apply_flux(MemristorState(m0), params, flux)
-    b = apply_flux(MemristorState(m0), params, flux + extra)
-    assert R_ON <= b.memristance <= a.memristance <= m0
-    if not b.saturated:
-        assert b.memristance < a.memristance
+    a, _ = apply_flux(m0, params, flux)
+    b, b_clamped = apply_flux(m0, params, flux + extra)
+    assert R_ON <= b <= a <= m0
+    if not b_clamped:
+        assert b < a
 
 
 grade = st.floats(min_value=0.0, max_value=1.0)
@@ -146,14 +138,14 @@ def test_every_writer_matches_the_closed_form_oracle(m0, c, r, t0, v_th):
     """
     params = replace(DEFAULT_PARAMS, v_th=v_th)
     flux = (c + r) * t0
-    device = apply_flux(MemristorState(m0), params, flux).memristance
+    device, _ = apply_flux(m0, params, flux)
     assert device == pytest.approx(closed_form_memristance(m0, flux, params), rel=1e-12)
-    assert apply_flux(MemristorState(m0), params, 0.0).memristance == m0
+    assert apply_flux(m0, params, 0.0)[0] == m0
 
-    f = implication_f(c + r, ImplicationParams(params, t0))
+    f = implication_f(c + r, params, t0)
     want = pulse_memristance(R_OFF, c + r, t0, params)
     assert R_OFF - f == pytest.approx(want, rel=1e-12)
-    assert implication_f(0.0, ImplicationParams(params, t0)) == 0.0
+    assert implication_f(0.0, params, t0) == 0.0
 
     col, row = np.array([c, 0.0]), np.array([r, 0.0])
     xb = Crossbar(2, 2, params, memristance=np.full((2, 2), m0))
@@ -163,7 +155,7 @@ def test_every_writer_matches_the_closed_form_oracle(m0, c, r, t0, v_th):
     hw = Relation(u, u, mode="hardware", mu=mu0)
     add = Relation(u, u, mode="additive")
     for rel in (hw, add):
-        rel.accumulate(FuzzyNumber(u, col), FuzzyNumber(u, row), ImplicationParams(params, t0))
+        rel.accumulate(FuzzyNumber(u, col), FuzzyNumber(u, row), params, t0)
     for i in range(2):
         for j in range(2):
             drive = col[j] + row[i]
@@ -206,9 +198,7 @@ def test_zero_grade_lines_are_never_written_at_one_volt(data, rows, cols, t0):
         col = np.array(data.draw(st.lists(maybe_zero, min_size=cols, max_size=cols)))
         row = np.array(data.draw(st.lists(maybe_zero, min_size=rows, max_size=rows)))
         xb.write_pulse(col, row, t0)
-        rel.accumulate(
-            FuzzyNumber(ui, col), FuzzyNumber(uo, row), ImplicationParams(THRESHOLD_PARAMS, t0)
-        )
+        rel.accumulate(FuzzyNumber(ui, col), FuzzyNumber(uo, row), THRESHOLD_PARAMS, t0)
         idle &= (row[:, None] == 0.0) | (col[None, :] == 0.0)
     assert np.array_equal(xb.memristance[idle], m0[idle])
     assert np.array_equal(rel.mu[idle], mu0[idle])
@@ -236,7 +226,7 @@ def test_ode_agreement_on_random_states():
         v = rng.uniform(0.05, 2.0)
         # Stay clear of the clamp: spend at most 60 % of the flux budget.
         t = rng.uniform(0.1, 0.6) * (m0**2 - R_ON**2) / (b * v)
-        closed = apply_flux(MemristorState(m0), params, v * t)
+        closed, clamped = apply_flux(m0, params, v * t)
         ode = rk4_memristance(m0, v, t, params, steps=4000)
-        assert not closed.saturated
-        assert closed.memristance == pytest.approx(ode, rel=1e-9)
+        assert not clamped
+        assert closed == pytest.approx(ode, rel=1e-9)

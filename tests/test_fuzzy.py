@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,28 @@ def test_universe_validation():
         Universe(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         Universe(2.0, 1.0, 10)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, count",
+    [
+        (0.0, math.inf, 3),
+        (-math.inf, 0.0, 3),
+        (0.0, math.nan, 3),
+        (math.nan, 1.0, 3),
+        (-1e308, 1e308, 3),  # finite ends, but the width overflows
+        (0.0, 1.0, 2.5),
+        (0.0, 1.0, 10.0),
+        (0.0, 1.0, "10"),
+    ],
+)
+def test_universe_rejects_non_finite_ends_and_non_integer_counts(lo, hi, count):
+    with pytest.raises(ValueError):
+        Universe(lo, hi, count)
+
+
+def test_universe_accepts_numpy_integer_counts():
+    assert Universe(0.0, 1.0, np.int64(10)) == Universe(0.0, 1.0, 10)
 
 
 def test_fuzzy_number_validation():

@@ -8,7 +8,7 @@ import pytest
 
 from crossfuzzy.crossbar import Crossbar, load_delta_csv
 from crossfuzzy.device import DEFAULT_PARAMS, beta
-from crossfuzzy.fuzzy import Universe
+from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import (
     DatasetSpec,
     EvalSpec,
@@ -23,7 +23,7 @@ from crossfuzzy.harness import (
     target_function,
     train_block,
 )
-from crossfuzzy.relation import ImplicationParams, relation_from_sets
+from crossfuzzy.relation import Relation, relation_from_sets
 from crossfuzzy.system import Block, block_infer, model_from_json
 
 
@@ -72,6 +72,36 @@ def test_dataset_spec_validation():
         small_spec(output_sigma=0.0)
 
 
+NAN = float("nan")
+U3 = Universe(0.0, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Relation(U3, U3, mu=np.full((3, 3), NAN)), "mu"),
+        (lambda: Relation(U3, U3, mu=np.full((3, 3), math.inf)), "mu"),
+        (lambda: small_spec(input_sigmas={"x": NAN}), "sigma"),
+        (lambda: small_spec(output_sigma=NAN), "sigma"),
+        (lambda: small_spec(output_sigma=math.inf), "sigma"),
+        (lambda: fuzzify_gaussian(0.5, NAN, U3), "sigma"),
+        (lambda: fuzzify_gaussian(0.5, math.inf, U3), "sigma"),
+    ],
+    ids=[
+        "nan-relation-mu",
+        "inf-relation-mu",
+        "nan-input-sigma",
+        "nan-output-sigma",
+        "inf-output-sigma",
+        "nan-fuzzify-sigma",
+        "inf-fuzzify-sigma",
+    ],
+)
+def test_non_finite_values_are_rejected_where_they_enter(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_generate_dataset_shapes_and_targets():
     universes, out_u = small_universes()
     samples = generate_dataset(small_spec(), universes, out_u)
@@ -106,9 +136,7 @@ def test_train_block_single_sample_equals_single_shot_relation():
     samples = generate_dataset(small_spec(n=1), universes, out_u)
     blk = Block.pristine(list(universes.items()), out_u, DEFAULT_PARAMS)
     train_block(blk, samples, 1e-6)
-    rel = relation_from_sets(
-        samples[0].inputs["x"], samples[0].output, ImplicationParams(DEFAULT_PARAMS, 1e-6)
-    )
+    rel = relation_from_sets(samples[0].inputs["x"], samples[0].output, DEFAULT_PARAMS, 1e-6)
     assert np.allclose(blk.snapshot_delta(), rel.mu, rtol=1e-12, atol=0.0)
 
 

@@ -8,61 +8,64 @@ from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, beta
 from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
 from crossfuzzy.harness import default_config, generate_dataset
-from crossfuzzy.relation import ImplicationParams, Relation, implication_f, relation_from_sets
+from crossfuzzy.relation import Relation, implication_f, relation_from_sets
 
 R_OFF = DEFAULT_PARAMS.r_off
 R_ON = DEFAULT_PARAMS.r_on
-P = ImplicationParams(DEFAULT_PARAMS, 1e-4)
+T0 = 1e-4  # s
 
 F_OF_2 = 19.80196058821457
 TWO_F_OF_1 = 19.800980197032914
 
 
 def test_implication_zero_and_reference_point():
-    assert implication_f(0.0, P) == 0.0
-    assert implication_f(2.0, P) == pytest.approx(F_OF_2, rel=1e-12)
-    assert 2.0 * implication_f(1.0, P) == pytest.approx(TWO_F_OF_1, rel=1e-12)
+    assert implication_f(0.0, DEFAULT_PARAMS, T0) == 0.0
+    assert implication_f(2.0, DEFAULT_PARAMS, T0) == pytest.approx(F_OF_2, rel=1e-12)
+    assert 2.0 * implication_f(1.0, DEFAULT_PARAMS, T0) == pytest.approx(TWO_F_OF_1, rel=1e-12)
 
 
 def test_implication_matches_single_device_write():
     # f(nu) is exactly the stored value a pristine crossbar cell gains from
     # one pulse whose summed grade is nu.
     xb = Crossbar(1, 1, DEFAULT_PARAMS)
-    xb.write_pulse([0.75], [0.5], P.t0)
-    assert implication_f(1.25, P) == pytest.approx(xb.snapshot_delta()[0, 0], rel=1e-12)
+    xb.write_pulse([0.75], [0.5], T0)
+    f = implication_f(1.25, DEFAULT_PARAMS, T0)
+    assert f == pytest.approx(xb.snapshot_delta()[0, 0], rel=1e-12)
 
 
 def test_implication_rejects_negative():
     with pytest.raises(ValueError):
-        implication_f(-0.1, P)
+        implication_f(-0.1, DEFAULT_PARAMS, T0)
     with pytest.raises(ValueError):
-        ImplicationParams(DEFAULT_PARAMS, 0.0)
+        implication_f(0.5, DEFAULT_PARAMS, 0.0)
 
 
 def test_implication_monotone_increasing():
     nus = np.linspace(0.0, 2.0, 101)
-    vals = implication_f(nus, P)
+    vals = implication_f(nus, DEFAULT_PARAMS, T0)
     assert np.all(np.diff(vals) > 0)
 
 
 def test_implication_is_superadditive():
     # Convexity with f(0) = 0 makes f(a+b) >= f(a) + f(b); the gap at the
     # reference point is about 1e-3 ohm.
-    assert implication_f(2.0, P) > 2.0 * implication_f(1.0, P)
+    def f(nu):
+        return implication_f(nu, DEFAULT_PARAMS, T0)
+
+    assert f(2.0) > 2.0 * f(1.0)
     for a, b in [(0.3, 0.4), (1.0, 0.7), (0.05, 1.9)]:
-        assert implication_f(a + b, P) >= implication_f(a, P) + implication_f(b, P)
+        assert f(a + b) >= f(a) + f(b)
 
 
 def test_implication_saturates_at_full_swing():
-    big = ImplicationParams(DEFAULT_PARAMS, 1.0)
-    assert implication_f(2.0, big) == R_OFF - R_ON
+    assert implication_f(2.0, DEFAULT_PARAMS, 1.0) == R_OFF - R_ON
 
 
 def test_relation_from_zero_sets_is_zero():
     u = Universe(0.0, 1.0, 8)
     a = FuzzyNumber(u, np.zeros(8))
     b = FuzzyNumber(u, np.zeros(8))
-    rel = relation_from_sets(a, b, P)
+    rel = relation_from_sets(a, b, DEFAULT_PARAMS, T0)
     assert np.all(rel.mu == 0.0)
 
 
@@ -73,12 +76,12 @@ def test_relation_from_one_hot_sets_is_a_cross():
     a[2] = 1.0
     b = np.zeros(5)
     b[3] = 1.0
-    rel = relation_from_sets(FuzzyNumber(ui, a), FuzzyNumber(uo, b), P)
-    f1 = implication_f(1.0, P)
+    rel = relation_from_sets(FuzzyNumber(ui, a), FuzzyNumber(uo, b), DEFAULT_PARAMS, T0)
+    f1 = implication_f(1.0, DEFAULT_PARAMS, T0)
     expected = np.zeros((5, 6))
     expected[3, :] = f1
     expected[:, 2] = f1
-    expected[3, 2] = implication_f(2.0, P)
+    expected[3, 2] = implication_f(2.0, DEFAULT_PARAMS, T0)
     assert np.allclose(rel.mu, expected, rtol=1e-12, atol=0.0)
 
 
@@ -87,9 +90,9 @@ def test_relation_from_sets_equals_pristine_write():
     uo = Universe(0.0, 1.0, 7)
     a = fuzzify_gaussian(0.4, 0.1, ui)
     b = fuzzify_gaussian(0.6, 0.1, uo)
-    rel = relation_from_sets(a, b, P)
+    rel = relation_from_sets(a, b, DEFAULT_PARAMS, T0)
     xb = Crossbar(7, 10, DEFAULT_PARAMS)
-    xb.write_pulse(a.grades, b.grades, P.t0)
+    xb.write_pulse(a.grades, b.grades, T0)
     assert np.allclose(rel.mu, xb.snapshot_delta(), rtol=1e-12, atol=0.0)
 
 
@@ -98,8 +101,8 @@ def test_accumulate_first_pulse_mode_independent():
     uo = Universe(0.0, 1.0, 9)
     a = fuzzify_gaussian(0.3, 0.08, ui)
     b = fuzzify_gaussian(0.7, 0.08, uo)
-    add = relation_from_sets(a, b, P, mode="additive")
-    hw = relation_from_sets(a, b, P, mode="hardware")
+    add = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="additive")
+    hw = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="hardware")
     assert np.allclose(add.mu, hw.mu, rtol=1e-12, atol=0.0)
 
 
@@ -107,10 +110,10 @@ def test_accumulate_two_identical_pulses_modes_diverge():
     u = Universe(0.0, 1.0, 2)
     a = FuzzyNumber(u, np.array([1.0, 0.0]))
     b = FuzzyNumber(u, np.array([0.0, 0.0]))
-    add = relation_from_sets(a, b, P, mode="additive")
-    add.accumulate(a, b, P)
-    hw = relation_from_sets(a, b, P, mode="hardware")
-    hw.accumulate(a, b, P)
+    add = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="additive")
+    add.accumulate(a, b, DEFAULT_PARAMS, T0)
+    hw = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="hardware")
+    hw.accumulate(a, b, DEFAULT_PARAMS, T0)
     # summed grade 1 twice: additive stacks f(1) + f(1), hardware lands on f(2)
     assert add.mu[0, 0] == pytest.approx(TWO_F_OF_1, rel=1e-12)
     assert hw.mu[0, 0] == pytest.approx(F_OF_2, rel=1e-12)
@@ -123,9 +126,9 @@ def test_accumulate_zero_grades_is_identity():
     b = fuzzify_gaussian(0.5, 0.1, u)
     zero = FuzzyNumber(u, np.zeros(5))
     for mode in ("additive", "hardware"):
-        rel = relation_from_sets(a, b, P, mode=mode)
+        rel = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode=mode)
         before = rel.mu.copy()
-        rel.accumulate(zero, zero, P)
+        rel.accumulate(zero, zero, DEFAULT_PARAMS, T0)
         assert np.array_equal(rel.mu, before)
 
 
@@ -134,7 +137,7 @@ def test_universe_mismatch_rejected():
     wrong = FuzzyNumber(Universe(0.0, 2.0, 5), np.zeros(5))
     ok_b = FuzzyNumber(Universe(0.0, 1.0, 4), np.zeros(4))
     with pytest.raises(ValueError):
-        rel.accumulate(wrong, ok_b, P)
+        rel.accumulate(wrong, ok_b, DEFAULT_PARAMS, T0)
     with pytest.raises(ValueError):
         rel.infer(wrong)
 
@@ -173,13 +176,13 @@ def test_hardware_relation_tracks_crossbar(seed, pulses):
     rng = np.random.default_rng(seed)
     ui = Universe(0.0, 1.0, 12)
     uo = Universe(0.0, 1.0, 9)
-    params = ImplicationParams(DEFAULT_PARAMS, 1e-6)
+    t0 = 1e-6
     rel = Relation(ui, uo, mode="hardware")
     xb = Crossbar(9, 12, DEFAULT_PARAMS)
     for _ in range(pulses):
         a, b = _random_pair(rng, ui, uo)
-        rel.accumulate(a, b, params)
-        xb.write_pulse(a.grades, b.grades, params.t0)
+        rel.accumulate(a, b, DEFAULT_PARAMS, t0)
+        xb.write_pulse(a.grades, b.grades, t0)
     assert np.allclose(rel.mu, xb.snapshot_delta(), rtol=1e-12, atol=1e-12)
 
 
@@ -189,12 +192,12 @@ def test_hardware_relation_equals_its_crossbar_bit_for_bit(v_th):
     cfg = default_config("exp-f1")
     cfg.device = replace(cfg.device, v_th=v_th)
     ui, uo = cfg.input_universes["x"], cfg.output_universe
-    params = ImplicationParams(cfg.device, cfg.resolved_t0())
+    device, t0 = cfg.device, cfg.resolved_t0()
     rel = Relation(ui, uo, mode="hardware")
     xb = Crossbar(uo.count, ui.count, cfg.device)
     for sample in generate_dataset(cfg.dataset, cfg.input_universes, uo):
-        rel.accumulate(sample.inputs["x"], sample.output, params)
-        xb.write_pulse(sample.inputs["x"].grades, sample.output.grades, params.t0)
+        rel.accumulate(sample.inputs["x"], sample.output, device, t0)
+        xb.write_pulse(sample.inputs["x"].grades, sample.output.grades, t0)
     assert np.array_equal(rel.mu, xb.snapshot_delta())
     assert rel.mu.max() > 1.0  # ohm: the run wrote something
 
@@ -209,12 +212,11 @@ def test_mode_gap_is_one_sided_and_small(seed, pulses):
     pairs = [_random_pair(rng, ui, uo) for _ in range(pulses)]
     total_nu = sum(a.grades[None, :] + b.grades[:, None] for a, b in pairs)
     t0 = 1e-3 * R_OFF**2 / (beta(DEFAULT_PARAMS) * total_nu.max())
-    params = ImplicationParams(DEFAULT_PARAMS, t0)
     add = Relation(ui, uo, mode="additive")
     hw = Relation(ui, uo, mode="hardware")
     for a, b in pairs:
-        add.accumulate(a, b, params)
-        hw.accumulate(a, b, params)
+        add.accumulate(a, b, DEFAULT_PARAMS, t0)
+        hw.accumulate(a, b, DEFAULT_PARAMS, t0)
     assert np.all(hw.mu >= add.mu - 1e-9)
     # Relative agreement is only defined above the float-quantization scale:
     # the r_off^2 subtraction quantizes stored values at ~1e-11 ohm, so cells
@@ -245,12 +247,12 @@ def test_monotone_learning(seed, pulses):
     rng = np.random.default_rng(seed)
     ui = Universe(0.0, 1.0, 9)
     uo = Universe(0.0, 1.0, 9)
-    params = ImplicationParams(DEFAULT_PARAMS, 10 ** rng.uniform(-6, -4))
+    t0 = 10 ** rng.uniform(-6, -4)
     for mode in ("additive", "hardware"):
         rel = Relation(ui, uo, mode=mode)
         for _ in range(pulses):
             before = rel.mu.copy()
-            rel.accumulate(*_random_pair(rng, ui, uo), params)
+            rel.accumulate(*_random_pair(rng, ui, uo), DEFAULT_PARAMS, t0)
             assert np.all(rel.mu >= before - 1e-9)
 
 
@@ -261,13 +263,13 @@ def test_read_ideal_bridges_to_infer(seed):
     rng = np.random.default_rng(seed)
     ui = Universe(0.0, 1.0, 10)
     uo = Universe(0.0, 1.0, 8)
-    params = ImplicationParams(DEFAULT_PARAMS, 1e-6)
+    t0 = 1e-6
     rel = Relation(ui, uo, mode="hardware")
     xb = Crossbar(8, 10, DEFAULT_PARAMS)
     for _ in range(4):
         a, b = _random_pair(rng, ui, uo)
-        rel.accumulate(a, b, params)
-        xb.write_pulse(a.grades, b.grades, params.t0)
+        rel.accumulate(a, b, DEFAULT_PARAMS, t0)
+        xb.write_pulse(a.grades, b.grades, t0)
     probe = fuzzify_gaussian(rng.uniform(0, 1), 0.07, ui)
     lhs = xb.read_ideal(probe.grades)
     rhs = (-1.0 / R_OFF) * rel.infer(probe).grades

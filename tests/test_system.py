@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossfuzzy.crossbar import Crossbar, ReadConfig
+from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS
 from crossfuzzy.fuzzy import (
     EmptyOutputError,
@@ -14,7 +14,7 @@ from crossfuzzy.fuzzy import (
     fuzzify_gaussian,
     normalize_peak,
 )
-from crossfuzzy.relation import ImplicationParams, Relation
+from crossfuzzy.relation import Relation
 from crossfuzzy.system import (
     Block,
     Pipeline,
@@ -34,9 +34,7 @@ T0 = 1e-6
 
 
 def two_input_block(read_mode="ideal") -> Block:
-    return Block.pristine(
-        [("x", UX), ("y", UY)], UZ, DEFAULT_PARAMS, read=ReadConfig(read_mode)
-    )
+    return Block.pristine([("x", UX), ("y", UY)], UZ, DEFAULT_PARAMS, read_mode=read_mode)
 
 
 def sample_inputs():
@@ -121,7 +119,7 @@ def test_block_infer_zero_and_section_linearity():
 def test_relation_backed_block_matches_crossbar_sign_bridge():
     rel = Relation(UX, UZ, mode="hardware")
     oracle = Block(rel, [("x", UX)], UZ, device_params=DEFAULT_PARAMS)
-    circuit = Block.pristine([("x", UX)], UZ, DEFAULT_PARAMS, read=ReadConfig("ideal"))
+    circuit = Block.pristine([("x", UX)], UZ, DEFAULT_PARAMS, read_mode="ideal")
     a = fuzzify_gaussian(0.5, 0.07, UX)
     b = fuzzify_gaussian(0.4, 0.07, UZ)
     for blk in (oracle, circuit):
@@ -144,7 +142,7 @@ def test_relation_backend_restrictions():
 
 def trained_siso_block(target, seed=0, read_mode="exact") -> Block:
     rng = np.random.default_rng(seed)
-    blk = Block.pristine([("x", U100)], U100, DEFAULT_PARAMS, read=ReadConfig(read_mode))
+    blk = Block.pristine([("x", U100)], U100, DEFAULT_PARAMS, read_mode=read_mode)
     for x in rng.uniform(0, 1, 120):
         block_train(
             blk,
@@ -248,7 +246,7 @@ def test_block_json_round_trip():
     assert isinstance(back, Block)
     assert np.array_equal(back.backend.memristance, blk.backend.memristance)
     assert np.array_equal(back.backend.fault_mask, blk.backend.fault_mask)
-    assert back.read == blk.read
+    assert back.read_mode == blk.read_mode == "exact"
     assert [s.name for s in back.sections] == ["x", "y"]
     assert back.output_universe == UZ
     y1 = block_infer(blk, inputs).grades
@@ -267,6 +265,22 @@ def test_block_json_round_trip():
     assert pre_threshold.device_params == DEFAULT_PARAMS
     assert np.array_equal(pre_threshold.backend.memristance, blk.backend.memristance)
     assert np.array_equal(block_infer(pre_threshold, inputs).grades, y1)
+
+
+@pytest.mark.parametrize("cells", [[-1], [1.7], [UZ.count * (UX.count + UY.count)], [True]])
+def test_block_json_rejects_fault_cells_outside_the_array(cells):
+    obj = model_to_json(two_input_block())
+    obj["fault_cells"] = cells
+    with pytest.raises(ValueError, match="fault_cells"):
+        model_from_json(obj)
+
+
+def test_block_json_keeps_fault_cells_at_both_ends():
+    blk = two_input_block()
+    last = blk.backend.rows * blk.backend.cols - 1
+    obj = dict(model_to_json(blk), fault_cells=[0, last])
+    mask = model_from_json(obj).backend.fault_mask
+    assert np.flatnonzero(mask).tolist() == [0, last]
 
 
 def test_pipeline_json_round_trip():
