@@ -17,6 +17,11 @@ computed by ``read_exact`` and ``read_ideal``; a ``Block``'s ``read_mode``
 picks one. The ideal form is the first-order limit of the exact one for
 stored values much smaller than ``r_off`` and is exactly a matrix-vector
 product with the stored-value matrix. Reads never disturb the stored state.
+
+``Crossbar.memristance`` is a read-only array; assigning a new one (as
+``write_pulse`` and ``inject_faults`` do) is the only way to change it. Each
+read mode builds its matrix (``r_off / M`` or ``r_off - M``) on its first
+read after that, so a read costs one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -54,16 +59,30 @@ class Crossbar:
                 )
             if not (memristance.min() >= params.r_on and memristance.max() <= params.r_off):
                 raise ValueError("memristance outside [r_on, r_off]")
-        self.memristance = memristance
         if fault_mask is None:
             fault_mask = np.zeros((rows, cols), dtype=bool)
         else:
             fault_mask = np.array(fault_mask, dtype=bool)
             if fault_mask.shape != (rows, cols):
                 raise ValueError(f"fault mask shape {fault_mask.shape} != ({rows}, {cols})")
+            memristance[fault_mask] = params.r_off
         self.fault_mask = fault_mask
-        self.memristance[self.fault_mask] = params.r_off
+        self.memristance = memristance
         self.saturation_count = 0
+
+    @property
+    def memristance(self) -> np.ndarray:
+        """The memristance matrix M (ohm); read-only."""
+        return self._m
+
+    @memristance.setter
+    def memristance(self, m: np.ndarray) -> None:
+        # Takes ownership of ``m``: it is made read-only, and the read
+        # matrices built from the previous state are dropped.
+        m.setflags(write=False)
+        self._m = m
+        self._gain = None  # r_off / M, built by the first exact read
+        self._stored = None  # r_off - M, built by the first ideal read
 
     @classmethod
     def from_delta(cls, delta: np.ndarray, params: MemristorParams) -> "Crossbar":
@@ -111,26 +130,33 @@ class Crossbar:
         flat = rng.choice(self.rows * self.cols, size=n_faults, replace=False)
         mask = np.zeros(self.rows * self.cols, dtype=bool)
         mask[flat] = True
-        mask = mask.reshape(self.rows, self.cols)
-        self.fault_mask |= mask
-        self.memristance[self.fault_mask] = self.params.r_off
+        self.fault_mask |= mask.reshape(self.rows, self.cols)
+        self.memristance = np.where(self.fault_mask, self.params.r_off, self.memristance)
 
     # -- reads (side-effect free) ----------------------------------------
 
-    def read_exact(self, x) -> np.ndarray:
-        """Full amplifier algebra, using the true memristance of every cell."""
+    def _read_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.cols,):
             raise ValueError(f"input shape {x.shape} != ({self.cols},)")
-        return -((self.params.r_off / self.memristance) @ x - x.sum())
+        if not np.isfinite(x).all():
+            raise ValueError("read inputs must be finite")
+        return x
+
+    def read_exact(self, x) -> np.ndarray:
+        """Full amplifier algebra, using the true memristance of every cell."""
+        x = self._read_input(x)
+        if self._gain is None:
+            self._gain = self.params.r_off / self._m
+        return -(self._gain @ x - x.sum())
 
     def read_ideal(self, x) -> np.ndarray:
         """First-order read-out: -(1/r_off) times stored-value matrix times x."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
-            raise ValueError(f"input shape {x.shape} != ({self.cols},)")
+        x = self._read_input(x)
+        if self._stored is None:
+            self._stored = self.params.r_off - self._m
         alpha = -1.0 / self.params.r_off
-        return alpha * ((self.params.r_off - self.memristance) @ x)
+        return alpha * (self._stored @ x)
 
     def snapshot_delta(self) -> np.ndarray:
         """Stored-value matrix r_off - M (ohm); zero at stuck cells."""
@@ -143,8 +169,8 @@ def save_delta_csv(path, delta: np.ndarray, r_off: float) -> None:
     rows, cols = delta.shape
     with open(path, "w") as fh:
         fh.write(f"# rows={rows} cols={cols} r_off={r_off}\n")
-        for i in range(rows):
-            fh.write(",".join(repr(float(v)) for v in delta[i]) + "\n")
+        for row in delta.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_delta_csv(path) -> tuple[np.ndarray, float]:

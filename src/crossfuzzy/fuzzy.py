@@ -77,7 +77,7 @@ class FuzzyNumber:
             raise ValueError(
                 f"grades shape {g.shape} does not match universe count {self.universe.count}"
             )
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("grades must be finite")
         self.grades = g
 
@@ -119,7 +119,7 @@ def defuzzify_centroid(fn: FuzzyNumber) -> float:
     fuzzy number. Raises ``EmptyOutputError`` on an all-zero vector.
     """
     g = fn.grades
-    if not np.any(g):
+    if not g.any():
         raise EmptyOutputError("cannot defuzzify an all-zero fuzzy number")
     total = g.sum()
     if total == 0.0:

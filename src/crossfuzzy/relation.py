@@ -90,11 +90,15 @@ class Relation:
         """Fold one training pair (input a, output b) into the relation.
 
         One write pulse of ``t0`` seconds on a device with constants
-        ``device``. Hardware mode checks each grade; additive mode, like
-        ``implication_f``, checks each cell's summed grade.
+        ``device``. Every grade of both lines must be non-negative (NaN is
+        rejected); ``pulse_flux`` checks ``t0``.
         """
         self._check_pair(a, b)
         if self.mode == "additive":
+            # implication_f sees only the summed grades, which a negative
+            # grade can hide when the other line's grades are large enough.
+            if not (a.grades.min() >= 0 and b.grades.min() >= 0):
+                raise ValueError("grades must be non-negative")
             nu = a.grades[None, :] + b.grades[:, None]
             self.mu = self.mu + implication_f(nu, device, t0)
             return

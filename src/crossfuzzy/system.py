@@ -59,7 +59,7 @@ SIGNAL_FLOOR = 1e-12
 
 
 def has_signal(fn: FuzzyNumber) -> bool:
-    return bool(np.any(np.abs(fn.grades) > SIGNAL_FLOOR))
+    return bool((np.abs(fn.grades) > SIGNAL_FLOOR).any())
 
 
 @dataclass(frozen=True)
@@ -303,6 +303,8 @@ def block_from_json(obj: dict) -> Block:
     params = MemristorParams.from_json(obj["device"])
     if obj["backend"] == "crossbar":
         memristance = np.asarray(obj["memristance"], dtype=float)
+        if memristance.ndim != 2:
+            raise ValueError(f"memristance must be a 2-D array, got {memristance.ndim}-D")
         cells = obj.get("fault_cells", [])
         if not all(type(c) is int and 0 <= c < memristance.size for c in cells):
             raise ValueError(

@@ -3,12 +3,17 @@
 These deliberately avoid the package's closed-form code paths: the device
 oracles time-step the drift ODE or evaluate the closed form one scalar at a
 time with ``math``, and the centroid oracle is a plain Python loop. They exist so the fast implementations are checked against slower,
-structurally different computations.
+structurally different computations. The crossbar read oracles rebuild
+their matrix from the memristance on every call, where the crossbar keeps
+it until its next write; the arithmetic is the same, so reads must agree
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def rk4_memristance(m0: float, v: float, t: float, params, steps: int = 20000) -> float:
@@ -42,6 +47,23 @@ def closed_form_memristance(m0: float, flux: float, params) -> float:
 def pulse_memristance(m0: float, v: float, t: float, params) -> float:
     """Memristance after a pulse of v volts for t seconds, write threshold included."""
     return closed_form_memristance(m0, max(v - params.v_th, 0.0) * t, params)
+
+
+def read_exact(memristance, x, r_off: float):
+    """Exact amplifier read-out, with ``r_off / M`` computed afresh."""
+    x = np.asarray(x, dtype=float)
+    return -((r_off / memristance) @ x - x.sum())
+
+
+def read_ideal(memristance, x, r_off: float):
+    """First-order read-out, with ``r_off - M`` computed afresh."""
+    x = np.asarray(x, dtype=float)
+    return (-1.0 / r_off) * ((r_off - memristance) @ x)
+
+
+def delta_csv_rows(delta) -> str:
+    """Surface CSV body, one ``repr(float(v))`` per cell."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in delta)
 
 
 def weighted_average(values, weights) -> float:

@@ -192,6 +192,22 @@ def test_infer_rejects_bad_fault_cells(tmp_path, capsys, cells):
     assert captured.err.startswith("error: fault_cells")
 
 
+@pytest.mark.parametrize("memristance", [[1e5, 1e5, 1e5], 1e5, [[[1e5]]]], ids=["1d", "0d", "3d"])
+def test_infer_rejects_memristance_that_is_not_2d(tmp_path, capsys, memristance):
+    from crossfuzzy.device import DEFAULT_PARAMS
+    from crossfuzzy.system import Block, model_to_json
+
+    u = Universe(0.0, 1.0, 3)
+    pristine = model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS))
+    obj = dict(pristine, memristance=memristance)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(obj))
+    code = main(["infer", "--model", str(path), "--input", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: memristance must be a 2-D array")
+
+
 def test_bad_arguments_exit_2(tmp_path, capsys):
     code = main(["infer", "--model", str(tmp_path / "missing.json"), "--input", "0.5"])
     capsys.readouterr()
