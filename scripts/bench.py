@@ -4,7 +4,7 @@
     python3 scripts/bench.py --out BENCH_read.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
-Layers timed, each over ``--repeats`` repeats (median and interquartile range
+Layers timed, each over the size's repeats (median and interquartile range
 per call, in seconds):
 
 - ``read_exact`` / ``read_ideal`` at 100x180 (the exp-2input array) and at
@@ -41,8 +41,14 @@ except ImportError:
     import crossfuzzy as cf
 
 SIZES = {
-    "full": {"arrays": [(100, 180), (500, 500)], "calls": 200, "lattice": 100, "n_train": None},
-    "tiny": {"arrays": [(8, 12), (16, 16)], "calls": 10, "lattice": 4, "n_train": 40},
+    "full": {
+        "arrays": [(100, 180), (500, 500)], "calls": 200, "repeats": 15,
+        "lattice": 100, "n_train": None, "evaluate_repeats": 5,
+    },
+    "tiny": {
+        "arrays": [(8, 12), (16, 16)], "calls": 10, "repeats": 3,
+        "lattice": 4, "n_train": 40, "evaluate_repeats": 3,
+    },
 }
 
 
@@ -116,18 +122,15 @@ def _git_sha() -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--tiny", action="store_true", help="smoke run: tiny sizes")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     size = SIZES["tiny" if args.tiny else "full"]
     rng = np.random.default_rng(0)
 
     layers = {}
     for rows, cols in size["arrays"]:
-        layers.update(time_reads(rows, cols, size["calls"], args.repeats, rng))
-    layers.update(time_evaluate(size["lattice"], size["n_train"], max(3, args.repeats // 3)))
+        layers.update(time_reads(rows, cols, size["calls"], size["repeats"], rng))
+    layers.update(time_evaluate(size["lattice"], size["n_train"], size["evaluate_repeats"]))
     record = {
         "git_sha": _git_sha(),
         "numpy": np.__version__,

@@ -18,10 +18,10 @@ picks one. The ideal form is the first-order limit of the exact one for
 stored values much smaller than ``r_off`` and is exactly a matrix-vector
 product with the stored-value matrix. Reads never disturb the stored state.
 
-``Crossbar.memristance`` is a read-only array; assigning a new one (as
-``write_pulse`` and ``inject_faults`` do) is the only way to change it. Each
-read mode builds its matrix (``r_off / M`` or ``r_off - M``) on its first
-read after that, so a read costs one matrix-vector product.
+``Crossbar.memristance`` is a read-only array, changed only by
+``write_pulse`` and ``inject_faults``, which assign a new array through its
+setter. Each read mode builds its matrix (``r_off / M`` or ``r_off - M``)
+on its first read after that, so a read costs one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -78,7 +78,20 @@ class Crossbar:
     @memristance.setter
     def memristance(self, m: np.ndarray) -> None:
         # Takes ownership of ``m``: it is made read-only, and the read
-        # matrices built from the previous state are dropped.
+        # matrices built from the previous state are dropped. A view is
+        # refused, since writes through its base would reach M unseen. The
+        # value range is not checked here: pass a fresh state through the
+        # constructor, which checks it.
+        if not (
+            isinstance(m, np.ndarray)
+            and m.shape == (self.rows, self.cols)
+            and m.dtype == np.float64
+            and m.flags.owndata
+        ):
+            raise ValueError(
+                f"memristance must be a float array of shape ({self.rows}, {self.cols})"
+                " that owns its data"
+            )
         m.setflags(write=False)
         self._m = m
         self._gain = None  # r_off / M, built by the first exact read

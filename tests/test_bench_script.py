@@ -12,7 +12,7 @@ def test_bench_script_writes_every_layer(tmp_path):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     out = tmp_path / "bench.json"
-    assert bench.main(["--tiny", "--repeats", "3", "--out", str(out)]) == 0
+    assert bench.main(["--tiny", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert {"git_sha", "numpy", "python", "nproc"} <= set(record)
     names = set(record["layers"])

@@ -254,6 +254,30 @@ def test_memristance_is_read_only():
         assert np.array_equal(xb.memristance, before)
 
 
+def test_memristance_setter_refuses_what_it_cannot_own():
+    xb = Crossbar(2, 2, DEFAULT_PARAMS)
+    base = np.full((2, 4), R_OFF)
+    bad = [
+        [[R_OFF, R_OFF], [R_OFF, R_OFF]],  # a list
+        np.full((2, 3), R_OFF),  # wrong shape
+        np.full((2, 2), 100_000, dtype=np.int64),  # not float
+        base[:, :2],  # a view: writes through ``base`` would reach M
+    ]
+    for m in bad:
+        with pytest.raises(ValueError):
+            xb.memristance = m
+    assert base.flags.writeable
+    # An owned float array is taken, made read-only, and read from at once.
+    x = np.array([1.0, 0.5])
+    xb.read_exact(x)
+    xb.read_ideal(x)
+    m = np.array([[R_ON, R_OFF], [R_OFF, R_ON]])
+    xb.memristance = m
+    assert not m.flags.writeable
+    assert np.array_equal(xb.read_exact(x), read_exact(m, x, R_OFF))
+    assert np.array_equal(xb.read_ideal(x), read_ideal(m, x, R_OFF))
+
+
 def test_read_dimension_mismatch():
     xb = Crossbar(2, 3, DEFAULT_PARAMS)
     with pytest.raises(ValueError):
