@@ -85,7 +85,8 @@ def time_evaluate(lattice: int, n_train: int | None, repeats: int) -> dict:
     """Per-pass time of ``evaluate_mse`` on the trained exp-2input model."""
     cfg = cf.default_config("exp-2input")
     spec = cfg.dataset if n_train is None else replace(cfg.dataset, n=n_train)
-    block = cf.Block.pristine(list(cfg.input_universes.items()), cfg.output_universe, cfg.device)
+    inputs = list(cfg.input_universes.items())
+    block = cf.Block.pristine(inputs, cfg.output_universe, cfg.device)
     cf.train_block(
         block, cf.generate_dataset(spec, cfg.input_universes, cfg.output_universe),
         cfg.resolved_t0(),
@@ -95,11 +96,12 @@ def time_evaluate(lattice: int, n_train: int | None, repeats: int) -> dict:
     target = cf.target_function(cfg.dataset.target, tuple(probes.domains))
     out = {}
     for mode in ("exact", "ideal"):
-        block.read_mode = mode
+        # One block per read mode over the one trained crossbar.
+        reader = cf.Block(block.backend, inputs, cfg.output_universe, read_mode=mode)
         samples = []
         for _ in range(repeats):
             start = time.perf_counter()
-            cf.evaluate_mse(block, target, points, cfg.dataset.input_sigmas)
+            cf.evaluate_mse(reader, target, points, cfg.dataset.input_sigmas)
             samples.append(time.perf_counter() - start)
         out[f"evaluate_mse.{mode}.lattice{lattice}x{lattice}"] = dict(
             _stats(samples), probes=len(points)

@@ -18,10 +18,10 @@ picks one. The ideal form is the first-order limit of the exact one for
 stored values much smaller than ``r_off`` and is exactly a matrix-vector
 product with the stored-value matrix. Reads never disturb the stored state.
 
-``Crossbar.memristance`` is a read-only array, changed only by
-``write_pulse`` and ``inject_faults``, which assign a new array through its
-setter. Each read mode builds its matrix (``r_off / M`` or ``r_off - M``)
-on its first read after that, so a read costs one matrix-vector product.
+``Crossbar.memristance`` and ``Crossbar.fault_mask`` are read-only arrays,
+replaced, never edited, by ``write_pulse`` and ``inject_faults``. Each read
+mode builds its matrix (``r_off / M`` or ``r_off - M``) on its first read
+after a new M is set, so a read costs one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ __all__ = ["Crossbar", "save_delta_csv", "load_delta_csv"]
 
 class Crossbar:
     """An m x n grid of memristors plus a stuck-at-r_off fault mask."""
+
+    inverts = True  # the row amplifiers negate every read
 
     def __init__(
         self,
@@ -66,6 +68,7 @@ class Crossbar:
             if fault_mask.shape != (rows, cols):
                 raise ValueError(f"fault mask shape {fault_mask.shape} != ({rows}, {cols})")
             memristance[fault_mask] = params.r_off
+        fault_mask.setflags(write=False)  # changed only by inject_faults
         self.fault_mask = fault_mask
         self.memristance = memristance
         self.saturation_count = 0
@@ -140,10 +143,10 @@ class Crossbar:
             raise ValueError(f"fault fraction must lie in [0, 1], got {fraction}")
         n_faults = int(fraction * self.rows * self.cols)
         rng = np.random.default_rng(seed)
-        flat = rng.choice(self.rows * self.cols, size=n_faults, replace=False)
-        mask = np.zeros(self.rows * self.cols, dtype=bool)
-        mask[flat] = True
-        self.fault_mask |= mask.reshape(self.rows, self.cols)
+        mask = self.fault_mask.copy()
+        mask.flat[rng.choice(mask.size, size=n_faults, replace=False)] = True
+        mask.setflags(write=False)
+        self.fault_mask = mask
         self.memristance = np.where(self.fault_mask, self.params.r_off, self.memristance)
 
     # -- reads (side-effect free) ----------------------------------------

@@ -545,6 +545,8 @@ def run_experiment(
     fn = target_function(eval_target, tuple(cfg.eval.domains))
     points = eval_points(cfg.eval)
     mse, per_point, flagged = evaluate_mse(model, fn, points, cfg.dataset.input_sigmas)
+    if len(flagged) == len(points):
+        raise EmptyOutputError(f"{cfg.name}: evaluation read no stored signal at any probe")
     runtime = time.perf_counter() - started
 
     out_dir = Path(cfg.output_dir)

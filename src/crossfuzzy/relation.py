@@ -54,6 +54,7 @@ def implication_f(nu, device: MemristorParams, t0: float):
 
 class Relation:
     saturation_count = 0  # clamp events are counted by crossbars only
+    inverts = False  # reads are the plain matrix product
 
     def __init__(
         self,

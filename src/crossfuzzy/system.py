@@ -16,8 +16,13 @@ next block's input grid when the universes differ.
 
 A crossbar block reads in one of ``READ_MODES``: ``"exact"`` (the full
 amplifier algebra, ``Crossbar.read_exact``) or ``"ideal"`` (its first-order
-limit, ``Crossbar.read_ideal``); ``Block.read_mode`` picks one, and model
-JSON stores it under the same name.
+limit, ``Crossbar.read_ideal``); the read-only ``Block.read_mode`` picks
+one, and model JSON stores it under the same name.
+
+The backend is decided once, in ``Block.__init__``, which binds one write
+and one read to it; ``block_train``, ``block_infer`` and ``pipeline_infer``
+test no type. Each bound callable looks its method up on the backend when
+it runs, so a wrapper put on the class later still sees every call.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ class Block:
             start = stop
         self.sections = sections
         self.output_universe = output_universe
-        self.read_mode = read_mode
+        self._read_mode = read_mode
         self.backend = backend
         if isinstance(backend, Crossbar):
             if backend.cols != start:
@@ -105,19 +110,30 @@ class Block:
                     f"crossbar has {backend.rows} rows but output universe has "
                     f"{output_universe.count} points"
                 )
-            self.device_params = backend.params
+            if device_params not in (None, backend.params):
+                raise ValueError("device_params differ from the crossbar's own params")
+            device_params = backend.params
+            read = f"read_{read_mode}"  # Crossbar.read_exact or Crossbar.read_ideal
+            self._write = lambda col, out, t0: backend.write_pulse(col, out.grades, t0)
+            self._read = lambda col: FuzzyNumber(output_universe, getattr(backend, read)(col))
         elif isinstance(backend, Relation):
             if len(sections) != 1:
                 raise ValueError("relation-backed blocks support a single input section")
-            if backend.input_universe != sections[0].universe:
+            u_in = sections[0].universe
+            if backend.input_universe != u_in:
                 raise ValueError("relation input universe does not match the section")
             if backend.output_universe != output_universe:
                 raise ValueError("relation output universe does not match the block")
             if device_params is None:
                 raise ValueError("relation-backed blocks need explicit device_params")
-            self.device_params = device_params
+            self._write = lambda col, out, t0: backend.accumulate(
+                FuzzyNumber(u_in, col), out, device_params, t0
+            )
+            self._read = lambda col: backend.infer(FuzzyNumber(u_in, col))
         else:
             raise TypeError(f"unsupported backend type {type(backend).__name__}")
+        self.device_params = device_params
+        self.read_sign = -1.0 if backend.inverts else 1.0
 
     @classmethod
     def pristine(
@@ -132,8 +148,8 @@ class Block:
         return cls(xbar, inputs, output_universe, read_mode=read_mode)
 
     @property
-    def is_crossbar(self) -> bool:
-        return isinstance(self.backend, Crossbar)
+    def read_mode(self) -> str:
+        return self._read_mode
 
     @property
     def input_universe(self) -> Universe:
@@ -189,12 +205,7 @@ def block_train(block: Block, inputs, output: FuzzyNumber, t0: float) -> None:
     """One training pulse: per-variable input fuzzy numbers plus the output."""
     if output.universe != block.output_universe:
         raise ValueError("output fuzzy number lives on the wrong universe")
-    col = block.concat_grades(inputs)
-    if block.is_crossbar:
-        block.backend.write_pulse(col, output.grades, t0)
-    else:
-        a = FuzzyNumber(block.sections[0].universe, col)
-        block.backend.accumulate(a, output, block.device_params, t0)
+    block._write(block.concat_grades(inputs), output, t0)
 
 
 def block_infer(block: Block, inputs) -> FuzzyNumber:
@@ -204,12 +215,7 @@ def block_infer(block: Block, inputs) -> FuzzyNumber:
     non-negative inputs), read in the block's ``read_mode``; relation-backed
     blocks return the non-negative matrix-product grades.
     """
-    col = block.concat_grades(inputs)
-    if block.is_crossbar:
-        xbar = block.backend
-        out = xbar.read_exact(col) if block.read_mode == "exact" else xbar.read_ideal(col)
-        return FuzzyNumber(block.output_universe, out)
-    return block.backend.infer(FuzzyNumber(block.sections[0].universe, col))
+    return block._read(block.concat_grades(inputs))
 
 
 class Pipeline:
@@ -260,9 +266,7 @@ def pipeline_infer(pipe: Pipeline, inputs) -> FuzzyNumber:
         out = block_infer(blk, signal)
         if not has_signal(out):
             raise EmptyOutputError(f"untrained region: stage {i} read out no signal")
-        if blk.is_crossbar:
-            out = FuzzyNumber(out.universe, -out.grades)
-        out = normalize_peak(out)
+        out = normalize_peak(FuzzyNumber(out.universe, blk.read_sign * out.grades))
         if i + 1 < len(pipe.blocks):
             out = regrid(out, pipe.blocks[i + 1].input_universe)
         signal = out
@@ -282,17 +286,13 @@ def block_to_json(block: Block) -> dict:
         "read_mode": block.read_mode,
         "device": block.device_params.to_json(),
     }
-    if block.is_crossbar:
-        xb = block.backend
-        obj["backend"] = "crossbar"
-        obj["memristance"] = xb.memristance.tolist()
-        obj["fault_cells"] = np.flatnonzero(xb.fault_mask).tolist()
-        obj["saturation_count"] = xb.saturation_count
+    b = block.backend
+    if isinstance(b, Crossbar):
+        fault_cells = np.flatnonzero(b.fault_mask).tolist()
+        obj.update(backend="crossbar", memristance=b.memristance.tolist(),
+                   fault_cells=fault_cells, saturation_count=b.saturation_count)
     else:
-        rel = block.backend
-        obj["backend"] = "relation"
-        obj["mode"] = rel.mode
-        obj["mu"] = rel.mu.tolist()
+        obj.update(backend="relation", mode=b.mode, mu=b.mu.tolist())
     return obj
 
 
@@ -310,15 +310,9 @@ def block_from_json(obj: dict) -> Block:
             raise ValueError(
                 f"fault_cells must be integer cell indices in [0, {memristance.size})"
             )
-        mask = np.zeros(memristance.size, dtype=bool)
-        mask[np.asarray(cells, dtype=int)] = True
-        xbar = Crossbar(
-            memristance.shape[0],
-            memristance.shape[1],
-            params,
-            memristance=memristance,
-            fault_mask=mask.reshape(memristance.shape),
-        )
+        mask = np.zeros(memristance.shape, dtype=bool)
+        mask.flat[cells] = True
+        xbar = Crossbar(*memristance.shape, params, memristance=memristance, fault_mask=mask)
         xbar.saturation_count = int(obj.get("saturation_count", 0))
         return Block(xbar, inputs, output_universe, read_mode=read_mode)
     rel = Relation(inputs[0][1], output_universe, mode=obj["mode"], mu=np.asarray(obj["mu"]))

@@ -73,6 +73,16 @@ def test_experiment_fault_flags(tmp_path, capsys):
     assert result["config"]["fault"] == {"fraction": 0.25, "seed": 77}
 
 
+def test_experiment_that_stored_nothing_fails(tmp_path, capsys):
+    override = tiny_override(tmp_path, "exp-f1")
+    code = main(["experiment", "exp-f1", "--config", str(override), "--fault-fraction", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: exp-f1: evaluation")
+    assert not (tmp_path / "exp-f1" / "result.json").exists()
+
+
 def test_train_command_with_full_config(tmp_path, capsys):
     cfg = default_config("exp-f2", output_dir=str(tmp_path / "custom"))
     cfg.name = "custom-sqrt"

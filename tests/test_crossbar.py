@@ -300,6 +300,23 @@ def test_read_config_dispatch():
         Block(xb, [("x", u)], u, read_mode="approximate")
     with pytest.raises(ValueError):
         Block.pristine([("x", u)], u, DEFAULT_PARAMS, read_mode="approximate")
+    blk = Block(xb, [("x", u)], u, read_mode="ideal")
+    with pytest.raises(AttributeError):
+        blk.read_mode = "exact"  # the mode is fixed when the block is built
+    assert np.array_equal(blk.infer(x).grades, ideal)
+
+
+def test_fault_mask_is_changed_only_by_inject_faults():
+    xb = Crossbar(3, 3, DEFAULT_PARAMS, fault_mask=np.eye(3, dtype=bool))
+    xb.write_pulse(np.ones(3), np.ones(3), 1e-4)
+    with pytest.raises(ValueError):
+        xb.fault_mask[0, 1] = True  # would leave the stored value in M
+    xb.inject_faults(0.5, seed=3)
+    with pytest.raises(ValueError):
+        xb.fault_mask[0, 1] = True
+    assert np.all(np.diag(xb.fault_mask))
+    assert np.array_equal(xb.memristance[xb.fault_mask], np.full(xb.fault_mask.sum(), R_OFF))
+    assert np.all(xb.memristance[~xb.fault_mask] < R_OFF)
 
 
 def test_inject_faults_counts_and_determinism():

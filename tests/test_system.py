@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossfuzzy.crossbar import Crossbar
-from crossfuzzy.device import DEFAULT_PARAMS
+from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams
 from crossfuzzy.fuzzy import (
     EmptyOutputError,
     FuzzyNumber,
@@ -300,6 +301,72 @@ def test_relation_block_json_round_trip():
     assert isinstance(back.backend, Relation)
     assert back.backend.mode == "additive"
     assert np.array_equal(back.backend.mu, rel.mu)
+
+
+def saturated_faulty_block(read_mode: str) -> Block:
+    blk = two_input_block(read_mode=read_mode)
+    block_train(blk, sample_inputs(), fuzzify_gaussian(0.6, 0.06, UZ), T0)
+    block_train(blk, sample_inputs(), fuzzify_gaussian(0.3, 0.06, UZ), 1.0)  # clamps at r_on
+    blk.backend.inject_faults(0.3, seed=5)
+    assert blk.saturation_count > 0 and blk.backend.fault_mask.any()
+    return blk
+
+
+def trained_relation_block(mode: str, read_mode: str) -> Block:
+    rel = Relation(UX, UZ, mode=mode)
+    blk = Block(rel, [("x", UX)], UZ, read_mode=read_mode, device_params=DEFAULT_PARAMS)
+    for x, z in ((0.2, 0.7), (0.6, 0.3)):
+        block_train(blk, fuzzify_gaussian(x, 0.06, UX), fuzzify_gaussian(z, 0.06, UZ), T0)
+    return blk
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: saturated_faulty_block("exact"),
+        lambda: saturated_faulty_block("ideal"),
+        lambda: trained_relation_block("additive", "exact"),
+        lambda: trained_relation_block("hardware", "ideal"),
+        lambda: Pipeline(
+            [trained_siso_block(np.sqrt), trained_siso_block(np.square, 1, read_mode="ideal")]
+        ),
+    ],
+    ids=["crossbar-exact", "crossbar-ideal", "relation-additive", "relation-hardware", "pipeline"],
+)
+def test_model_json_round_trips_byte_for_byte(build):
+    obj = json.loads(json.dumps(model_to_json(build())))
+    assert json.dumps(model_to_json(model_from_json(obj))) == json.dumps(obj)
+
+
+def test_crossbar_block_refuses_other_device_params():
+    xb = Crossbar(UZ.count, UX.count, DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match="device_params"):
+        Block(xb, [("x", UX)], UZ, device_params=replace(DEFAULT_PARAMS, r_off=2e5))
+    for params in (None, DEFAULT_PARAMS, MemristorParams.from_json(DEFAULT_PARAMS.to_json())):
+        assert Block(xb, [("x", UX)], UZ, device_params=params).device_params == DEFAULT_PARAMS
+
+
+def test_blocks_call_methods_wrapped_after_they_are_built(monkeypatch):
+    # Built the way the benchmark builds them: blocks first, then the class
+    # attributes are wrapped (as a tracer does), then the blocks are used.
+    rel_blk = Block(Relation(UX, UZ, mode="hardware"), [("x", UX)], UZ,
+                    device_params=DEFAULT_PARAMS)
+    xb_blk = model_from_json(model_to_json(Block.pristine([("x", UX)], UZ, DEFAULT_PARAMS)))
+    calls = []
+    for cls, name in ((Relation, "accumulate"), (Relation, "infer"),
+                      (Crossbar, "write_pulse"), (Crossbar, "read_exact")):
+        def spy(self, *args, _original=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    a, b = fuzzify_gaussian(0.3, 0.06, UX), fuzzify_gaussian(0.7, 0.06, UZ)
+    for blk in (rel_blk, xb_blk):
+        block_train(blk, a, b, T0)
+        block_infer(blk, a)
+        blk.infer(a)
+    assert calls == ["accumulate", "infer", "infer", "write_pulse", "read_exact", "read_exact"]
+    assert rel_blk.snapshot_delta().any() and xb_blk.snapshot_delta().any()
 
 
 def test_model_from_json_rejects_unknown_kind():
