@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the crossbar read layer and write the medians to a JSON file.
+"""Time the crossbar read and write layers and write the medians to a JSON file.
 
-    python3 scripts/bench.py --out BENCH_read.json
+    python3 scripts/bench.py --out BENCH_7.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -13,6 +13,11 @@ per call, in seconds):
   only). The gap between the two is what keeping the matrix saves per read.
 - ``evaluate_mse`` on the exp-2input model over a 100x100 probe lattice, in
   both read modes.
+- ``write_pulse`` at 100x180 and 500x500 on the threshold-free device
+  (``v_th0``, where writes are deferred) and on the 1 V device (``v_th1``,
+  where every write rewrites the array); a whole training run of N Gaussian
+  pulse pairs (N = 800 and 1 000, auto ``t0``) including the settle that
+  the first observation of the array pays; and that settle alone.
 
 The record also holds the git commit (``-dirty`` if the tree has
 uncommitted changes), the numpy and Python versions and the core count.
@@ -44,12 +49,15 @@ SIZES = {
     "full": {
         "arrays": [(100, 180), (500, 500)], "calls": 200, "repeats": 15,
         "lattice": 100, "n_train": None, "evaluate_repeats": 5,
+        "trainings": [(100, 180, 800), (500, 500, 1000)], "train_repeats": 5,
     },
     "tiny": {
         "arrays": [(8, 12), (16, 16)], "calls": 10, "repeats": 3,
         "lattice": 4, "n_train": 40, "evaluate_repeats": 3,
+        "trainings": [(8, 12, 40), (16, 16, 50)], "train_repeats": 3,
     },
 }
+V_TH = (0.0, 1.0)
 
 
 def _stats(samples: list[float]) -> dict:
@@ -78,6 +86,46 @@ def time_reads(rows: int, cols: int, calls: int, repeats: int, rng) -> dict:
             warm.append((time.perf_counter() - start) / calls)
         out[f"read_{mode}.first.{rows}x{cols}"] = _stats(first)
         out[f"read_{mode}.warm.{rows}x{cols}"] = _stats(warm)
+    return out
+
+
+def _bells(n: int, count: int, rng) -> np.ndarray:
+    """``n`` Gaussian grade vectors (sigma 0.05) on a ``count``-point grid over [0, 1]."""
+    grid = np.linspace(0.0, 1.0, count)
+    centres = rng.uniform(0.0, 1.0, (n, 1))
+    return np.exp(-0.5 * ((grid - centres) / 0.05) ** 2)
+
+
+def time_writes(rows: int, cols: int, n: int, calls: int, repeats: int,
+                train_repeats: int, rng) -> dict:
+    """One write, a whole training run with its settle, and the settle alone."""
+    col_grades, row_grades = _bells(n, cols, rng), _bells(n, rows, rng)
+    out = {}
+    for v_th in V_TH:
+        params = replace(cf.DEFAULT_PARAMS, v_th=v_th)
+        t0 = cf.auto_t0(params, n)
+        tag = f"v_th{v_th:g}.{rows}x{cols}"
+        one = []
+        for _ in range(repeats):
+            xb = cf.Crossbar(rows, cols, params)
+            start = time.perf_counter()
+            for k in range(calls):
+                xb.write_pulse(col_grades[k % n], row_grades[k % n], t0)
+            one.append((time.perf_counter() - start) / calls)
+        train, settle = [], []
+        for _ in range(train_repeats):
+            xb = cf.Crossbar(rows, cols, params)
+            start = time.perf_counter()
+            for col, row in zip(col_grades, row_grades):
+                xb.write_pulse(col, row, t0)
+            written = time.perf_counter()
+            xb.memristance  # the first observation settles deferred writes
+            end = time.perf_counter()
+            train.append(end - start)
+            settle.append(end - written)
+        out[f"write_pulse.{tag}"] = _stats(one)
+        out[f"train.{tag}.n{n}"] = dict(_stats(train), pulses=n)
+        out[f"settle.{tag}.n{n}"] = dict(_stats(settle), pulses=n)
     return out
 
 
@@ -132,6 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     layers = {}
     for rows, cols in size["arrays"]:
         layers.update(time_reads(rows, cols, size["calls"], size["repeats"], rng))
+    for rows, cols, n in size["trainings"]:
+        layers.update(time_writes(rows, cols, n, size["calls"], size["repeats"],
+                                  size["train_repeats"], rng))
     layers.update(time_evaluate(size["lattice"], size["n_train"], size["evaluate_repeats"]))
     record = {
         "git_sha": _git_sha(),
@@ -140,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "size": "tiny" if args.tiny else "full",
         "reads_per_repeat": size["calls"],
+        "writes_per_repeat": size["calls"],
         "layers": layers,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

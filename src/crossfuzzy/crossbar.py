@@ -7,6 +7,18 @@ device's write threshold becomes flux (``device.pulse_flux``), which the
 cell integrates per the device closed form (``device.drift``). Stuck cells
 (fault mask) ignore writes and always hold ``r_off``.
 
+On the default threshold-free device a write is deferred: ``write_pulse``
+checks its inputs, then adds ``t0 * row`` and ``t0 * col`` to two pending
+line sums (``device.PendingFlux``) instead of rewriting M. The array is
+settled, by one ``drift`` over the summed flux, the first time anything
+observes it: the ``memristance`` getter (and so ``snapshot_delta`` and
+serialization), building a read matrix, and ``inject_faults``. A pulse is
+deferred only when the headroom rule in ``device`` proves that no live cell
+could clamp before the settle; otherwise, and always at ``v_th > 0``, the
+crossbar settles and writes that pulse eagerly. ``saturation_count`` and
+``fault_mask`` are plain attributes, exact without a settle, so reading them
+never settles.
+
 Reads: the row amplifiers sum cell currents against an ``r_off`` feedback
 resistor, and a compensation row cancels the raw input sum, leaving
 
@@ -19,16 +31,16 @@ stored values much smaller than ``r_off`` and is exactly a matrix-vector
 product with the stored-value matrix. Reads never disturb the stored state.
 
 ``Crossbar.memristance`` and ``Crossbar.fault_mask`` are read-only arrays,
-replaced, never edited, by ``write_pulse`` and ``inject_faults``. Each read
-mode builds its matrix (``r_off / M`` or ``r_off - M``) on its first read
-after a new M is set, so a read costs one matrix-vector product.
+replaced, never edited, by writes and ``inject_faults``. Each read mode
+builds its matrix (``r_off / M`` or ``r_off - M``) on its first read after
+the stored state changed, so a read costs one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .device import MemristorParams, drift, pulse_flux
+from .device import MemristorParams, PendingFlux, check_pulse, drift, pulse_flux
 
 __all__ = ["Crossbar", "save_delta_csv", "load_delta_csv"]
 
@@ -70,21 +82,23 @@ class Crossbar:
             memristance[fault_mask] = params.r_off
         fault_mask.setflags(write=False)  # changed only by inject_faults
         self.fault_mask = fault_mask
+        self._held = PendingFlux(rows, cols)
         self.memristance = memristance
         self.saturation_count = 0
 
     @property
     def memristance(self) -> np.ndarray:
-        """The memristance matrix M (ohm); read-only."""
+        """The memristance matrix M (ohm), settled; read-only."""
+        self._settle()
         return self._m
 
     @memristance.setter
     def memristance(self, m: np.ndarray) -> None:
         # Takes ownership of ``m``: it is made read-only, and the read
-        # matrices built from the previous state are dropped. A view is
-        # refused, since writes through its base would reach M unseen. The
-        # value range is not checked here: pass a fresh state through the
-        # constructor, which checks it.
+        # matrices built from the previous state and any writes deferred on
+        # it are dropped. A view is refused, since writes through its base
+        # would reach M unseen. The value range is not checked here: pass a
+        # fresh state through the constructor, which checks it.
         if not (
             isinstance(m, np.ndarray)
             and m.shape == (self.rows, self.cols)
@@ -97,6 +111,7 @@ class Crossbar:
             )
         m.setflags(write=False)
         self._m = m
+        self._held.clear()
         self._gain = None  # r_off / M, built by the first exact read
         self._stored = None  # r_off - M, built by the first ideal read
 
@@ -114,8 +129,9 @@ class Crossbar:
         Cell (i, j) integrates flux
         ``max(0, col_grades[j] + row_grades[i] - v_th) * t0``, where ``v_th``
         is the device's write threshold (0 by default). Grades must lie in
-        [0, 1]; ``pulse_flux`` rejects negative or NaN ones and a bad ``t0``.
+        [0, 1]; negative or NaN ones and a bad ``t0`` raise ``ValueError``.
         Stuck cells are skipped; clamp events add to ``saturation_count``.
+        The write is deferred when the headroom rule allows (module docstring).
         """
         col = np.asarray(col_grades, dtype=float)
         row = np.asarray(row_grades, dtype=float)
@@ -123,14 +139,28 @@ class Crossbar:
             raise ValueError(f"column grades shape {col.shape} != ({self.cols},)")
         if row.shape != (self.rows,):
             raise ValueError(f"row grades shape {row.shape} != ({self.rows},)")
-        flux = pulse_flux(col, row, t0, self.params)
+        check_pulse(t0, col, row)
         for name, g in (("column", col), ("row", row)):
             if not g.max() <= 1.0:
                 raise ValueError(f"{name} grades must lie in [0, 1]")
-        new_m, clamped = drift(self.memristance, flux, self.params)
+        if self._held.hold(col, row, t0, self.params, self._m.min):
+            self._gain = self._stored = None
+            return
+        self._settle()
+        self._write(pulse_flux(col, row, t0, self.params))
+
+    def _settle(self) -> None:
+        # The held pulses as one write: the headroom rule proves that it
+        # clamps no cell, so it adds 0 to ``saturation_count``.
+        held = self._held.take()
+        if held is not None:
+            self._write(held[0])
+
+    def _write(self, flux: np.ndarray) -> None:
+        new_m, clamped = drift(self._m, flux, self.params)
         clamped[self.fault_mask] = False
         self.saturation_count += int(np.count_nonzero(clamped))
-        np.copyto(new_m, self.memristance, where=self.fault_mask)
+        np.copyto(new_m, self._m, where=self.fault_mask)
         self.memristance = new_m
 
     def inject_faults(self, fraction: float, seed: int) -> None:
@@ -143,11 +173,12 @@ class Crossbar:
             raise ValueError(f"fault fraction must lie in [0, 1], got {fraction}")
         n_faults = int(fraction * self.rows * self.cols)
         rng = np.random.default_rng(seed)
+        m = self.memristance  # settled under the old mask
         mask = self.fault_mask.copy()
         mask.flat[rng.choice(mask.size, size=n_faults, replace=False)] = True
         mask.setflags(write=False)
         self.fault_mask = mask
-        self.memristance = np.where(self.fault_mask, self.params.r_off, self.memristance)
+        self.memristance = np.where(mask, self.params.r_off, m)
 
     # -- reads (side-effect free) ----------------------------------------
 
@@ -163,14 +194,14 @@ class Crossbar:
         """Full amplifier algebra, using the true memristance of every cell."""
         x = self._read_input(x)
         if self._gain is None:
-            self._gain = self.params.r_off / self._m
+            self._gain = self.params.r_off / self.memristance
         return -(self._gain @ x - x.sum())
 
     def read_ideal(self, x) -> np.ndarray:
         """First-order read-out: -(1/r_off) times stored-value matrix times x."""
         x = self._read_input(x)
         if self._stored is None:
-            self._stored = self.params.r_off - self._m
+            self._stored = self.params.r_off - self.memristance
         alpha = -1.0 / self.params.r_off
         return alpha * (self._stored @ x)
 

@@ -21,8 +21,27 @@ drives the dopants (the threshold of the TEAM/VTEAM models), so one pulse
 deposits ``max(0, v - v_th) * t0`` volt-seconds (``pulse_flux``). The
 threshold acts on the drive, not on the state, so flux still adds up per
 device. With the default ``v_th = 0`` every pulse writes its full drive.
-``pulse_flux`` is also where every writer's inputs are checked: ``t0`` must
-be finite and positive, and drives must be non-negative (NaN is rejected).
+Every writer checks its inputs with ``check_pulse`` before it moves any
+flux: ``t0`` must be finite and positive, and drives must be non-negative
+(NaN is rejected).
+
+Deferred writes. At ``v_th = 0`` a pulse moves flux ``t0 * (row[i] + col[j])``
+into cell (i, j): a row term plus a column term. Flux adds up, so a run of
+pulses that never clamps equals one ``drift`` over
+``np.add.outer(row_sum, col_sum)``. ``PendingFlux`` holds such pulses as
+the two line sums, O(rows + cols) work per pulse, and hands the summed flux
+back when the array is next observed (the settle). It holds a pulse only
+when the headroom rule proves that no cell on the way could clamp:
+
+    max(row_sum) + max(col_sum) < (min(M)**2 * (1 - HOLD_MARGIN) - r_on**2) / beta
+
+with the smallest M of the state the held pulses started from. Stuck cells
+hold ``r_off``, the largest value, so the smallest M is a live cell's
+whenever one is left. Otherwise, and always at ``v_th > 0``, the writer
+settles and writes the pulse eagerly, so clamp events are counted exactly
+as a pulse-by-pulse writer counts them. A settled state differs from the
+pulse-by-pulse one only by float rounding; the tests hold it to 1e-9 of the
+largest stored value.
 """
 
 from __future__ import annotations
@@ -37,9 +56,16 @@ __all__ = [
     "DEFAULT_PARAMS",
     "beta",
     "drift",
+    "check_pulse",
     "pulse_flux",
+    "PendingFlux",
     "apply_flux",
 ]
+
+#: Relative share of the smallest M**2 that deferred writes leave unused. It
+#: covers the float rounding in which a summed flux and a pulse-by-pulse
+#: chain of ``drift`` differ (a few ulps of M**2 per pulse).
+HOLD_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,41 +125,52 @@ def beta(params: MemristorParams) -> float:
 def drift(m, flux, params: MemristorParams):
     """The closed form: ``M_new**2 = M**2 - beta * flux``, clamped at ``r_on``.
 
-    ``flux`` is a scalar or an array and must be non-negative (``pulse_flux``
-    and ``apply_flux`` check it); ``m`` is a scalar or has the shape of
-    ``flux``. Returns ``(m_new, clamped)``, where ``clamped`` marks where the
-    r_on clamp fired.
+    ``flux`` is a scalar or an array and must be non-negative (writers check
+    their drives with ``check_pulse``); ``m`` is a scalar or has the shape of
+    ``flux``. An array ``flux`` is consumed: it is scaled by beta in place,
+    so pass a buffer the caller owns. Returns ``(m_new, clamped)``, where
+    ``clamped`` marks where the r_on clamp fired.
     Zero flux leaves M bit-identical, because ``sqrt(M * M) == M`` exactly
     in binary64.
     """
     floor = params.r_on * params.r_on
-    # One working buffer, updated in place, and the one temporary allocated
-    # before it: callers keep the result, so the temporary is freed below it
-    # and reused on the next pulse instead of being returned to the OS and
-    # page-faulted back in (2 MB per pulse at 500 x 500).
-    drop = beta(params) * np.asarray(flux)
-    m_sq = np.multiply(m, m, out=np.empty_like(drop))
-    m_sq -= drop
+    # The flux buffer becomes the drop, and one working buffer is updated in
+    # place: callers keep the result, so the only temporary besides the
+    # mask is the caller's flux, freed once the caller returns.
+    if isinstance(flux, np.ndarray):
+        flux *= beta(params)
+    else:
+        flux = beta(params) * flux
+    m_sq = np.multiply(m, m, out=np.empty_like(flux))
+    m_sq -= flux
     clamped = m_sq < floor
     np.maximum(m_sq, floor, out=m_sq)
     return np.sqrt(m_sq, out=m_sq), clamped
 
 
-def pulse_flux(col, row, t0: float, params: MemristorParams):
-    """The write law: flux ``max(0, col[j] + row[i] - v_th) * t0`` at cell (i, j).
+def check_pulse(t0: float, *drives) -> None:
+    """Reject a pulse the device law does not model.
 
-    ``col`` and ``row`` are the drives (V) on the two lines; the result has
-    shape ``row.shape + col.shape`` (``np.add.outer``), so a scalar ``row``
-    of 0 turns an already summed drive ``col`` into its flux. A ``t0`` that
-    is not finite and positive, and a negative or NaN drive, raise
-    ``ValueError``. At ``v_th = 0`` no clip is applied: it could not change a
-    non-negative drive, and the default device does not pay for it.
+    ``t0`` must be finite and positive, and every drive array (V) must be
+    non-negative; NaN fails both tests. Raises ``ValueError``.
     """
     if not (0 < t0 < math.inf):
         raise ValueError(f"t0 must be positive and finite, got {t0}")
-    col, row = np.asarray(col), np.asarray(row)
-    if not (col.min() >= 0 and row.min() >= 0):
-        raise ValueError("drives must be non-negative (write polarity reversal not modeled)")
+    for drive in drives:
+        if not drive.min() >= 0:
+            raise ValueError("drives must be non-negative (write polarity reversal not modeled)")
+
+
+def pulse_flux(col, row, t0: float, params: MemristorParams):
+    """The write law: flux ``max(0, col[j] + row[i] - v_th) * t0`` at cell (i, j).
+
+    ``col`` and ``row`` are the drives (V) on the two lines, checked by the
+    caller with ``check_pulse``; the result is a new array of shape
+    ``row.shape + col.shape`` (``np.add.outer``), so a scalar ``row`` of 0
+    turns an already summed drive ``col`` into its flux. At ``v_th = 0`` no
+    clip is applied: it could not change a non-negative drive, and the
+    default device does not pay for it.
+    """
     if params.v_th > 0:
         flux = np.asarray(np.add.outer(np.subtract(row, params.v_th), col))
         np.maximum(flux, 0.0, out=flux)
@@ -141,6 +178,56 @@ def pulse_flux(col, row, t0: float, params: MemristorParams):
         flux = np.add.outer(row, col)
     flux *= t0
     return flux
+
+
+class PendingFlux:
+    """Threshold-free pulses held as per-line flux sums (see the module docstring).
+
+    ``hold`` takes a checked pulse or refuses it; ``take`` hands the held
+    pulses back as one flux array for ``drift``; ``clear`` forgets them when
+    the stored state is replaced. The owner settles before anything observes
+    its state.
+    """
+
+    def __init__(self, rows: int, cols: int):
+        self.shape = (rows, cols)
+        self.clear()
+
+    def clear(self) -> None:
+        self.row = np.zeros(self.shape[0])  # summed t0 * row drive per row (V s)
+        self.col = np.zeros(self.shape[1])  # summed t0 * column drive per column
+        self.params = None  # device of the held pulses; None while none is held
+        self.headroom = None  # flux the line sums may reach; None until measured
+
+    def hold(self, col, row, t0: float, params: MemristorParams, lowest) -> bool:
+        """Hold one pulse if no cell can clamp by the end of the held run.
+
+        ``lowest()`` returns the smallest memristance of the state the held
+        pulses start from; it is asked once per such state. Returns False,
+        holding nothing, on a threshold device, for a device other than that
+        of the pulses already held, and when the headroom rule fails.
+        """
+        if params.v_th > 0 or self.params not in (None, params):
+            return False
+        if self.headroom is None:
+            lo = float(lowest())
+            self.headroom = (lo * lo * (1.0 - HOLD_MARGIN) - params.r_on**2) / beta(params)
+        row_sum = t0 * row
+        row_sum += self.row
+        col_sum = t0 * col
+        col_sum += self.col
+        if not row_sum.max() + col_sum.max() < self.headroom:
+            return False
+        self.row, self.col, self.params = row_sum, col_sum, params
+        return True
+
+    def take(self):
+        """``(flux, params)`` of the held pulses, which are then forgotten; None if none."""
+        if self.params is None:
+            return None
+        held = np.add.outer(self.row, self.col), self.params
+        self.clear()
+        return held
 
 
 def apply_flux(m: float, params: MemristorParams, flux: float) -> tuple[float, bool]:

@@ -12,8 +12,8 @@ and ``device.drift``). With the default threshold ``v_th = 0`` every cell
 takes flux ``t0 * nu``; at ``v_th = 1`` the flux ``t0 * max(0, a + b - 1)``
 is the Lukasiewicz conjunction of the two grades. ``implication_f``,
 ``Relation.accumulate`` and ``relation_from_sets`` take the device constants
-and ``t0`` as plain arguments, and ``pulse_flux`` checks both the grades and
-``t0``.
+and ``t0`` as plain arguments, and ``device.check_pulse`` checks both the
+grades and ``t0``.
 
 Two accumulation modes exist. ``additive`` sums the per-pulse increments
 (the mathematical idealization); ``hardware`` chains the device state
@@ -21,6 +21,14 @@ through the pulses exactly like a crossbar does, which is equivalent to
 putting the per-cell total flux through the device closed form once. f is
 convex, so hardware accumulation runs slightly ahead of additive; the two
 agree to first order while stored values stay far below r_off.
+
+Hardware accumulation defers its pulses exactly as a crossbar does
+(``device.PendingFlux``, with the same headroom rule): on a threshold-free
+device each pulse adds to two line-flux sums, and ``mu``, a property, settles
+them with one ``drift`` the first time it is read, which ``infer``,
+``snapshot_delta`` and serialization do. A relation and a crossbar given
+the same pulses hold the same sums, so a relation trained from zero still
+holds exactly ``r_off - M`` of its crossbar when both settle at one point.
 
 Inference is a plain matrix-vector product: output grades = mu @ input
 grades. No normalization is applied; centroid defuzzification ignores
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .device import MemristorParams, drift, pulse_flux
+from .device import MemristorParams, PendingFlux, check_pulse, drift, pulse_flux
 from .fuzzy import FuzzyNumber, Universe
 
 __all__ = ["Relation", "implication_f", "relation_from_sets"]
@@ -47,6 +55,7 @@ def implication_f(nu, device: MemristorParams, t0: float):
     the device. Accepts scalars or arrays; ``t0`` is the pulse duration (s).
     """
     nu = np.asarray(nu, dtype=float)
+    check_pulse(t0, nu)
     r_off = device.r_off
     out = r_off - drift(r_off, pulse_flux(nu, 0.0, t0, device), device)[0]
     return float(out) if out.ndim == 0 else out
@@ -77,7 +86,21 @@ class Relation:
                 raise ValueError(f"mu shape {mu.shape} != {shape}")
             if not (mu.min() >= 0 and np.isfinite(mu).all()):
                 raise ValueError("mu must be finite and non-negative")
+        self._held = PendingFlux(*shape)
         self.mu = mu
+
+    @property
+    def mu(self) -> np.ndarray:
+        """The stored-value matrix (ohm), with every deferred pulse settled."""
+        held = self._held.take()
+        if held is not None:
+            self._chain(*held)
+        return self._mu
+
+    @mu.setter
+    def mu(self, mu: np.ndarray) -> None:
+        self._mu = mu
+        self._held.clear()
 
     def _check_pair(self, a: FuzzyNumber, b: FuzzyNumber) -> None:
         if a.universe != self.input_universe:
@@ -92,28 +115,33 @@ class Relation:
 
         One write pulse of ``t0`` seconds on a device with constants
         ``device``. Every grade of both lines must be non-negative (NaN is
-        rejected); ``pulse_flux`` checks ``t0``.
+        rejected) and ``t0`` finite and positive; the lines are checked
+        here because the additive rule's ``implication_f`` sees only the
+        summed grades, which a negative grade can hide. In hardware mode
+        the pulse is deferred when the headroom rule allows.
         """
         self._check_pair(a, b)
+        check_pulse(t0, a.grades, b.grades)
         if self.mode == "additive":
-            # implication_f sees only the summed grades, which a negative
-            # grade can hide when the other line's grades are large enough.
-            if not (a.grades.min() >= 0 and b.grades.min() >= 0):
-                raise ValueError("grades must be non-negative")
             nu = a.grades[None, :] + b.grades[:, None]
             self.mu = self.mu + implication_f(nu, device, t0)
             return
-        # Chain the device state: continue the flux integration from
-        # m = r_off - mu and add the drop m - m_new. Cells without flux add
-        # exactly 0, so they keep mu bit-identical. The flux is the
-        # crossbar's, and while M stays above r_off / 2 every step is exact,
-        # so a relation trained from zero holds exactly r_off - M of the
-        # crossbar it mirrors.
-        flux = pulse_flux(a.grades, b.grades, t0, device)
-        m = device.r_off - self.mu
+        if not self._held.hold(
+            a.grades, b.grades, t0, device, lambda: device.r_off - self._mu.max()
+        ):
+            self._chain(pulse_flux(a.grades, b.grades, t0, device), device)
+
+    def _chain(self, flux: np.ndarray, device: MemristorParams) -> None:
+        # Continue the device state's flux integration from m = r_off - mu
+        # and add the drop m - m_new. Cells without flux add exactly 0, so
+        # they keep mu bit-identical. The flux is the crossbar's, and while
+        # M stays above r_off / 2 every step is exact, so a relation trained
+        # from zero holds exactly r_off - M of the crossbar it mirrors.
+        mu = self.mu  # settles what is held before this flux
+        m = device.r_off - mu
         m_new, _ = drift(m, flux, device)
         np.subtract(m, m_new, out=m_new)
-        m_new += self.mu
+        m_new += mu
         self.mu = m_new
 
     def snapshot_delta(self) -> np.ndarray:

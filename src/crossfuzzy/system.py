@@ -22,7 +22,9 @@ one, and model JSON stores it under the same name.
 The backend is decided once, in ``Block.__init__``, which binds one write
 and one read to it; ``block_train``, ``block_infer`` and ``pipeline_infer``
 test no type. Each bound callable looks its method up on the backend when
-it runs, so a wrapper put on the class later still sees every call.
+it runs, so a wrapper put on the class later still sees every call. A block
+pickles and deep-copies through its model JSON, which settles any deferred
+writes; the copy shares nothing with the original.
 """
 
 from __future__ import annotations
@@ -146,6 +148,11 @@ class Block:
         cols = sum(u.count for _, u in inputs)
         xbar = Crossbar(output_universe.count, cols, params)
         return cls(xbar, inputs, output_universe, read_mode=read_mode)
+
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild the block from its model JSON, so
+        # a copy gets its own backend and its own bound write and read.
+        return block_from_json, (block_to_json(self),)
 
     @property
     def read_mode(self) -> str:

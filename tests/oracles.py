@@ -6,7 +6,9 @@ time with ``math``, and the centroid oracle is a plain Python loop. They exist s
 structurally different computations. The crossbar read oracles rebuild
 their matrix from the memristance on every call, where the crossbar keeps
 it until its next write; the arithmetic is the same, so reads must agree
-bit for bit.
+bit for bit. ``sequential_writes`` applies write pulses one at a time,
+where crossbars and relations defer threshold-free pulses and settle their
+summed flux once; the two agree to float rounding.
 """
 
 from __future__ import annotations
@@ -47,6 +49,27 @@ def closed_form_memristance(m0: float, flux: float, params) -> float:
 def pulse_memristance(m0: float, v: float, t: float, params) -> float:
     """Memristance after a pulse of v volts for t seconds, write threshold included."""
     return closed_form_memristance(m0, max(v - params.v_th, 0.0) * t, params)
+
+
+def sequential_writes(m0, pulses, params, fault_mask=None):
+    """Memristance after write pulses applied one at a time, and the clamp events.
+
+    Each pulse ``(col, row, t0)`` moves flux ``max(0, (row[i] - v_th) + col[j]) * t0``
+    into cell (i, j), which updates M**2 by -b * flux, clamped at r_on**2; b is
+    recomputed here from the raw device constants. Cells marked in
+    ``fault_mask`` keep their value, and their clamps are not counted.
+    """
+    b = 2.0 * params.mu_v * params.r_on * (params.r_off - params.r_on) / params.d**2
+    floor = params.r_on * params.r_on
+    m = np.array(m0, dtype=float)
+    stuck = np.zeros(m.shape, dtype=bool) if fault_mask is None else np.asarray(fault_mask)
+    events = 0
+    for col, row, t0 in pulses:
+        flux = np.maximum(np.add.outer(np.asarray(row) - params.v_th, col), 0.0) * t0
+        m_sq = m * m - b * flux
+        events += int(np.count_nonzero((m_sq < floor) & ~stuck))
+        m = np.where(stuck, m, np.sqrt(np.maximum(m_sq, floor)))
+    return m, events
 
 
 def read_exact(memristance, x, r_off: float):

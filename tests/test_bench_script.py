@@ -21,5 +21,10 @@ def test_bench_script_writes_every_layer(tmp_path):
             assert f"read_{mode}.{when}.8x12" in names
             assert f"read_{mode}.{when}.16x16" in names
         assert f"evaluate_mse.{mode}.lattice4x4" in names
+    for v_th in ("v_th0", "v_th1"):
+        for size, n in (("8x12", 40), ("16x16", 50)):
+            assert f"write_pulse.{v_th}.{size}" in names
+            assert f"train.{v_th}.{size}.n{n}" in names
+            assert f"settle.{v_th}.{size}.n{n}" in names
     for stats in record["layers"].values():
         assert stats["median_s"] > 0 and stats["iqr_s"] >= 0 and stats["repeats"] >= 3

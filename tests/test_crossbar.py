@@ -14,6 +14,7 @@ from oracles import (
     read_exact,
     read_ideal,
     rk4_memristance,
+    sequential_writes,
 )
 
 R_ON = DEFAULT_PARAMS.r_on
@@ -453,29 +454,54 @@ def test_fault_mask_determinism(seed, fraction):
     assert int(a.fault_mask.sum()) == int(fraction * 9 * 13)
 
 
+OBSERVERS = ["exact", "ideal", "fault", "delta", "section", "json"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
-    steps=st.lists(st.sampled_from(["write", "fault", "exact", "ideal"]), max_size=12),
+    steps=st.lists(st.sampled_from(["write", "write", *OBSERVERS]), max_size=12),
 )
 def test_cached_reads_match_the_uncached_formula(seed, steps):
     """Every read equals the read matrix rebuilt from M, bit for bit, after
-    any interleaving of writes, fault injection and reads in either mode."""
+    any interleaving of writes, fault injection and reads in either mode.
+    Writes are deferred, and every observer that follows them (a read,
+    ``inject_faults``, ``snapshot_delta``, ``section_delta``, model JSON)
+    sees the settled state: the sequential writer's, within 1e-9 of its
+    largest stored value."""
     rng = np.random.default_rng(seed)
     u = Universe(0.0, 1.0, int(rng.integers(2, 7)))
     v = Universe(0.0, 1.0, int(rng.integers(2, 7)))
     block = Block.pristine([("x", u)], v, DEFAULT_PARAMS)
     xb = block.backend
+    want = np.full((xb.rows, xb.cols), R_OFF)  # the sequential writer's state
+
+    def assert_settled(m):
+        assert np.abs(m - want).max() <= 1e-9 * (R_OFF - want).max()
+
     for step in steps + ["exact", "ideal"]:
         if step == "write":
-            xb.write_pulse(rng.uniform(0, 1, xb.cols), rng.uniform(0, 1, xb.rows), 1e-3)
+            pulse = (rng.uniform(0, 1, xb.cols), rng.uniform(0, 1, xb.rows), 1e-3)
+            xb.write_pulse(*pulse)
+            want = sequential_writes(want, [pulse], DEFAULT_PARAMS, xb.fault_mask)[0]
         elif step == "fault":
             xb.inject_faults(float(rng.uniform(0, 0.5)), int(rng.integers(1000)))
+            want = np.where(xb.fault_mask, R_OFF, want)
+            assert_settled(xb.memristance)
+        elif step == "delta":
+            assert_settled(R_OFF - block.snapshot_delta())
+        elif step == "section":
+            assert_settled(R_OFF - block.section_delta("x"))
+        elif step == "json":
+            assert_settled(np.array(model_to_json(block)["memristance"]))
         else:
             x = rng.uniform(0, 1, xb.cols)
             oracle = read_exact if step == "exact" else read_ideal
             got = getattr(xb, f"read_{step}")(x)
+            # A read of an unsettled M would differ from a read of the M
+            # that the getter settles.
             assert np.array_equal(got, oracle(xb.memristance, x, R_OFF))
+            assert_settled(xb.memristance)
     x = rng.uniform(0, 1, xb.cols)
     back = model_from_json(model_to_json(block)).backend
     assert np.array_equal(back.memristance, xb.memristance)
