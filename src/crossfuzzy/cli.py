@@ -27,8 +27,20 @@ from .harness import (
 from .system import Block, Pipeline, has_signal, model_from_json, model_to_json
 
 
+def _from_json(build, obj, what: str):
+    """``build(obj)``, where a JSON layout ``build`` cannot read fails as ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"{what}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{what}: malformed JSON ({exc})") from None
+
+
 def _load_model(path: str) -> Block | Pipeline:
-    return model_from_json(json.loads(Path(path).read_text()))
+    return _from_json(model_from_json, json.loads(Path(path).read_text()), path)
 
 
 def _cmd_train(args) -> int:
@@ -49,8 +61,9 @@ def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
     if text.lstrip().startswith("{"):
         obj = json.loads(text)
         if "grades" in obj:
-            return FuzzyNumber.from_json(obj)
-        return {name: FuzzyNumber.from_json(sub) for name, sub in obj.items()}
+            return _from_json(FuzzyNumber.from_json, obj, "input")
+        return {name: _from_json(FuzzyNumber.from_json, sub, f"input {name!r}")
+                for name, sub in obj.items()}
     values = [float(v) for v in raw.split(",")]
     sections = model.sections
     if len(values) != len(sections):
@@ -121,10 +134,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_export(args) -> int:
     model = _load_model(args.model)
-    if isinstance(model, Pipeline):
-        if args.block is None:
-            raise ValueError("pipeline model: pick a stage with --block INDEX")
-        model = model.blocks[args.block]
+    stages = model.blocks if isinstance(model, Pipeline) else [model]
+    if args.block is None and isinstance(model, Pipeline):
+        raise ValueError("pipeline model: pick a stage with --block INDEX")
+    index = args.block or 0
+    if not 0 <= index < len(stages):
+        raise ValueError(f"--block {index} is out of range: the model has {len(stages)} stage(s)")
+    model = stages[index]
     delta = model.section_delta(args.section) if args.section else model.snapshot_delta()
     save_delta_csv(args.surface, delta, model.device_params.r_off)
     print(json.dumps({"surface": args.surface, "shape": list(delta.shape)}))
@@ -169,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="dump a stored-value surface to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--surface", required=True)
-    p.add_argument("--block", type=int, help="stage index for pipeline models")
+    p.add_argument("--block", type=int, help="stage index for pipeline models (from 0)")
     p.add_argument("--section", help="input-variable name for per-section surfaces")
     p.set_defaults(fn=_cmd_export)
     return parser

@@ -7,17 +7,14 @@ device's write threshold becomes flux (``device.pulse_flux``), which the
 cell integrates per the device closed form (``device.drift``). Stuck cells
 (fault mask) ignore writes and always hold ``r_off``.
 
-On the default threshold-free device a write is deferred: ``write_pulse``
-checks its inputs, then adds ``t0 * row`` and ``t0 * col`` to two pending
-line sums (``device.PendingFlux``) instead of rewriting M. The array is
-settled, by one ``drift`` over the summed flux, the first time anything
-observes it: the ``memristance`` getter (and so ``snapshot_delta`` and
-serialization), building a read matrix, and ``inject_faults``. A pulse is
-deferred only when the headroom rule in ``device`` proves that no live cell
-could clamp before the settle; otherwise, and always at ``v_th > 0``, the
-crossbar settles and writes that pulse eagerly. ``saturation_count`` and
-``fault_mask`` are plain attributes, exact without a settle, so reading them
-never settles.
+M lives in a ``device.StoredArray``, which decides whether a checked pulse
+is written now or, on the default threshold-free device, held as two line
+sums and settled when M is next observed: by the ``memristance`` getter
+(and so ``snapshot_delta`` and serialization), by building a read matrix
+and by ``inject_faults``. The crossbar supplies only its eager write,
+``_step``: ``drift``, stuck cells kept at ``r_off``, and the clamp count.
+``saturation_count`` and ``fault_mask`` are plain attributes, exact without
+a settle, so reading them never settles.
 
 Reads: the row amplifiers sum cell currents against an ``r_off`` feedback
 resistor, and a compensation row cancels the raw input sum, leaving
@@ -40,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .device import MemristorParams, PendingFlux, check_pulse, drift, pulse_flux
+from .device import MemristorParams, StoredArray, check_pulse, drift
 
 __all__ = ["Crossbar", "save_delta_csv", "load_delta_csv"]
 
@@ -82,15 +79,15 @@ class Crossbar:
             memristance[fault_mask] = params.r_off
         fault_mask.setflags(write=False)  # changed only by inject_faults
         self.fault_mask = fault_mask
-        self._held = PendingFlux(rows, cols)
-        self.memristance = memristance
+        self._store = StoredArray(memristance)
+        self._gain = None  # r_off / M, built by the first exact read
+        self._stored = None  # r_off - M, built by the first ideal read
         self.saturation_count = 0
 
     @property
     def memristance(self) -> np.ndarray:
         """The memristance matrix M (ohm), settled; read-only."""
-        self._settle()
-        return self._m
+        return self._store.state(self._step)
 
     @memristance.setter
     def memristance(self, m: np.ndarray) -> None:
@@ -109,11 +106,8 @@ class Crossbar:
                 f"memristance must be a float array of shape ({self.rows}, {self.cols})"
                 " that owns its data"
             )
-        m.setflags(write=False)
-        self._m = m
-        self._held.clear()
-        self._gain = None  # r_off / M, built by the first exact read
-        self._stored = None  # r_off - M, built by the first ideal read
+        self._store.replace(m)
+        self._gain = self._stored = None
 
     @classmethod
     def from_delta(cls, delta: np.ndarray, params: MemristorParams) -> "Crossbar":
@@ -143,25 +137,17 @@ class Crossbar:
         for name, g in (("column", col), ("row", row)):
             if not g.max() <= 1.0:
                 raise ValueError(f"{name} grades must lie in [0, 1]")
-        if self._held.hold(col, row, t0, self.params, self._m.min):
-            self._gain = self._stored = None
-            return
-        self._settle()
-        self._write(pulse_flux(col, row, t0, self.params))
+        self._store.pulse(col, row, t0, self.params, self._step, np.min)
+        self._gain = self._stored = None
 
-    def _settle(self) -> None:
-        # The held pulses as one write: the headroom rule proves that it
-        # clamps no cell, so it adds 0 to ``saturation_count``.
-        held = self._held.take()
-        if held is not None:
-            self._write(held[0])
-
-    def _write(self, flux: np.ndarray) -> None:
-        new_m, clamped = drift(self._m, flux, self.params)
+    def _step(self, m: np.ndarray, flux: np.ndarray, params: MemristorParams) -> np.ndarray:
+        # One eager write of ``flux`` onto M. A settle of held pulses is one
+        # such write, which the headroom rule proves clamps no cell.
+        new_m, clamped = drift(m, flux, params)
         clamped[self.fault_mask] = False
         self.saturation_count += int(np.count_nonzero(clamped))
-        np.copyto(new_m, self._m, where=self.fault_mask)
-        self.memristance = new_m
+        np.copyto(new_m, m, where=self.fault_mask)
+        return new_m
 
     def inject_faults(self, fraction: float, seed: int) -> None:
         """Mark ``floor(fraction * m * n)`` distinct cells stuck at r_off.

@@ -27,19 +27,20 @@ flux: ``t0`` must be finite and positive, and drives must be non-negative
 
 Deferred writes. At ``v_th = 0`` a pulse moves flux ``t0 * (row[i] + col[j])``
 into cell (i, j): a row term plus a column term. Flux adds up, so a run of
-pulses that never clamps equals one ``drift`` over
-``np.add.outer(row_sum, col_sum)``. ``PendingFlux`` holds such pulses as
-the two line sums, O(rows + cols) work per pulse, and hands the summed flux
-back when the array is next observed (the settle). It holds a pulse only
-when the headroom rule proves that no cell on the way could clamp:
+pulses that never clamps equals one write of ``np.add.outer(row_sum,
+col_sum)``. ``StoredArray`` owns a stored array and decides, pulse by
+pulse, whether to hold it as the two line sums (O(rows + cols) work) or to
+write it now; held pulses are written as one flux when the array is next
+observed (the settle). A pulse is held only when the headroom rule proves
+that no cell on the way could clamp:
 
     max(row_sum) + max(col_sum) < (min(M)**2 * (1 - HOLD_MARGIN) - r_on**2) / beta
 
 with the smallest M of the state the held pulses started from. Stuck cells
 hold ``r_off``, the largest value, so the smallest M is a live cell's
-whenever one is left. Otherwise, and always at ``v_th > 0``, the writer
-settles and writes the pulse eagerly, so clamp events are counted exactly
-as a pulse-by-pulse writer counts them. A settled state differs from the
+whenever one is left. Otherwise, and always at ``v_th > 0``, the pulse is
+settled and written eagerly, so clamp events are counted exactly as a
+pulse-by-pulse writer counts them. A settled state differs from the
 pulse-by-pulse one only by float rounding; the tests hold it to 1e-9 of the
 largest stored value.
 """
@@ -58,7 +59,7 @@ __all__ = [
     "drift",
     "check_pulse",
     "pulse_flux",
-    "PendingFlux",
+    "StoredArray",
     "apply_flux",
 ]
 
@@ -137,10 +138,11 @@ def drift(m, flux, params: MemristorParams):
     # The flux buffer becomes the drop, and one working buffer is updated in
     # place: callers keep the result, so the only temporary besides the
     # mask is the caller's flux, freed once the caller returns.
-    if isinstance(flux, np.ndarray):
-        flux *= beta(params)
-    else:
-        flux = beta(params) * flux
+    with np.errstate(over="ignore"):  # a drop past the float range clamps like any other
+        if isinstance(flux, np.ndarray):
+            flux *= beta(params)
+        else:
+            flux = beta(params) * flux
     m_sq = np.multiply(m, m, out=np.empty_like(flux))
     m_sq -= flux
     clamped = m_sq < floor
@@ -167,67 +169,58 @@ def pulse_flux(col, row, t0: float, params: MemristorParams):
     ``col`` and ``row`` are the drives (V) on the two lines, checked by the
     caller with ``check_pulse``; the result is a new array of shape
     ``row.shape + col.shape`` (``np.add.outer``), so a scalar ``row`` of 0
-    turns an already summed drive ``col`` into its flux. At ``v_th = 0`` no
-    clip is applied: it could not change a non-negative drive, and the
-    default device does not pay for it.
+    turns an already summed drive ``col`` into its flux.
     """
-    if params.v_th > 0:
-        flux = np.asarray(np.add.outer(np.subtract(row, params.v_th), col))
-        np.maximum(flux, 0.0, out=flux)
-    else:
-        flux = np.add.outer(row, col)
-    flux *= t0
+    flux = np.asarray(np.add.outer(np.subtract(row, params.v_th), col))
+    np.maximum(flux, 0.0, out=flux)
+    with np.errstate(over="ignore"):  # an infinite flux is a full write, which drift clamps
+        flux *= t0
     return flux
 
 
-class PendingFlux:
-    """Threshold-free pulses held as per-line flux sums (see the module docstring).
+class StoredArray:
+    """A stored array and the threshold-free pulses held on it (module docstring).
 
-    ``hold`` takes a checked pulse or refuses it; ``take`` hands the held
-    pulses back as one flux array for ``drift``; ``clear`` forgets them when
-    the stored state is replaced. The owner settles before anything observes
-    its state.
+    The owner passes, on every call that may write, its eager write
+    ``step(state, flux, params)``, which returns the new array, and
+    ``lowest(state)``, the smallest memristance of a state; neither is kept.
     """
 
-    def __init__(self, rows: int, cols: int):
-        self.shape = (rows, cols)
-        self.clear()
+    def __init__(self, state: np.ndarray):
+        self.replace(state)
 
-    def clear(self) -> None:
-        self.row = np.zeros(self.shape[0])  # summed t0 * row drive per row (V s)
-        self.col = np.zeros(self.shape[1])  # summed t0 * column drive per column
-        self.params = None  # device of the held pulses; None while none is held
-        self.headroom = None  # flux the line sums may reach; None until measured
+    def replace(self, state: np.ndarray) -> None:
+        """Take ``state`` as the stored array, read-only, and drop what is held."""
+        state.setflags(write=False)
+        self._state = state
+        self._row = self._col = 0.0  # summed t0 * drive per row and per column (V s)
+        self._params = None  # device of the held pulses; None while none is held
+        self._headroom = None  # flux the line sums may reach; None until measured
 
-    def hold(self, col, row, t0: float, params: MemristorParams, lowest) -> bool:
-        """Hold one pulse if no cell can clamp by the end of the held run.
+    def state(self, step) -> np.ndarray:
+        """The stored array, with every held pulse settled by one ``step``."""
+        if self._params is not None:
+            self.replace(step(self._state, np.add.outer(self._row, self._col), self._params))
+        return self._state
 
-        ``lowest()`` returns the smallest memristance of the state the held
-        pulses start from; it is asked once per such state. Returns False,
-        holding nothing, on a threshold device, for a device other than that
-        of the pulses already held, and when the headroom rule fails.
+    def pulse(self, col, row, t0: float, params: MemristorParams, step, lowest) -> None:
+        """Hold one checked pulse, or settle and write it now.
+
+        A pulse is held only on a threshold-free device, on the device of
+        the pulses already held, and while the headroom rule holds.
         """
-        if params.v_th > 0 or self.params not in (None, params):
-            return False
-        if self.headroom is None:
-            lo = float(lowest())
-            self.headroom = (lo * lo * (1.0 - HOLD_MARGIN) - params.r_on**2) / beta(params)
-        row_sum = t0 * row
-        row_sum += self.row
-        col_sum = t0 * col
-        col_sum += self.col
-        if not row_sum.max() + col_sum.max() < self.headroom:
-            return False
-        self.row, self.col, self.params = row_sum, col_sum, params
-        return True
-
-    def take(self):
-        """``(flux, params)`` of the held pulses, which are then forgotten; None if none."""
-        if self.params is None:
-            return None
-        held = np.add.outer(self.row, self.col), self.params
-        self.clear()
-        return held
+        if params.v_th == 0 and self._params in (None, params):
+            if self._headroom is None:
+                lo = float(lowest(self._state))
+                self._headroom = (lo * lo * (1.0 - HOLD_MARGIN) - params.r_on**2) / beta(params)
+            row_sum = t0 * row
+            row_sum += self._row
+            col_sum = t0 * col
+            col_sum += self._col
+            if row_sum.max() < self._headroom - col_sum.max():  # cannot overflow
+                self._row, self._col, self._params = row_sum, col_sum, params
+                return
+        self.replace(step(self.state(step), pulse_flux(col, row, t0, params), params))
 
 
 def apply_flux(m: float, params: MemristorParams, flux: float) -> tuple[float, bool]:

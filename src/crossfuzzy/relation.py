@@ -22,13 +22,14 @@ putting the per-cell total flux through the device closed form once. f is
 convex, so hardware accumulation runs slightly ahead of additive; the two
 agree to first order while stored values stay far below r_off.
 
-Hardware accumulation defers its pulses exactly as a crossbar does
-(``device.PendingFlux``, with the same headroom rule): on a threshold-free
-device each pulse adds to two line-flux sums, and ``mu``, a property, settles
-them with one ``drift`` the first time it is read, which ``infer``,
-``snapshot_delta`` and serialization do. A relation and a crossbar given
-the same pulses hold the same sums, so a relation trained from zero still
-holds exactly ``r_off - M`` of its crossbar when both settle at one point.
+``mu`` lives in a ``device.StoredArray``, as a crossbar's M does, so
+hardware accumulation defers its pulses exactly as a crossbar does: on a
+threshold-free device each pulse adds to two line-flux sums, settled by one
+``_chain`` the first time the read-only ``mu`` property is read, which
+``infer``, ``snapshot_delta`` and serialization do. A relation and a
+crossbar given the same pulses hold the same sums, so a relation trained
+from zero still holds exactly ``r_off - M`` of its crossbar when both
+settle at one point.
 
 Inference is a plain matrix-vector product: output grades = mu @ input
 grades. No normalization is applied; centroid defuzzification ignores
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .device import MemristorParams, PendingFlux, check_pulse, drift, pulse_flux
+from .device import MemristorParams, StoredArray, check_pulse, drift, pulse_flux
 from .fuzzy import FuzzyNumber, Universe
 
 __all__ = ["Relation", "implication_f", "relation_from_sets"]
@@ -59,6 +60,20 @@ def implication_f(nu, device: MemristorParams, t0: float):
     r_off = device.r_off
     out = r_off - drift(r_off, pulse_flux(nu, 0.0, t0, device), device)[0]
     return float(out) if out.ndim == 0 else out
+
+
+def _chain(mu: np.ndarray, flux: np.ndarray, device: MemristorParams) -> np.ndarray:
+    # The hardware rule's eager write: continue the device state's flux
+    # integration from m = r_off - mu and add the drop m - m_new. Cells
+    # without flux add exactly 0, so they keep mu bit-identical. The flux is
+    # the crossbar's, and while M stays above r_off / 2 every step is exact,
+    # so a relation trained from zero holds exactly r_off - M of the
+    # crossbar it mirrors.
+    m = device.r_off - mu
+    m_new, _ = drift(m, flux, device)
+    np.subtract(m, m_new, out=m_new)
+    m_new += mu
+    return m_new
 
 
 class Relation:
@@ -86,21 +101,12 @@ class Relation:
                 raise ValueError(f"mu shape {mu.shape} != {shape}")
             if not (mu.min() >= 0 and np.isfinite(mu).all()):
                 raise ValueError("mu must be finite and non-negative")
-        self._held = PendingFlux(*shape)
-        self.mu = mu
+        self._store = StoredArray(mu)
 
     @property
     def mu(self) -> np.ndarray:
-        """The stored-value matrix (ohm), with every deferred pulse settled."""
-        held = self._held.take()
-        if held is not None:
-            self._chain(*held)
-        return self._mu
-
-    @mu.setter
-    def mu(self, mu: np.ndarray) -> None:
-        self._mu = mu
-        self._held.clear()
+        """The stored-value matrix (ohm), with every deferred pulse settled; read-only."""
+        return self._store.state(_chain)
 
     def _check_pair(self, a: FuzzyNumber, b: FuzzyNumber) -> None:
         if a.universe != self.input_universe:
@@ -124,25 +130,10 @@ class Relation:
         check_pulse(t0, a.grades, b.grades)
         if self.mode == "additive":
             nu = a.grades[None, :] + b.grades[:, None]
-            self.mu = self.mu + implication_f(nu, device, t0)
+            self._store.replace(self.mu + implication_f(nu, device, t0))
             return
-        if not self._held.hold(
-            a.grades, b.grades, t0, device, lambda: device.r_off - self._mu.max()
-        ):
-            self._chain(pulse_flux(a.grades, b.grades, t0, device), device)
-
-    def _chain(self, flux: np.ndarray, device: MemristorParams) -> None:
-        # Continue the device state's flux integration from m = r_off - mu
-        # and add the drop m - m_new. Cells without flux add exactly 0, so
-        # they keep mu bit-identical. The flux is the crossbar's, and while
-        # M stays above r_off / 2 every step is exact, so a relation trained
-        # from zero holds exactly r_off - M of the crossbar it mirrors.
-        mu = self.mu  # settles what is held before this flux
-        m = device.r_off - mu
-        m_new, _ = drift(m, flux, device)
-        np.subtract(m, m_new, out=m_new)
-        m_new += mu
-        self.mu = m_new
+        self._store.pulse(a.grades, b.grades, t0, device, _chain,
+                          lambda mu: device.r_off - mu.max())
 
     def snapshot_delta(self) -> np.ndarray:
         """A copy of the stored-value matrix mu (ohm)."""

@@ -21,10 +21,12 @@ one, and model JSON stores it under the same name.
 
 The backend is decided once, in ``Block.__init__``, which binds one write
 and one read to it; ``block_train``, ``block_infer`` and ``pipeline_infer``
-test no type. Each bound callable looks its method up on the backend when
-it runs, so a wrapper put on the class later still sees every call. A block
-pickles and deep-copies through its model JSON, which settles any deferred
-writes; the copy shares nothing with the original.
+test no type. ``Block.backend`` is read-only, so the bound calls never go
+to a backend the block no longer names. Each bound callable looks its
+method up on the backend when it runs, so a wrapper put on the class later
+still sees every call. A block pickles and deep-copies through its model
+JSON, which settles any deferred writes; the copy shares nothing with the
+original.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class Block:
         self.sections = sections
         self.output_universe = output_universe
         self._read_mode = read_mode
-        self.backend = backend
+        self._backend = backend
         if isinstance(backend, Crossbar):
             if backend.cols != start:
                 raise ValueError(
@@ -157,6 +159,10 @@ class Block:
     @property
     def read_mode(self) -> str:
         return self._read_mode
+
+    @property
+    def backend(self) -> Crossbar | Relation:
+        return self._backend
 
     @property
     def input_universe(self) -> Universe:

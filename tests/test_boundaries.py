@@ -1,0 +1,196 @@
+"""Properties of the boundary checks: every in-range draw is accepted, and
+every non-finite or out-of-range draw raises ``ValueError`` where it enters.
+
+Each check gets one property over in-range draws and one over draws that
+put a single value out of range, so no check is exercised only by its
+hand-picked cases.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crossfuzzy.crossbar import Crossbar
+from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams
+from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
+from crossfuzzy.relation import Relation
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = st.sampled_from([NAN, INF, -INF])
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+NOT_POSITIVE = st.one_of(NON_FINITE, st.floats(max_value=0.0))
+NEGATIVE = st.one_of(NON_FINITE, st.floats(max_value=0.0, exclude_max=True))
+GRADE = st.floats(min_value=0.0, max_value=1.0)
+U3 = Universe(0.0, 1.0, 3)
+U4 = Universe(0.0, 1.0, 4)
+examples = settings(max_examples=150, deadline=None)
+
+
+def grades(n: int, elements=GRADE):
+    return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+def with_one_bad(n: int, bad, good=GRADE):
+    """``n`` good values with one of them, at a drawn place, replaced by a ``bad`` draw."""
+    return st.tuples(grades(n, good), st.integers(0, n - 1), bad).map(
+        lambda t: np.where(np.arange(n) == t[1], t[2], t[0]))
+
+
+# -- device constants and universes --------------------------------------------
+
+RESISTANCES = st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@examples
+@given(mu_v=POSITIVE, d=POSITIVE, r=RESISTANCES, v_th=NON_NEGATIVE)
+def test_memristor_params_accept_every_in_range_draw(mu_v, d, r, v_th):
+    MemristorParams(mu_v=mu_v, d=d, r_on=r[0], r_off=r[1], v_th=v_th)
+
+
+@examples
+@given(data=st.data())
+def test_memristor_params_reject_every_out_of_range_draw(data):
+    r_on, r_off = DEFAULT_PARAMS.r_on, DEFAULT_PARAMS.r_off
+    field, bad = data.draw(st.sampled_from([
+        ("mu_v", NOT_POSITIVE),
+        ("d", NOT_POSITIVE),
+        ("r_on", st.one_of(NOT_POSITIVE, st.floats(min_value=r_off))),
+        ("r_off", st.one_of(NON_FINITE, st.floats(max_value=r_on))),
+        ("v_th", NEGATIVE),
+    ]))
+    with pytest.raises(ValueError, match=field):
+        replace(DEFAULT_PARAMS, **{field: data.draw(bad)})
+
+
+FINITE_ENDS = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True).map(sorted)
+COUNTS = st.integers(2, 10_000)
+
+
+@examples
+@given(ends=FINITE_ENDS, count=COUNTS)
+def test_universe_accepts_every_in_range_draw(ends, count):
+    Universe(ends[0], ends[1], count)
+
+
+@examples
+@given(data=st.data(), ends=FINITE_ENDS, count=COUNTS)
+def test_universe_rejects_every_out_of_range_draw(data, ends, count):
+    lo, hi = ends
+    bad = data.draw(st.sampled_from([
+        (data.draw(NON_FINITE), hi, count),
+        (lo, data.draw(NON_FINITE), count),
+        (hi, lo, count),  # reversed
+        (lo, lo, count),  # empty
+        (-1e308, 1e308, count),  # finite ends, infinite width
+        (lo, hi, data.draw(st.one_of(st.integers(max_value=1), st.just(float(count)),
+                                     st.booleans()))),
+    ]))
+    with pytest.raises(ValueError):
+        Universe(*bad)
+
+
+# -- writes: t0 and grades through every writer ---------------------------------
+
+
+def write_everywhere(col, row, t0, params=DEFAULT_PARAMS):
+    """One pulse through a crossbar and both relation modes."""
+    Crossbar(len(row), len(col), params).write_pulse(col, row, t0)
+    for mode in ("hardware", "additive"):
+        rel = Relation(Universe(0.0, 1.0, len(col)), Universe(0.0, 1.0, len(row)), mode=mode)
+        rel.accumulate(FuzzyNumber(rel.input_universe, col),
+                       FuzzyNumber(rel.output_universe, row), params, t0)
+
+
+@examples
+@given(col=grades(4), row=grades(3), t0=POSITIVE, v_th=st.sampled_from([0.0, 1.0]))
+def test_writers_accept_every_in_range_pulse(col, row, t0, v_th):
+    write_everywhere(col, row, t0, replace(DEFAULT_PARAMS, v_th=v_th))
+
+
+@examples
+@given(col=grades(4), row=grades(3), t0=NOT_POSITIVE)
+def test_writers_reject_every_out_of_range_t0(col, row, t0):
+    with pytest.raises(ValueError, match="t0"):
+        Crossbar(3, 4, DEFAULT_PARAMS).write_pulse(col, row, t0)
+    for mode in ("hardware", "additive"):
+        with pytest.raises(ValueError, match="t0"):
+            Relation(U4, U3, mode=mode).accumulate(
+                FuzzyNumber(U4, col), FuzzyNumber(U3, row), DEFAULT_PARAMS, t0)
+
+
+@examples
+@given(data=st.data(), t0=st.floats(1e-9, 1e-3))
+def test_writers_reject_every_out_of_range_grade(data, t0):
+    """Negative and NaN grades fail in every writer; grades above 1 and
+    infinite ones fail on the crossbar. A relation takes only finite grades,
+    which ``FuzzyNumber`` checks, and any non-negative ones."""
+    on_col = data.draw(st.booleans())
+    bad = data.draw(with_one_bad(4 if on_col else 3, NEGATIVE))
+    col, row = (bad, data.draw(grades(3))) if on_col else (data.draw(grades(4)), bad)
+    with pytest.raises(ValueError):
+        Crossbar(3, 4, DEFAULT_PARAMS).write_pulse(col, row, t0)
+    for mode in ("hardware", "additive"):
+        with pytest.raises(ValueError):
+            Relation(U4, U3, mode=mode).accumulate(
+                FuzzyNumber(U4, col), FuzzyNumber(U3, row), DEFAULT_PARAMS, t0)
+    above = data.draw(with_one_bad(4, st.one_of(st.just(INF), st.floats(1.0, exclude_min=True))))
+    with pytest.raises(ValueError):
+        Crossbar(3, 4, DEFAULT_PARAMS).write_pulse(above, data.draw(grades(3)), t0)
+
+
+# -- stored relations -------------------------------------------------------------
+
+
+@examples
+@given(mu=grades(12, NON_NEGATIVE))
+def test_relation_accepts_every_in_range_mu(mu):
+    rel = Relation(U3, U4, mu=mu.reshape(4, 3))
+    assert np.array_equal(rel.mu, mu.reshape(4, 3))
+
+
+@examples
+@given(mu=with_one_bad(12, NEGATIVE, NON_NEGATIVE))
+def test_relation_rejects_every_out_of_range_mu(mu):
+    with pytest.raises(ValueError, match="mu"):
+        Relation(U3, U4, mu=mu.reshape(4, 3))
+
+
+# -- reads ----------------------------------------------------------------------------
+
+READ_VALUE = st.floats(-1e6, 1e6)
+
+
+@examples
+@given(x=grades(4, READ_VALUE), mode=st.sampled_from(["exact", "ideal"]))
+def test_reads_accept_every_finite_input(x, mode):
+    xb = Crossbar.from_delta(np.arange(12.0).reshape(3, 4), DEFAULT_PARAMS)
+    assert np.isfinite(getattr(xb, f"read_{mode}")(x)).all()
+
+
+@examples
+@given(x=with_one_bad(4, NON_FINITE, READ_VALUE), mode=st.sampled_from(["exact", "ideal"]))
+def test_reads_reject_every_non_finite_input(x, mode):
+    xb = Crossbar.from_delta(np.arange(12.0).reshape(3, 4), DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match="finite"):
+        getattr(xb, f"read_{mode}")(x)
+
+
+# -- fuzzification width ----------------------------------------------------------------
+
+
+@examples
+@given(sigma=POSITIVE, x0=st.floats(0.0, 1.0))
+def test_fuzzify_accepts_every_in_range_sigma(sigma, x0):
+    fn = fuzzify_gaussian(x0, sigma, U4)
+    assert fn.grades.max() <= 1.0 and fn.grades.min() >= 0.0
+
+
+@examples
+@given(sigma=NOT_POSITIVE, x0=st.floats(0.0, 1.0))
+def test_fuzzify_rejects_every_out_of_range_sigma(sigma, x0):
+    with pytest.raises(ValueError, match="sigma"):
+        fuzzify_gaussian(x0, sigma, U4)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +226,54 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     code = main(["export", "--model", str(tmp_path / "missing.json"), "--surface", "s.csv"])
     capsys.readouterr()
     assert code == 2
+
+
+def two_stage_pipeline(tmp_path, capsys) -> str:
+    a = trained_model_path(tmp_path / "a", capsys, "exp-f2")
+    b = trained_model_path(tmp_path / "b", capsys, "exp-f1")
+    pipe = tmp_path / "pipe.json"
+    run_cli(capsys, "compose", "--blocks", a, b, "--output", str(pipe))
+    return str(pipe)
+
+
+def test_export_block_index_within_the_stages(tmp_path, capsys):
+    pipe = two_stage_pipeline(tmp_path, capsys)
+    single = trained_model_path(tmp_path / "c", capsys)
+    surface = str(tmp_path / "surface.csv")
+    for model, block in ((pipe, "1"), (single, "0")):
+        code, _ = run_cli(capsys, "export", "--model", model, "--surface", surface,
+                          "--block", block)
+        assert code == 0
+    for model, block in ((pipe, "5"), (pipe, "-1"), (single, "3")):
+        code = main(["export", "--model", model, "--surface", surface, "--block", block])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: --block {block} is out of range")
+
+
+@pytest.mark.parametrize("raw, named", [
+    ('{"x": {"grades": [1, 2]}}', "missing key 'universe'"),
+    ('{"x": {"universe": {"lo": 0, "hi": 1}, "grades": [1, 2]}}', "missing key 'count'"),
+    ('{"x": 3}', "input 'x' must be a JSON object"),
+    ('{"x": {"universe": 3, "grades": [1, 2]}}', "input 'x': malformed JSON"),
+])
+def test_infer_rejects_malformed_json_input(tmp_path, capsys, raw, named):
+    model = trained_model_path(tmp_path, capsys)
+    code = main(["infer", "--model", model, "--input", raw])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_model_json_without_inputs_fails_in_every_command(tmp_path, capsys):
+    model = trained_model_path(tmp_path, capsys)
+    obj = json.loads(Path(model).read_text())
+    del obj["inputs"]
+    Path(model).write_text(json.dumps(obj))
+    for argv in (["infer", "--model", model, "--input", "0.5"],
+                 ["export", "--model", model, "--surface", str(tmp_path / "s.csv")],
+                 ["compose", "--blocks", model, model, "--output", str(tmp_path / "p.json")]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {model}: missing key 'inputs'\n"

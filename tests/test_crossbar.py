@@ -476,7 +476,7 @@ def test_cached_reads_match_the_uncached_formula(seed, steps):
     xb = block.backend
     want = np.full((xb.rows, xb.cols), R_OFF)  # the sequential writer's state
 
-    def assert_settled(m):
+    def assert_sequential(m):
         assert np.abs(m - want).max() <= 1e-9 * (R_OFF - want).max()
 
     for step in steps + ["exact", "ideal"]:
@@ -487,13 +487,13 @@ def test_cached_reads_match_the_uncached_formula(seed, steps):
         elif step == "fault":
             xb.inject_faults(float(rng.uniform(0, 0.5)), int(rng.integers(1000)))
             want = np.where(xb.fault_mask, R_OFF, want)
-            assert_settled(xb.memristance)
+            assert_sequential(xb.memristance)
         elif step == "delta":
-            assert_settled(R_OFF - block.snapshot_delta())
+            assert_sequential(R_OFF - block.snapshot_delta())
         elif step == "section":
-            assert_settled(R_OFF - block.section_delta("x"))
+            assert_sequential(R_OFF - block.section_delta("x"))
         elif step == "json":
-            assert_settled(np.array(model_to_json(block)["memristance"]))
+            assert_sequential(np.array(model_to_json(block)["memristance"]))
         else:
             x = rng.uniform(0, 1, xb.cols)
             oracle = read_exact if step == "exact" else read_ideal
@@ -501,7 +501,7 @@ def test_cached_reads_match_the_uncached_formula(seed, steps):
             # A read of an unsettled M would differ from a read of the M
             # that the getter settles.
             assert np.array_equal(got, oracle(xb.memristance, x, R_OFF))
-            assert_settled(xb.memristance)
+            assert_sequential(xb.memristance)
     x = rng.uniform(0, 1, xb.cols)
     back = model_from_json(model_to_json(block)).backend
     assert np.array_equal(back.memristance, xb.memristance)

@@ -7,8 +7,10 @@ value of ``oracles.sequential_writes``, and clamp events are counted exactly.
 """
 
 import copy
+import gc
 import json
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -89,7 +91,7 @@ def test_writes_that_clamp_from_the_first_pulse_are_eager_and_exact(v_th):
     assert np.array_equal(xb.memristance, want)
 
 
-def test_held_pulses_keep_r_on_clear():
+def test_holding_keeps_r_on_clear():
     """A run is held only while it stays r_on**2 clear of the clamp: here
     the second and third pulses each clamp the cell, two events, where one
     settle of all three would count one."""
@@ -105,6 +107,23 @@ def test_held_pulses_keep_r_on_clear():
     assert np.array_equal(xb.memristance, want)
 
 
+def test_relation_pulses_on_another_device_are_written_with_their_own_constants():
+    """A hardware relation takes its device per pulse. Pulses are held
+    together only on one device: a pulse on another settles those held and
+    is written with its own constants."""
+    other = replace(DEFAULT_PARAMS, mu_v=3 * DEFAULT_PARAMS.mu_v)
+    rng = np.random.default_rng(7)
+    u = Universe(0.0, 1.0, 5)
+    rel = Relation(u, u, mode="hardware")
+    want = np.full((5, 5), R_OFF)
+    for params in (DEFAULT_PARAMS, other, other, DEFAULT_PARAMS):
+        plan = [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), 1e-4) for _ in range(3)]
+        for col, row, t0 in plan:
+            rel.accumulate(FuzzyNumber(u, col), FuzzyNumber(u, row), params, t0)
+        want = sequential_writes(want, plan, params)[0]
+    assert_near_oracle(R_OFF - rel.mu, want)
+
+
 def count_drift_calls(monkeypatch) -> list:
     calls = []
     for module in (crossfuzzy.crossbar, crossfuzzy.relation):
@@ -116,7 +135,7 @@ def count_drift_calls(monkeypatch) -> list:
     return calls
 
 
-def test_counters_do_not_settle_and_observers_settle_once(monkeypatch):
+def test_only_observers_pay_for_deferred_writes(monkeypatch):
     """Reading ``saturation_count`` or ``fault_mask`` after every write, as a
     tracer does, leaves the writes deferred; the first observer settles."""
     calls = count_drift_calls(monkeypatch)
@@ -139,6 +158,28 @@ def test_counters_do_not_settle_and_observers_settle_once(monkeypatch):
         block_infer(blk, fuzzify_gaussian(0.5, 0.1, u))
         assert len(calls) == 1
         calls.clear()
+
+
+def test_backends_are_freed_without_the_cycle_collector():
+    """A backend keeps no reference to itself (say, a stored bound method of
+    its own eager write), so it and its arrays go as soon as the last name
+    does, with held, settled and eager writes behind it."""
+    u = Universe(0.0, 1.0, 6)
+    gc.disable()
+    try:
+        for t0 in (1e-4, CLAMP_T0):  # held and settled; eager
+            xb = Crossbar(6, 6, DEFAULT_PARAMS)
+            rel = Relation(u, u, mode="hardware")
+            for backend in (xb, rel):
+                blk = Block(backend, [("x", u)], u, device_params=DEFAULT_PARAMS)
+                block_train(blk, fuzzify_gaussian(0.3, 0.1, u), fuzzify_gaussian(0.6, 0.1, u), t0)
+                block_infer(blk, fuzzify_gaussian(0.3, 0.1, u))
+                block_train(blk, fuzzify_gaussian(0.7, 0.1, u), fuzzify_gaussian(0.2, 0.1, u), t0)
+            refs = [weakref.ref(xb), weakref.ref(rel), weakref.ref(xb.memristance)]
+            del xb, rel, blk, backend
+            assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 # -- copies ------------------------------------------------------------------
@@ -180,13 +221,14 @@ def pipeline():
                          ids=["crossbar-faults", "relation", "pipeline"])
 @pytest.mark.parametrize("copier", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
                          ids=["deepcopy", "pickle"])
-def test_copies_infer_alike_and_share_no_backend(build, copier):
+def test_copies_infer_alike_and_share_no_backend(build, copier, monkeypatch):
     """A copy, taken while writes are still deferred, reads as the original
     does, and writes to the copy never reach the original."""
     model, probe = build()
     blocks = model.blocks if isinstance(model, Pipeline) else [model]
-    assert all(blk.backend._held.params is not None for blk in blocks)
+    calls = count_drift_calls(monkeypatch)
     twin = copier(model)
+    assert len(calls) == len(blocks)  # every block still held writes, settled by the copy
     twins = twin.blocks if isinstance(twin, Pipeline) else [twin]
     assert np.array_equal(twin.infer(probe).grades, model.infer(probe).grades)
     for blk, other in zip(blocks, twins):

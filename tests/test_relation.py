@@ -132,6 +132,25 @@ def test_accumulate_zero_grades_is_identity():
         assert np.array_equal(rel.mu, before)
 
 
+@pytest.mark.parametrize("mode", ["additive", "hardware"])
+def test_mu_is_read_only(mode):
+    """``mu`` has no setter and its array refuses writes, so no weight can
+    turn negative after the constructor checked them."""
+    u = Universe(0.0, 1.0, 4)
+    rel = Relation(u, u, mode=mode, mu=np.full((4, 4), 2.0))
+    for step in (lambda: None, lambda: rel.accumulate(fuzzify_gaussian(0.5, 0.2, u),
+                                                      fuzzify_gaussian(0.5, 0.2, u),
+                                                      DEFAULT_PARAMS, T0)):
+        step()
+        before = rel.mu.copy()
+        with pytest.raises(AttributeError):
+            rel.mu = np.full((4, 4), -3.0)
+        with pytest.raises(ValueError):
+            rel.mu[0, 0] = -3.0
+        assert np.array_equal(rel.mu, before)
+    assert rel.infer(fuzzify_gaussian(0.5, 0.2, u)).grades.min() > 0.0
+
+
 def test_universe_mismatch_rejected():
     rel = Relation(Universe(0.0, 1.0, 5), Universe(0.0, 1.0, 4))
     wrong = FuzzyNumber(Universe(0.0, 2.0, 5), np.zeros(5))

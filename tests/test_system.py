@@ -141,6 +141,19 @@ def test_relation_backend_restrictions():
         Block(rel, [("x", UY)], UZ, device_params=DEFAULT_PARAMS)
 
 
+def test_backend_is_read_only():
+    """Rebinding the backend would leave the bound write and read on the old
+    one: training would write a detached crossbar."""
+    blk = two_input_block()
+    xbar = blk.backend
+    with pytest.raises(AttributeError):
+        blk.backend = Crossbar(UZ.count, UX.count + UY.count, DEFAULT_PARAMS)
+    assert blk.backend is xbar
+    block_train(blk, {"x": fuzzify_gaussian(0.4, 0.06, UX), "y": fuzzify_gaussian(3.0, 0.12, UY)},
+                fuzzify_gaussian(0.5, 0.06, UZ), T0)
+    assert blk.snapshot_delta().max() > 0.0
+
+
 def trained_siso_block(target, seed=0, read_mode="exact") -> Block:
     rng = np.random.default_rng(seed)
     blk = Block.pristine([("x", U100)], U100, DEFAULT_PARAMS, read_mode=read_mode)
