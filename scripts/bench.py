@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the crossbar read and write layers and write the medians to a JSON file.
 
-    python3 scripts/bench.py --out BENCH_7.json
+    python3 scripts/bench.py --out BENCH_9.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -9,8 +9,10 @@ per call, in seconds):
 
 - ``read_exact`` / ``read_ideal`` at 100x180 (the exp-2input array) and at
   500x500, as the *first* read after the stored state changed (which builds
-  that mode's read matrix) and as a *warm* read (a matrix-vector product
-  only). The gap between the two is what keeping the matrix saves per read.
+  that mode's read matrix; ``inject_faults(0.0, 0)`` installs an equal new
+  state before each such read, outside the timed region) and as a *warm*
+  read (a matrix-vector product only). The gap between the two is what
+  keeping the matrix saves per read.
 - ``evaluate_mse`` on the exp-2input model over a 100x100 probe lattice, in
   both read modes.
 - ``write_pulse`` at 100x180 and 500x500 on the threshold-free device
@@ -74,12 +76,14 @@ def time_reads(rows: int, cols: int, calls: int, repeats: int, rng) -> dict:
         read = getattr(xb, f"read_{mode}")
         first, warm = [], []
         for _ in range(repeats):
-            m = xb.memristance
-            start = time.perf_counter()
+            spent = 0.0
             for _ in range(calls):
-                xb.memristance = m  # a new stored state: the read matrices are dropped
+                # An equal new stored state, untimed: the read matrices are dropped.
+                xb.inject_faults(0.0, 0)
+                start = time.perf_counter()
                 read(x)
-            first.append((time.perf_counter() - start) / calls)
+                spent += time.perf_counter() - start
+            first.append(spent / calls)
             start = time.perf_counter()
             for _ in range(calls):
                 read(x)

@@ -9,12 +9,12 @@ cell integrates per the device closed form (``device.drift``). Stuck cells
 
 M lives in a ``device.StoredArray``, which decides whether a checked pulse
 is written now or, on the default threshold-free device, held as two line
-sums and settled when M is next observed: by the ``memristance`` getter
+sums and settled when M is next observed: by the ``memristance`` property
 (and so ``snapshot_delta`` and serialization), by building a read matrix
 and by ``inject_faults``. The crossbar supplies only its eager write,
 ``_step``: ``drift``, stuck cells kept at ``r_off``, and the clamp count.
-``saturation_count`` and ``fault_mask`` are plain attributes, exact without
-a settle, so reading them never settles.
+``saturation_count`` and ``fault_mask`` are exact without a settle, so
+reading them never settles.
 
 Reads: the row amplifiers sum cell currents against an ``r_off`` feedback
 resistor, and a compensation row cancels the raw input sum, leaving
@@ -27,17 +27,19 @@ picks one. The ideal form is the first-order limit of the exact one for
 stored values much smaller than ``r_off`` and is exactly a matrix-vector
 product with the stored-value matrix. Reads never disturb the stored state.
 
-``Crossbar.memristance`` and ``Crossbar.fault_mask`` are read-only arrays,
-replaced, never edited, by writes and ``inject_faults``. Each read mode
-builds its matrix (``r_off / M`` or ``r_off - M``) on its first read after
-the stored state changed, so a read costs one matrix-vector product.
+``memristance`` and ``fault_mask`` are read-only properties over read-only
+arrays, with no setter: M changes only through the constructor,
+``write_pulse`` and ``inject_faults``, the mask only through the
+constructor and ``inject_faults``. Each read mode builds its matrix
+(``r_off / M`` or ``r_off - M``) on its first read after M changed, so a
+read costs one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .device import MemristorParams, StoredArray, check_pulse, drift
+from .device import MemristorParams, StoredArray, check_grades, drift
 
 __all__ = ["Crossbar", "save_delta_csv", "load_delta_csv"]
 
@@ -65,9 +67,7 @@ class Crossbar:
         else:
             memristance = np.array(memristance, dtype=float)
             if memristance.shape != (rows, cols):
-                raise ValueError(
-                    f"memristance shape {memristance.shape} != ({rows}, {cols})"
-                )
+                raise ValueError(f"memristance shape {memristance.shape} != ({rows}, {cols})")
             if not (memristance.min() >= params.r_on and memristance.max() <= params.r_off):
                 raise ValueError("memristance outside [r_on, r_off]")
         if fault_mask is None:
@@ -77,11 +77,15 @@ class Crossbar:
             if fault_mask.shape != (rows, cols):
                 raise ValueError(f"fault mask shape {fault_mask.shape} != ({rows}, {cols})")
             memristance[fault_mask] = params.r_off
-        fault_mask.setflags(write=False)  # changed only by inject_faults
-        self.fault_mask = fault_mask
+        fault_mask.setflags(write=False)  # replaced only by inject_faults
+        self._fault_mask = fault_mask
         self._store = StoredArray(memristance)
         self._gain = None  # r_off / M, built by the first exact read
         self._stored = None  # r_off - M, built by the first ideal read
+        # Largest |x| a read takes. As r_off / M <= r_off / r_on and r_off - M
+        # < r_off, every sum either mode forms stays below half the float range.
+        r_off = params.r_off
+        self._read_bound = np.finfo(float).max / (2.0 * cols * (r_off / params.r_on + r_off))
         self.saturation_count = 0
 
     @property
@@ -89,25 +93,10 @@ class Crossbar:
         """The memristance matrix M (ohm), settled; read-only."""
         return self._store.state(self._step)
 
-    @memristance.setter
-    def memristance(self, m: np.ndarray) -> None:
-        # Takes ownership of ``m``: it is made read-only, and the read
-        # matrices built from the previous state and any writes deferred on
-        # it are dropped. A view is refused, since writes through its base
-        # would reach M unseen. The value range is not checked here: pass a
-        # fresh state through the constructor, which checks it.
-        if not (
-            isinstance(m, np.ndarray)
-            and m.shape == (self.rows, self.cols)
-            and m.dtype == np.float64
-            and m.flags.owndata
-        ):
-            raise ValueError(
-                f"memristance must be a float array of shape ({self.rows}, {self.cols})"
-                " that owns its data"
-            )
-        self._store.replace(m)
-        self._gain = self._stored = None
+    @property
+    def fault_mask(self) -> np.ndarray:
+        """Cells stuck at r_off; read-only."""
+        return self._fault_mask
 
     @classmethod
     def from_delta(cls, delta: np.ndarray, params: MemristorParams) -> "Crossbar":
@@ -133,10 +122,7 @@ class Crossbar:
             raise ValueError(f"column grades shape {col.shape} != ({self.cols},)")
         if row.shape != (self.rows,):
             raise ValueError(f"row grades shape {row.shape} != ({self.rows},)")
-        check_pulse(t0, col, row)
-        for name, g in (("column", col), ("row", row)):
-            if not g.max() <= 1.0:
-                raise ValueError(f"{name} grades must lie in [0, 1]")
+        check_grades(t0, col, row)
         self._store.pulse(col, row, t0, self.params, self._step, np.min)
         self._gain = self._stored = None
 
@@ -144,9 +130,9 @@ class Crossbar:
         # One eager write of ``flux`` onto M. A settle of held pulses is one
         # such write, which the headroom rule proves clamps no cell.
         new_m, clamped = drift(m, flux, params)
-        clamped[self.fault_mask] = False
+        clamped[self._fault_mask] = False
         self.saturation_count += int(np.count_nonzero(clamped))
-        np.copyto(new_m, m, where=self.fault_mask)
+        np.copyto(new_m, m, where=self._fault_mask)
         return new_m
 
     def inject_faults(self, fraction: float, seed: int) -> None:
@@ -160,11 +146,12 @@ class Crossbar:
         n_faults = int(fraction * self.rows * self.cols)
         rng = np.random.default_rng(seed)
         m = self.memristance  # settled under the old mask
-        mask = self.fault_mask.copy()
+        mask = self._fault_mask.copy()
         mask.flat[rng.choice(mask.size, size=n_faults, replace=False)] = True
         mask.setflags(write=False)
-        self.fault_mask = mask
-        self.memristance = np.where(mask, self.params.r_off, m)
+        self._fault_mask = mask
+        self._store.replace(np.where(mask, self.params.r_off, m))
+        self._gain = self._stored = None
 
     # -- reads (side-effect free) ----------------------------------------
 
@@ -172,8 +159,8 @@ class Crossbar:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.cols,):
             raise ValueError(f"input shape {x.shape} != ({self.cols},)")
-        if not np.isfinite(x).all():
-            raise ValueError("read inputs must be finite")
+        if not np.abs(x).max() <= self._read_bound:  # also refuses NaN
+            raise ValueError(f"read inputs must be finite and within ±{self._read_bound:.3g}")
         return x
 
     def read_exact(self, x) -> np.ndarray:

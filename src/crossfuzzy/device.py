@@ -23,7 +23,8 @@ threshold acts on the drive, not on the state, so flux still adds up per
 device. With the default ``v_th = 0`` every pulse writes its full drive.
 Every writer checks its inputs with ``check_pulse`` before it moves any
 flux: ``t0`` must be finite and positive, and drives must be non-negative
-(NaN is rejected).
+(NaN is rejected); the writers of line grades (``Crossbar.write_pulse``,
+``Relation.accumulate``) use ``check_grades``, which also caps them at 1.
 
 Deferred writes. At ``v_th = 0`` a pulse moves flux ``t0 * (row[i] + col[j])``
 into cell (i, j): a row term plus a column term. Flux adds up, so a run of
@@ -58,6 +59,7 @@ __all__ = [
     "beta",
     "drift",
     "check_pulse",
+    "check_grades",
     "pulse_flux",
     "StoredArray",
     "apply_flux",
@@ -90,6 +92,12 @@ class MemristorParams:
             )
         if not (math.isfinite(self.v_th) and self.v_th >= 0):
             raise ValueError(f"v_th must be finite and non-negative, got {self.v_th}")
+        try:
+            ok = 0 < beta(self) < math.inf
+        except (OverflowError, ZeroDivisionError):  # d**2 past the float range or 0
+            ok = False
+        if not ok:
+            raise ValueError(f"beta must be positive and finite for {self}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "MemristorParams":
@@ -113,14 +121,14 @@ class MemristorParams:
         }
 
 
-#: TiO2-like film constants used as the default device in all experiments
-#: (threshold-free: every pulse writes its full drive).
-DEFAULT_PARAMS = MemristorParams(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=1e5)
-
-
 def beta(params: MemristorParams) -> float:
     """Drift constant (ohm^2 / (V s)): d(M^2)/dflux = -beta."""
     return 2.0 * params.mu_v * params.r_on * (params.r_off - params.r_on) / params.d**2
+
+
+#: TiO2-like film constants used as the default device in all experiments
+#: (threshold-free: every pulse writes its full drive).
+DEFAULT_PARAMS = MemristorParams(mu_v=1e-14, d=1e-8, r_on=1e3, r_off=1e5)
 
 
 def drift(m, flux, params: MemristorParams):
@@ -161,6 +169,13 @@ def check_pulse(t0: float, *drives) -> None:
     for drive in drives:
         if not drive.min() >= 0:
             raise ValueError("drives must be non-negative (write polarity reversal not modeled)")
+
+
+def check_grades(t0: float, *grades) -> None:
+    """``check_pulse`` for line grade vectors, which must also lie in [0, 1]."""
+    check_pulse(t0, *grades)
+    if not all(g.max() <= 1.0 for g in grades):
+        raise ValueError("grades must lie in [0, 1]")
 
 
 def pulse_flux(col, row, t0: float, params: MemristorParams):

@@ -12,8 +12,8 @@ and ``device.drift``). With the default threshold ``v_th = 0`` every cell
 takes flux ``t0 * nu``; at ``v_th = 1`` the flux ``t0 * max(0, a + b - 1)``
 is the Lukasiewicz conjunction of the two grades. ``implication_f``,
 ``Relation.accumulate`` and ``relation_from_sets`` take the device constants
-and ``t0`` as plain arguments, and ``device.check_pulse`` checks both the
-grades and ``t0``.
+and ``t0`` as plain arguments; ``accumulate`` takes line grades in [0, 1], as
+a crossbar does, and ``implication_f`` summed grades up to 2.
 
 Two accumulation modes exist. ``additive`` sums the per-pulse increments
 (the mathematical idealization); ``hardware`` chains the device state
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .device import MemristorParams, StoredArray, check_pulse, drift, pulse_flux
+from .device import MemristorParams, StoredArray, check_grades, check_pulse, drift, pulse_flux
 from .fuzzy import FuzzyNumber, Universe
 
 __all__ = ["Relation", "implication_f", "relation_from_sets"]
@@ -108,26 +108,23 @@ class Relation:
         """The stored-value matrix (ohm), with every deferred pulse settled; read-only."""
         return self._store.state(_chain)
 
-    def _check_pair(self, a: FuzzyNumber, b: FuzzyNumber) -> None:
-        if a.universe != self.input_universe:
-            raise ValueError("input fuzzy number lives on the wrong universe")
-        if b.universe != self.output_universe:
-            raise ValueError("output fuzzy number lives on the wrong universe")
-
     def accumulate(
         self, a: FuzzyNumber, b: FuzzyNumber, device: MemristorParams, t0: float
     ) -> None:
         """Fold one training pair (input a, output b) into the relation.
 
         One write pulse of ``t0`` seconds on a device with constants
-        ``device``. Every grade of both lines must be non-negative (NaN is
-        rejected) and ``t0`` finite and positive; the lines are checked
-        here because the additive rule's ``implication_f`` sees only the
-        summed grades, which a negative grade can hide. In hardware mode
-        the pulse is deferred when the headroom rule allows.
+        ``device``. Every grade of both lines must lie in [0, 1], as on a
+        crossbar, and ``t0`` must be finite and positive; the lines are checked
+        here because ``implication_f`` sees only the summed grades, which a
+        negative grade can hide. In hardware mode the pulse is deferred when
+        the headroom rule allows.
         """
-        self._check_pair(a, b)
-        check_pulse(t0, a.grades, b.grades)
+        if a.universe != self.input_universe:
+            raise ValueError("input fuzzy number lives on the wrong universe")
+        if b.universe != self.output_universe:
+            raise ValueError("output fuzzy number lives on the wrong universe")
+        check_grades(t0, a.grades, b.grades)
         if self.mode == "additive":
             nu = a.grades[None, :] + b.grades[:, None]
             self._store.replace(self.mu + implication_f(nu, device, t0))

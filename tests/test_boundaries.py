@@ -8,13 +8,14 @@ hand-picked cases.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossfuzzy.crossbar import Crossbar
-from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams
+from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
 from crossfuzzy.relation import Relation
 
@@ -42,28 +43,55 @@ def with_one_bad(n: int, bad, good=GRADE):
 
 # -- device constants and universes --------------------------------------------
 
-RESISTANCES = st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(sorted)
+# Constants within 1e±50 give beta within about (1e-266, 1e251): finite and positive.
+CONSTANT = st.floats(1e-50, 1e50)
+RESISTANCES = st.lists(CONSTANT, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def beta_in_range(**constants) -> bool:
+    """Whether the drift constant of these constants is finite and positive."""
+    try:
+        return 0 < beta(SimpleNamespace(**constants)) < INF
+    except (OverflowError, ZeroDivisionError):
+        return False
 
 
 @examples
-@given(mu_v=POSITIVE, d=POSITIVE, r=RESISTANCES, v_th=NON_NEGATIVE)
+@given(mu_v=CONSTANT, d=CONSTANT, r=RESISTANCES, v_th=NON_NEGATIVE)
 def test_memristor_params_accept_every_in_range_draw(mu_v, d, r, v_th):
+    """Each constant in range, and together they give a finite, positive beta."""
+    assert beta_in_range(mu_v=mu_v, d=d, r_on=r[0], r_off=r[1])
     MemristorParams(mu_v=mu_v, d=d, r_on=r[0], r_off=r[1], v_th=v_th)
+
+
+def one_field(field, values):
+    return values.map(lambda v: {field: v})
 
 
 @examples
 @given(data=st.data())
 def test_memristor_params_reject_every_out_of_range_draw(data):
+    """One constant out of range, or each in range but beta past the float
+    range: ``d**2`` or beta overflows, ``d**2`` or beta underflows to 0."""
     r_on, r_off = DEFAULT_PARAMS.r_on, DEFAULT_PARAMS.r_off
-    field, bad = data.draw(st.sampled_from([
-        ("mu_v", NOT_POSITIVE),
-        ("d", NOT_POSITIVE),
-        ("r_on", st.one_of(NOT_POSITIVE, st.floats(min_value=r_off))),
-        ("r_off", st.one_of(NON_FINITE, st.floats(max_value=r_on))),
-        ("v_th", NEGATIVE),
+    match, bad = data.draw(st.sampled_from([
+        ("mu_v", one_field("mu_v", NOT_POSITIVE)),
+        ("d", one_field("d", NOT_POSITIVE)),
+        ("r_on", one_field("r_on", st.one_of(NOT_POSITIVE, st.floats(min_value=r_off)))),
+        ("r_off", one_field("r_off", st.one_of(NON_FINITE, st.floats(max_value=r_on)))),
+        ("v_th", one_field("v_th", NEGATIVE)),
+        ("beta", st.one_of(
+            one_field("d", st.floats(min_value=1.5e154, allow_infinity=False)),
+            one_field("d", st.floats(0.0, 1e-160, exclude_min=True)),
+            one_field("mu_v", st.floats(min_value=1e290, allow_infinity=False)),
+            st.fixed_dictionaries({"mu_v": st.floats(0.0, 1e-200, exclude_min=True),
+                                   "d": st.floats(1e100, 1e150)}),
+        )),
     ]))
-    with pytest.raises(ValueError, match=field):
-        replace(DEFAULT_PARAMS, **{field: data.draw(bad)})
+    changes = data.draw(bad)
+    assert match != "beta" or not beta_in_range(**{**DEFAULT_PARAMS.__dict__, **changes})
+    with pytest.raises(ValueError, match=match):
+        replace(DEFAULT_PARAMS, **changes)
 
 
 FINITE_ENDS = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True).map(sorted)
@@ -122,24 +150,27 @@ def test_writers_reject_every_out_of_range_t0(col, row, t0):
                 FuzzyNumber(U4, col), FuzzyNumber(U3, row), DEFAULT_PARAMS, t0)
 
 
-@examples
-@given(data=st.data(), t0=st.floats(1e-9, 1e-3))
-def test_writers_reject_every_out_of_range_grade(data, t0):
-    """Negative and NaN grades fail in every writer; grades above 1 and
-    infinite ones fail on the crossbar. A relation takes only finite grades,
-    which ``FuzzyNumber`` checks, and any non-negative ones."""
-    on_col = data.draw(st.booleans())
-    bad = data.draw(with_one_bad(4 if on_col else 3, NEGATIVE))
-    col, row = (bad, data.draw(grades(3))) if on_col else (data.draw(grades(4)), bad)
+def reject_in_every_writer(col, row, t0):
     with pytest.raises(ValueError):
         Crossbar(3, 4, DEFAULT_PARAMS).write_pulse(col, row, t0)
     for mode in ("hardware", "additive"):
         with pytest.raises(ValueError):
             Relation(U4, U3, mode=mode).accumulate(
                 FuzzyNumber(U4, col), FuzzyNumber(U3, row), DEFAULT_PARAMS, t0)
-    above = data.draw(with_one_bad(4, st.one_of(st.just(INF), st.floats(1.0, exclude_min=True))))
-    with pytest.raises(ValueError):
-        Crossbar(3, 4, DEFAULT_PARAMS).write_pulse(above, data.draw(grades(3)), t0)
+
+
+@examples
+@given(data=st.data(), t0=st.floats(1e-9, 1e-3))
+def test_writers_reject_every_out_of_range_grade(data, t0):
+    """Negative, NaN, infinite and above-1 grades, on either line, fail in
+    every writer: a crossbar and a relation in both modes take grades in
+    [0, 1]. A relation sees infinite ones first in ``FuzzyNumber``."""
+    above = st.one_of(st.just(INF), st.floats(1.0, exclude_min=True))
+    for bad_values in (NEGATIVE, above):
+        on_col = data.draw(st.booleans())
+        bad = data.draw(with_one_bad(4 if on_col else 3, bad_values))
+        col, row = (bad, data.draw(grades(3))) if on_col else (data.draw(grades(4)), bad)
+        reject_in_every_writer(col, row, t0)
 
 
 # -- stored relations -------------------------------------------------------------
@@ -161,19 +192,36 @@ def test_relation_rejects_every_out_of_range_mu(mu):
 
 # -- reads ----------------------------------------------------------------------------
 
-READ_VALUE = st.floats(-1e6, 1e6)
+READ_VALUE = st.floats(allow_nan=False, allow_infinity=False)
+# A read of 4 columns takes |x| up to this bound, which keeps the sums of
+# both modes finite: r_off / M <= r_off / r_on and r_off - M < r_off.
+READ_BOUND = np.finfo(float).max / (2 * 4 * (DEFAULT_PARAMS.r_off / DEFAULT_PARAMS.r_on
+                                                + DEFAULT_PARAMS.r_off))
+BEYOND_BOUND = st.floats(min_value=READ_BOUND, exclude_min=True, allow_infinity=False)
+READ_DELTAS = [np.arange(12.0).reshape(3, 4),  # small stored values
+               np.full((3, 4), DEFAULT_PARAMS.r_off - DEFAULT_PARAMS.r_on)]  # every cell at r_on
 
 
 @examples
 @given(x=grades(4, READ_VALUE), mode=st.sampled_from(["exact", "ideal"]))
 def test_reads_accept_every_finite_input(x, mode):
-    xb = Crossbar.from_delta(np.arange(12.0).reshape(3, 4), DEFAULT_PARAMS)
-    assert np.isfinite(getattr(xb, f"read_{mode}")(x)).all()
+    """Over the whole float range: inputs within the bound read finite, and
+    the rest raise ``ValueError``."""
+    for delta in READ_DELTAS:
+        read = getattr(Crossbar.from_delta(delta, DEFAULT_PARAMS), f"read_{mode}")
+        if np.abs(x).max() <= READ_BOUND:
+            assert np.isfinite(read(x)).all()
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                read(x)
 
 
 @examples
-@given(x=with_one_bad(4, NON_FINITE, READ_VALUE), mode=st.sampled_from(["exact", "ideal"]))
+@given(x=with_one_bad(4, st.one_of(NON_FINITE, BEYOND_BOUND, BEYOND_BOUND.map(lambda v: -v)),
+                      READ_VALUE),
+       mode=st.sampled_from(["exact", "ideal"]))
 def test_reads_reject_every_non_finite_input(x, mode):
+    """One input non-finite or beyond the bound, the others anywhere."""
     xb = Crossbar.from_delta(np.arange(12.0).reshape(3, 4), DEFAULT_PARAMS)
     with pytest.raises(ValueError, match="finite"):
         getattr(xb, f"read_{mode}")(x)
