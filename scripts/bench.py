@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the crossbar read and write layers and write the medians to a JSON file.
+"""Time the crossbar read, write, fuzzy and evaluation layers and write the medians to JSON.
 
-    python3 scripts/bench.py --out BENCH_9.json
+    python3 scripts/bench.py --out BENCH_10.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -13,8 +13,11 @@ per call, in seconds):
   state before each such read, outside the timed region) and as a *warm*
   read (a matrix-vector product only). The gap between the two is what
   keeping the matrix saves per read.
+- ``fuzzify_gaussian`` and ``defuzzify_centroid``, one call each, on grids
+  of 100 and 500 points.
 - ``evaluate_mse`` on the exp-2input model over a 100x100 probe lattice, in
-  both read modes.
+  both read modes, and on the two-stage exp-compose pipeline over 2 000
+  random probes (per pass, with the probe count).
 - ``write_pulse`` at 100x180 and 500x500 on the threshold-free device
   (``v_th0``, where writes are deferred) and on the 1 V device (``v_th1``,
   where every write rewrites the array); a whole training run of N Gaussian
@@ -34,6 +37,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -50,12 +54,12 @@ except ImportError:
 SIZES = {
     "full": {
         "arrays": [(100, 180), (500, 500)], "calls": 200, "repeats": 15,
-        "lattice": 100, "n_train": None, "evaluate_repeats": 5,
+        "lattice": 100, "pipe_probes": 2000, "n_train": None, "evaluate_repeats": 5,
         "trainings": [(100, 180, 800), (500, 500, 1000)], "train_repeats": 5,
     },
     "tiny": {
         "arrays": [(8, 12), (16, 16)], "calls": 10, "repeats": 3,
-        "lattice": 4, "n_train": 40, "evaluate_repeats": 3,
+        "lattice": 4, "pipe_probes": 20, "n_train": 40, "evaluate_repeats": 3,
         "trainings": [(8, 12, 40), (16, 16, 50)], "train_repeats": 3,
     },
 }
@@ -133,31 +137,66 @@ def time_writes(rows: int, cols: int, n: int, calls: int, repeats: int,
     return out
 
 
-def time_evaluate(lattice: int, n_train: int | None, repeats: int) -> dict:
-    """Per-pass time of ``evaluate_mse`` on the trained exp-2input model."""
-    cfg = cf.default_config("exp-2input")
-    spec = cfg.dataset if n_train is None else replace(cfg.dataset, n=n_train)
-    inputs = list(cfg.input_universes.items())
-    block = cf.Block.pristine(inputs, cfg.output_universe, cfg.device)
-    cf.train_block(
-        block, cf.generate_dataset(spec, cfg.input_universes, cfg.output_universe),
-        cfg.resolved_t0(),
-    )
-    probes = cf.EvalSpec(kind="lattice", domains=cfg.eval.domains, shape=(lattice, lattice))
-    points = cf.eval_points(probes)
-    target = cf.target_function(cfg.dataset.target, tuple(probes.domains))
+def time_fuzzy(counts: list[int], calls: int, repeats: int, rng) -> dict:
+    """Per-call time of one ``fuzzify_gaussian`` and one ``defuzzify_centroid``."""
+    out = {}
+    for count in counts:
+        u = cf.Universe(0.0, 1.0, count)
+        xs = rng.uniform(0.0, 1.0, calls).tolist()
+        fuzzify, defuzzify = [], []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            numbers = [cf.fuzzify_gaussian(x, 0.05, u) for x in xs]
+            fuzzify.append((time.perf_counter() - start) / calls)
+            start = time.perf_counter()
+            for fn in numbers:
+                cf.defuzzify_centroid(fn)
+            defuzzify.append((time.perf_counter() - start) / calls)
+        out[f"fuzzify_gaussian.{count}"] = _stats(fuzzify)
+        out[f"defuzzify_centroid.{count}"] = _stats(defuzzify)
+    return out
+
+
+def _trained(name: str, n_train: int | None):
+    """A named experiment's config and its model, trained as ``run_experiment`` trains it."""
+    cfg = cf.default_config(name)
+    if n_train is not None:
+        cfg.dataset = replace(cfg.dataset, n=n_train)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg.output_dir = tmp
+        result = cf.run_experiment(name, cfg)
+        return cfg, cf.model_from_json(json.loads(Path(result.model_path).read_text()))
+
+
+def _time_passes(model, target: str, spec, sigmas: dict, repeats: int) -> dict:
+    """Per-pass time of ``evaluate_mse`` over the probe set of ``spec``."""
+    points = cf.eval_points(spec)
+    fn = cf.target_function(target, tuple(spec.domains))
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        cf.evaluate_mse(model, fn, points, sigmas)
+        samples.append(time.perf_counter() - start)
+    return dict(_stats(samples), probes=len(points))
+
+
+def time_evaluate(lattice: int, pipe_probes: int, n_train: int | None, repeats: int) -> dict:
+    """Per-pass time of ``evaluate_mse`` on the exp-2input block and the exp-compose pipeline."""
+    cfg, block = _trained("exp-2input", n_train)
+    inputs = [(sec.name, sec.universe) for sec in block.sections]
+    lattice_spec = cf.EvalSpec(kind="lattice", domains=cfg.eval.domains,
+                               shape=(lattice, lattice))
     out = {}
     for mode in ("exact", "ideal"):
         # One block per read mode over the one trained crossbar.
         reader = cf.Block(block.backend, inputs, cfg.output_universe, read_mode=mode)
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            cf.evaluate_mse(reader, target, points, cfg.dataset.input_sigmas)
-            samples.append(time.perf_counter() - start)
-        out[f"evaluate_mse.{mode}.lattice{lattice}x{lattice}"] = dict(
-            _stats(samples), probes=len(points)
-        )
+        out[f"evaluate_mse.{mode}.lattice{lattice}x{lattice}"] = _time_passes(
+            reader, cfg.dataset.target, lattice_spec, cfg.dataset.input_sigmas, repeats)
+    cfg, pipe = _trained("exp-compose", n_train)
+    scatter = cf.EvalSpec(kind="random", domains=cfg.eval.domains, n=pipe_probes,
+                          seed=cfg.eval.seed)
+    out[f"evaluate_mse.pipeline.random{pipe_probes}"] = _time_passes(
+        pipe, cfg.eval_target, scatter, cfg.dataset.input_sigmas, repeats)
     return out
 
 
@@ -187,7 +226,10 @@ def main(argv: list[str] | None = None) -> int:
     for rows, cols, n in size["trainings"]:
         layers.update(time_writes(rows, cols, n, size["calls"], size["repeats"],
                                   size["train_repeats"], rng))
-    layers.update(time_evaluate(size["lattice"], size["n_train"], size["evaluate_repeats"]))
+    layers.update(time_fuzzy([rows for rows, _ in size["arrays"]], size["calls"],
+                             size["repeats"], rng))
+    layers.update(time_evaluate(size["lattice"], size["pipe_probes"], size["n_train"],
+                                size["evaluate_repeats"]))
     record = {
         "git_sha": _git_sha(),
         "numpy": np.__version__,

@@ -6,6 +6,11 @@ A ``Universe`` is a uniform grid of ``count`` concept values covering
 each grid point. Grades produced by fuzzification live in [0, 1]; grades
 produced by circuit reads are raw voltages and may be negative or exceed 1,
 which is fine because centroid defuzzification is scale- and sign-invariant.
+
+``centroid_rows``, ``normalize_peak_rows`` and ``regrid_rows`` work on
+grade matrices, one fuzzy number per row (the last axis holds the grades, so
+a single grade vector is one row); ``defuzzify_centroid``,
+``normalize_peak`` and ``regrid`` are their one-row case.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ __all__ = [
     "Universe",
     "FuzzyNumber",
     "fuzzify_gaussian",
+    "centroid_rows",
     "defuzzify_centroid",
+    "normalize_peak_rows",
     "normalize_peak",
+    "regrid_rows",
     "regrid",
 ]
 
@@ -111,40 +119,71 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
     return FuzzyNumber(universe, np.exp(-((v - x0) ** 2) / (2.0 * sigma * sigma)))
 
 
-def defuzzify_centroid(fn: FuzzyNumber) -> float:
-    """Grade-weighted average of the grid values.
+def centroid_rows(universe: Universe, rows: np.ndarray) -> np.ndarray:
+    """Grade-weighted average of the grid values, one per row of a grade matrix.
 
-    Invariant under scaling of the grades by any non-zero constant, so raw
+    Invariant under scaling of a row by any non-zero constant, so raw
     read-out voltages defuzzify to the same crisp value as the conditioned
-    fuzzy number. Raises ``EmptyOutputError`` on an all-zero vector.
+    fuzzy number. Raises ``EmptyOutputError`` if a row is all zero and
+    ``ValueError`` if a row's grades cancel to a zero sum.
     """
-    g = fn.grades
-    if not g.any():
-        raise EmptyOutputError("cannot defuzzify an all-zero fuzzy number")
-    total = g.sum()
-    if total == 0.0:
+    total = rows.sum(axis=-1)
+    if np.count_nonzero(total) < np.size(total):  # an all-zero row sums to zero too
+        if not rows.any(axis=-1).all():
+            raise EmptyOutputError("cannot defuzzify an all-zero fuzzy number")
         raise ValueError("grades sum to zero; centroid undefined for sign-cancelling vectors")
-    return float((fn.universe.values * g).sum() / total)
+    return (universe.values * rows).sum(axis=-1) / total
+
+
+def defuzzify_centroid(fn: FuzzyNumber) -> float:
+    """``centroid_rows`` of one fuzzy number."""
+    return float(centroid_rows(fn.universe, fn.grades))
+
+
+def normalize_peak_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of a grade matrix so its maximum equals 1. Centroids are unchanged.
+
+    Raises ``EmptyOutputError`` if a row has no positive grade.
+    """
+    peak = rows.max(axis=-1)
+    if not (peak > 0.0).all():
+        raise EmptyOutputError("cannot peak-normalize a vector with no positive grade")
+    return rows / peak[..., None]
 
 
 def normalize_peak(fn: FuzzyNumber) -> FuzzyNumber:
-    """Scale grades so the maximum equals 1. Centroid is unchanged."""
-    peak = fn.grades.max()
-    if peak <= 0.0:
-        raise EmptyOutputError("cannot peak-normalize a vector with no positive grade")
-    return FuzzyNumber(fn.universe, fn.grades / peak)
+    """``normalize_peak_rows`` of one fuzzy number."""
+    return FuzzyNumber(fn.universe, normalize_peak_rows(fn.grades))
+
+
+def regrid_rows(rows: np.ndarray, source: Universe, target: Universe) -> np.ndarray:
+    """Linearly interpolate each row's membership curve from ``source`` onto ``target``.
+
+    Grades are zero outside the source domain, and the domains must
+    overlap. Each value is computed as ``np.interp`` computes it (a grid
+    point hit exactly is copied; between two points it is
+    ``slope * (x - x_j) + y_j``), so every row equals
+    ``np.interp(target.values, source.values, row, left=0.0, right=0.0)``
+    bit for bit.
+    """
+    src, tgt = source.values, target.values
+    if src[-1] < tgt[0] or tgt[-1] < src[0]:
+        raise ValueError(
+            f"disjoint domains: source [{source.lo}, {source.hi}] vs "
+            f"target [{target.lo}, {target.hi}]"
+        )
+    j = np.clip(np.searchsorted(src, tgt, side="right") - 1, 0, src.size - 1)
+    inside = (src[0] <= tgt) & (tgt <= src[-1])
+    hit = inside & (src[j] == tgt)
+    between = inside & ~hit
+    jb = j[between]
+    out = np.zeros(rows.shape[:-1] + tgt.shape)
+    out[..., hit] = rows[..., j[hit]]
+    slope = (rows[..., jb + 1] - rows[..., jb]) / (src[jb + 1] - src[jb])
+    out[..., between] = slope * (tgt[between] - src[jb]) + rows[..., jb]
+    return out
 
 
 def regrid(fn: FuzzyNumber, target: Universe) -> FuzzyNumber:
-    """Linearly interpolate the membership curve onto another grid.
-
-    Grades are zero outside the source domain. The domains must overlap.
-    """
-    src = fn.universe.values
-    tgt = target.values
-    if src[-1] < tgt[0] or tgt[-1] < src[0]:
-        raise ValueError(
-            f"disjoint domains: source [{fn.universe.lo}, {fn.universe.hi}] vs "
-            f"target [{target.lo}, {target.hi}]"
-        )
-    return FuzzyNumber(target, np.interp(tgt, src, fn.grades, left=0.0, right=0.0))
+    """``regrid_rows`` of one fuzzy number onto ``target``."""
+    return FuzzyNumber(target, regrid_rows(fn.grades, fn.universe, target))

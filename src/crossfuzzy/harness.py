@@ -4,7 +4,18 @@ Every run is a pure function of its configuration: all randomness flows
 through explicit seeds, training applies one write pulse per sample in
 dataset order, and evaluation fuzzifies crisp probe points, reads the
 model, and centroid-defuzzifies. Results land in an output directory as
-``result.json`` plus CSV surface dumps and a reloadable ``model.json``.
+``result.json`` plus CSV surface dumps and a reloadable ``model.json``;
+its ``phase_s`` gives the seconds spent on ``dataset``, ``train``, ``eval``
+and ``persist`` (surfaces and ``model.json``). Writes the threshold-free
+device holds settle at the first read, so their cost counts under ``eval``.
+
+A probe set is an array with one named float field per variable
+(``eval_points``), evaluated in chunks of ``_CHUNK`` probes. Per probe,
+``evaluate_mse`` calls only ``fuzzify_gaussian`` once per variable, the
+backend once per live stage (``infer_rows``) and the target once, with
+scalars, as an expression may branch on them; the signal test, the
+conditioning between stages, the centroids, the errors and the flags are
+array operations on the chunk.
 
 The write-pulse duration is auto-scaled unless pinned: with n samples the
 worst case is every pulse hitting one cell at the full summed grade of 2,
@@ -18,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,8 +37,8 @@ import numpy as np
 
 from .crossbar import save_delta_csv
 from .device import DEFAULT_PARAMS, MemristorParams, beta, drift
-from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, defuzzify_centroid, fuzzify_gaussian
-from .system import READ_MODES, Block, Pipeline, block_train, has_signal, model_to_json
+from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, centroid_rows, fuzzify_gaussian
+from .system import READ_MODES, Block, Pipeline, block_train, model_to_json
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -50,6 +62,11 @@ EXPERIMENT_NAMES = ("exp-f1", "exp-f2", "exp-compose", "exp-2input", "exp-2input
 
 #: Stored values are kept at or below this fraction of r_off during training.
 MAX_DELTA_FRACTION = 1e-3
+
+# Probes evaluated together: large enough that the array work per chunk is
+# cheap next to the per-probe calls, small enough that a chunk's drive and
+# read-out matrices (at 180 and 100 grades per probe, ~1.2 MB) stay small.
+_CHUNK = 512
 
 
 # -- targets --------------------------------------------------------------
@@ -237,51 +254,57 @@ class EvalSpec:
         }
 
 
-def eval_points(spec: EvalSpec) -> list[dict[str, float]]:
-    names = tuple(spec.domains)
+def eval_points(spec: EvalSpec) -> np.ndarray:
+    """The probe set: a 1-D array with one float field per variable, named as in the spec."""
     if spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
-        draws = {k: rng.uniform(lo, hi, spec.n) for k, (lo, hi) in spec.domains.items()}
-        return [{k: float(draws[k][i]) for k in names} for i in range(spec.n)]
-    axes = [
-        np.linspace(lo, hi, k) for (lo, hi), k in zip(spec.domains.values(), spec.shape)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    return [{k: float(flat[j][i]) for j, k in enumerate(names)} for i in range(flat[0].size)]
+        columns = [rng.uniform(lo, hi, spec.n) for lo, hi in spec.domains.values()]
+    else:
+        axes = [
+            np.linspace(lo, hi, k) for (lo, hi), k in zip(spec.domains.values(), spec.shape)
+        ]
+        columns = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    points = np.empty(columns[0].size, dtype=[(name, float) for name in spec.domains])
+    for name, column in zip(spec.domains, columns):
+        points[name] = column
+    return points
 
 
 def evaluate_mse(
     model: Block | Pipeline,
     target_fn,
-    points: list[dict[str, float]],
+    points: np.ndarray,
     input_sigmas: dict[str, float],
 ) -> tuple[float, list[float], list[int]]:
     """Probe the trained model on crisp points against the target function.
 
-    Each point is fuzzified, run through the model, and centroid-defuzzified.
-    An all-zero output (untrained region) is scored against the output-domain
-    midpoint and flagged rather than skipped, so abstention cannot lower the
-    error.
+    ``points`` is a probe set from ``eval_points``. Each point is fuzzified,
+    run through the model, and centroid-defuzzified; ``target_fn`` is called
+    once per point with the point's values as scalar keyword arguments. An
+    output with no signal (untrained region) is scored against the
+    output-domain midpoint and flagged rather than skipped, so abstention
+    cannot lower the error. Returns the MSE, the per-point squared errors
+    and the flagged point indices.
     """
     out_u = model.output_universe
     midpoint = 0.5 * (out_u.lo + out_u.hi)
-    per_point, flagged = [], []
-    for idx, pt in enumerate(points):
-        fz = {
-            sec.name: fuzzify_gaussian(pt[sec.name], input_sigmas[sec.name], sec.universe)
-            for sec in model.sections
-        }
-        try:
-            out = model.infer(fz)
-            if not has_signal(out):
-                raise EmptyOutputError("read out no signal")
-            prediction = defuzzify_centroid(out)
-        except EmptyOutputError:
-            prediction = midpoint
-            flagged.append(idx)
-        per_point.append((prediction - float(target_fn(**pt))) ** 2)
-    return float(np.mean(per_point)), per_point, flagged
+    names = points.dtype.names
+    per_point = np.empty(len(points))
+    flagged = []
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        drives = np.empty((len(chunk), model.sections[-1].stop))
+        for sec in model.sections:
+            sigma = input_sigmas[sec.name]
+            for drive, x in zip(drives[:, sec.start : sec.stop], chunk[sec.name].tolist()):
+                drive[:] = fuzzify_gaussian(x, sigma, sec.universe).grades
+        rows, live = model.infer_rows(drives)
+        prediction = np.full(len(chunk), midpoint)
+        prediction[live] = centroid_rows(out_u, rows[live])
+        target = [float(target_fn(**dict(zip(names, pt)))) for pt in chunk.tolist()]
+        per_point[start : start + len(chunk)] = (prediction - target) ** 2
+        flagged += (start + np.flatnonzero(~live)).tolist()
+    return float(np.mean(per_point)), per_point.tolist(), flagged
 
 
 # -- configuration -----------------------------------------------------------
@@ -393,6 +416,7 @@ class ExperimentResult:
     n_train: int
     saturation_count: int
     runtime_s: float
+    phase_s: dict[str, float]
     per_point_errors: list[float]
     flagged_points: list[int]
     surface_paths: list[str]
@@ -406,6 +430,7 @@ class ExperimentResult:
             "saturation_count": self.saturation_count,
             "config": self.config,
             "runtime_s": self.runtime_s,
+            "phase_s": self.phase_s,
             "name": self.name,
             "per_point_errors": self.per_point_errors,
             "flagged_points": self.flagged_points,
@@ -496,7 +521,15 @@ def merge_json(base: dict, override: dict) -> dict:
     return merged
 
 
-def _build_and_train(cfg: ExperimentConfig) -> Block | Pipeline:
+@contextmanager
+def _timed(phase_s: dict[str, float], phase: str):
+    """Add the seconds the ``with`` body takes to ``phase_s[phase]``."""
+    start = time.perf_counter()
+    yield
+    phase_s[phase] += time.perf_counter() - start
+
+
+def _build_and_train(cfg: ExperimentConfig, phase_s: dict[str, float]) -> Block | Pipeline:
     """Train one block per stage; stage i shifts the dataset and fault seeds by i."""
     t0 = cfg.resolved_t0()
     inputs = list(cfg.input_universes.items())
@@ -505,11 +538,14 @@ def _build_and_train(cfg: ExperimentConfig) -> Block | Pipeline:
     blocks = []
     for i, target in enumerate(cfg.pipeline_targets or (cfg.dataset.target,)):
         spec = replace(cfg.dataset, target=target, seed=cfg.dataset.seed + i)
-        dataset = generate_dataset(spec, cfg.input_universes, cfg.output_universe)
-        blk = Block.pristine(inputs, cfg.output_universe, cfg.device, read_mode=cfg.read_mode)
-        if cfg.fault_fraction > 0:
-            blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed + i)
-        train_block(blk, dataset, t0)
+        with _timed(phase_s, "dataset"):
+            dataset = generate_dataset(spec, cfg.input_universes, cfg.output_universe)
+        with _timed(phase_s, "train"):
+            blk = Block.pristine(inputs, cfg.output_universe, cfg.device,
+                                 read_mode=cfg.read_mode)
+            if cfg.fault_fraction > 0:
+                blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed + i)
+            train_block(blk, dataset, t0)
         blocks.append(blk)
     return Pipeline(blocks) if cfg.pipeline_targets else blocks[0]
 
@@ -539,21 +575,24 @@ def run_experiment(
     """Train, evaluate, and persist one named experiment."""
     cfg = config if config is not None else default_config(name)
     cfg.validate()
+    phase_s = dict.fromkeys(("dataset", "train", "eval", "persist"), 0.0)
     started = time.perf_counter()
-    model = _build_and_train(cfg)
-    eval_target = cfg.eval_target or cfg.dataset.target
-    fn = target_function(eval_target, tuple(cfg.eval.domains))
-    points = eval_points(cfg.eval)
-    mse, per_point, flagged = evaluate_mse(model, fn, points, cfg.dataset.input_sigmas)
+    model = _build_and_train(cfg, phase_s)
+    with _timed(phase_s, "eval"):
+        eval_target = cfg.eval_target or cfg.dataset.target
+        fn = target_function(eval_target, tuple(cfg.eval.domains))
+        points = eval_points(cfg.eval)
+        mse, per_point, flagged = evaluate_mse(model, fn, points, cfg.dataset.input_sigmas)
     if len(flagged) == len(points):
         raise EmptyOutputError(f"{cfg.name}: evaluation read no stored signal at any probe")
     runtime = time.perf_counter() - started
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    surface_paths = _export_surfaces(model, out_dir, cfg.device.r_off)
-    model_path = out_dir / "model.json"
-    model_path.write_text(json.dumps(model_to_json(model)))
+    with _timed(phase_s, "persist"):
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        surface_paths = _export_surfaces(model, out_dir, cfg.device.r_off)
+        model_path = out_dir / "model.json"
+        model_path.write_text(json.dumps(model_to_json(model)))
     n_train = cfg.dataset.n * (len(cfg.pipeline_targets) if cfg.pipeline_targets else 1)
     result = ExperimentResult(
         name=cfg.name,
@@ -561,6 +600,7 @@ def run_experiment(
         n_train=n_train,
         saturation_count=model.saturation_count,
         runtime_s=runtime,
+        phase_s=phase_s,
         per_point_errors=per_point,
         flagged_points=flagged,
         surface_paths=surface_paths,

@@ -33,7 +33,10 @@ settle at one point.
 
 Inference is a plain matrix-vector product: output grades = mu @ input
 grades. No normalization is applied; centroid defuzzification ignores
-scale anyway.
+scale anyway. Like a crossbar's reads, ``infer`` refuses inputs beyond a
+magnitude bound that keeps the product finite; the bound follows from the
+largest stored value, so it is measured on the first read after a write
+and kept until the next one.
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ class Relation:
             if not (mu.min() >= 0 and np.isfinite(mu).all()):
                 raise ValueError("mu must be finite and non-negative")
         self._store = StoredArray(mu)
+        self._read_bound = None  # largest |x| infer takes; None until measured
 
     @property
     def mu(self) -> np.ndarray:
@@ -125,6 +129,7 @@ class Relation:
         if b.universe != self.output_universe:
             raise ValueError("output fuzzy number lives on the wrong universe")
         check_grades(t0, a.grades, b.grades)
+        self._read_bound = None
         if self.mode == "additive":
             nu = a.grades[None, :] + b.grades[:, None]
             self._store.replace(self.mu + implication_f(nu, device, t0))
@@ -137,10 +142,23 @@ class Relation:
         return self.mu.copy()
 
     def infer(self, a: FuzzyNumber) -> FuzzyNumber:
-        """Compose an input fuzzy number with the relation."""
+        """Compose an input fuzzy number with the relation.
+
+        Grades beyond ``±max / (2 * n) / max(1, mu.max())`` (``max`` the
+        largest float, ``n`` the input count) raise ``ValueError``: within
+        it every sum in ``mu @ grades`` stays below half the float range.
+        """
         if a.universe != self.input_universe:
             raise ValueError("input fuzzy number lives on the wrong universe")
-        return FuzzyNumber(self.output_universe, self.mu @ a.grades)
+        mu = self.mu
+        if self._read_bound is None:
+            largest = max(1.0, float(mu.max()))
+            self._read_bound = np.finfo(float).max / (2.0 * mu.shape[1]) / largest
+        if not np.abs(a.grades).max() <= self._read_bound:
+            raise ValueError(
+                f"relation inputs must lie within ±{self._read_bound:.3g} to read finite"
+            )
+        return FuzzyNumber(self.output_universe, mu @ a.grades)
 
 
 def relation_from_sets(

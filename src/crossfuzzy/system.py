@@ -27,6 +27,12 @@ method up on the backend when it runs, so a wrapper put on the class later
 still sees every call. A block pickles and deep-copies through its model
 JSON, which settles any deferred writes; the copy shares nothing with the
 original.
+
+``Block.infer_rows`` and ``Pipeline.infer_rows`` infer a matrix of column
+drives, one probe per row, with one backend read per row and stage; between
+stages, ``pipeline_rows`` conditions the rows as arrays and reads only the
+rows that still carry signal. ``has_signal`` and ``pipeline_infer`` are the
+one-row case of ``signal_rows`` and ``pipeline_rows``.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .crossbar import Crossbar
 from .device import MemristorParams
-from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, normalize_peak, regrid
+from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, normalize_peak_rows, regrid_rows
 from .relation import Relation
 
 __all__ = [
@@ -46,9 +52,11 @@ __all__ = [
     "Section",
     "Block",
     "Pipeline",
+    "signal_rows",
     "has_signal",
     "block_train",
     "block_infer",
+    "pipeline_rows",
     "pipeline_infer",
     "block_to_json",
     "block_from_json",
@@ -67,8 +75,14 @@ READ_MODES = ("exact", "ideal")
 SIGNAL_FLOOR = 1e-12
 
 
+def signal_rows(rows: np.ndarray) -> np.ndarray:
+    """Per row of a read-out matrix: whether any grade exceeds ``SIGNAL_FLOOR`` in magnitude."""
+    return (np.abs(rows) > SIGNAL_FLOOR).any(axis=-1)
+
+
 def has_signal(fn: FuzzyNumber) -> bool:
-    return bool((np.abs(fn.grades) > SIGNAL_FLOOR).any())
+    """``signal_rows`` of one fuzzy number."""
+    return bool(signal_rows(fn.grades))
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,7 @@ class Block:
             device_params = backend.params
             read = f"read_{read_mode}"  # Crossbar.read_exact or Crossbar.read_ideal
             self._write = lambda col, out, t0: backend.write_pulse(col, out.grades, t0)
-            self._read = lambda col: FuzzyNumber(output_universe, getattr(backend, read)(col))
+            self._read = lambda col: getattr(backend, read)(col)
         elif isinstance(backend, Relation):
             if len(sections) != 1:
                 raise ValueError("relation-backed blocks support a single input section")
@@ -133,7 +147,7 @@ class Block:
             self._write = lambda col, out, t0: backend.accumulate(
                 FuzzyNumber(u_in, col), out, device_params, t0
             )
-            self._read = lambda col: backend.infer(FuzzyNumber(u_in, col))
+            self._read = lambda col: backend.infer(FuzzyNumber(u_in, col)).grades
         else:
             raise TypeError(f"unsupported backend type {type(backend).__name__}")
         self.device_params = device_params
@@ -176,6 +190,18 @@ class Block:
 
     def infer(self, inputs) -> FuzzyNumber:
         return block_infer(self, inputs)
+
+    def infer_rows(self, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One read per row of full column drives, and which read-out rows carry signal.
+
+        Row k of the read-outs is the grade vector ``block_infer`` returns
+        for drive k; the drives are taken as built, without the
+        per-variable checks of ``concat_grades``.
+        """
+        rows = np.empty((len(drives), self.output_universe.count))
+        for k, col in enumerate(drives):
+            rows[k] = self._read(col)
+        return rows, signal_rows(rows)
 
     def _as_mapping(self, inputs) -> dict[str, FuzzyNumber]:
         if isinstance(inputs, FuzzyNumber):
@@ -228,7 +254,7 @@ def block_infer(block: Block, inputs) -> FuzzyNumber:
     non-negative inputs), read in the block's ``read_mode``; relation-backed
     blocks return the non-negative matrix-product grades.
     """
-    return block._read(block.concat_grades(inputs))
+    return FuzzyNumber(block.output_universe, block._read(block.concat_grades(inputs)))
 
 
 class Pipeline:
@@ -264,26 +290,52 @@ class Pipeline:
     def infer(self, inputs) -> FuzzyNumber:
         return pipeline_infer(self, inputs)
 
+    def infer_rows(self, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``pipeline_rows`` of first-stage drives, and which rows came through every stage."""
+        rows, died = pipeline_rows(self, drives)
+        return rows, died == len(self.blocks)
+
+
+def pipeline_rows(pipe: Pipeline, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate rows of first-stage column drives through the chain.
+
+    After every stage the read-outs are sign-corrected (crossbar reads
+    invert), peak-normalized, and regridded onto the next stage's input
+    universe. A row dies at the first stage whose read-out has no signal
+    (``signal_rows``) or no positive grade after the sign (untrained
+    region); only live rows are read at the next stage. Returns the output
+    rows, zero for dead ones, and per row the stage it died at, or
+    ``len(pipe.blocks)`` if it came through.
+    """
+    n_stages = len(pipe.blocks)
+    died = np.full(len(drives), n_stages)
+    alive = np.arange(len(drives))
+    signal = drives
+    for i, blk in enumerate(pipe.blocks):
+        out, ok = blk.infer_rows(signal)
+        out *= blk.read_sign
+        ok &= out.max(axis=1) > 0.0
+        died[alive[~ok]] = i
+        alive = alive[ok]
+        signal = normalize_peak_rows(out[ok])
+        if i + 1 < n_stages:
+            signal = regrid_rows(signal, blk.output_universe, pipe.blocks[i + 1].input_universe)
+    result = np.zeros((len(drives), pipe.output_universe.count))
+    result[alive] = signal
+    return result, died
+
 
 def pipeline_infer(pipe: Pipeline, inputs) -> FuzzyNumber:
-    """Propagate an input through the chain without defuzzifying.
+    """Propagate an input through the chain without defuzzifying: one row of ``pipeline_rows``.
 
-    Takes the same inputs as ``block_infer`` on the first stage, which also
-    checks them. After every stage the signal is sign-corrected (crossbar
-    reads invert), peak-normalized, and regridded onto the next stage's
-    input universe. An all-zero intermediate raises ``EmptyOutputError``
-    (untrained region).
+    Takes the same inputs as ``block_infer`` on the first stage, with the
+    same checks. A stage that reads out no signal raises
+    ``EmptyOutputError`` (untrained region).
     """
-    signal = inputs
-    for i, blk in enumerate(pipe.blocks):
-        out = block_infer(blk, signal)
-        if not has_signal(out):
-            raise EmptyOutputError(f"untrained region: stage {i} read out no signal")
-        out = normalize_peak(FuzzyNumber(out.universe, blk.read_sign * out.grades))
-        if i + 1 < len(pipe.blocks):
-            out = regrid(out, pipe.blocks[i + 1].input_universe)
-        signal = out
-    return signal
+    rows, died = pipeline_rows(pipe, pipe.blocks[0].concat_grades(inputs)[None])
+    if died[0] < len(pipe.blocks):
+        raise EmptyOutputError(f"untrained region: stage {died[0]} read out no signal")
+    return FuzzyNumber(pipe.output_universe, rows[0])
 
 
 # -- model serialization -------------------------------------------------

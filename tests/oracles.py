@@ -8,7 +8,10 @@ their matrix from the memristance on every call, where the crossbar keeps
 it until its next write; the arithmetic is the same, so reads must agree
 bit for bit. ``sequential_writes`` applies write pulses one at a time,
 where crossbars and relations defer threshold-free pulses and settle their
-summed flux once; the two agree to float rounding.
+summed flux once; the two agree to float rounding. ``per_probe_mse``
+evaluates one probe at a time through ``model.infer``, where
+``evaluate_mse`` reads a chunk of probes and conditions and defuzzifies
+them as arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from crossfuzzy.fuzzy import EmptyOutputError, defuzzify_centroid, fuzzify_gaussian
+from crossfuzzy.system import has_signal
 
 
 def rk4_memristance(m0: float, v: float, t: float, params, steps: int = 20000) -> float:
@@ -106,3 +112,27 @@ def triangle(x: float, left: float, peak: float, right: float) -> float:
     if x <= peak:
         return (x - left) / (peak - left)
     return (right - x) / (right - peak)
+
+
+def per_probe_mse(model, target_fn, points, input_sigmas):
+    """``evaluate_mse`` one probe at a time: fuzzify, ``model.infer``,
+    ``has_signal``, ``defuzzify_centroid``, squared error as Python floats."""
+    out_u = model.output_universe
+    midpoint = 0.5 * (out_u.lo + out_u.hi)
+    per_point, flagged = [], []
+    for idx, values in enumerate(points.tolist()):
+        pt = dict(zip(points.dtype.names, values))
+        fz = {
+            sec.name: fuzzify_gaussian(pt[sec.name], input_sigmas[sec.name], sec.universe)
+            for sec in model.sections
+        }
+        try:
+            out = model.infer(fz)
+            if not has_signal(out):
+                raise EmptyOutputError("read out no signal")
+            prediction = defuzzify_centroid(out)
+        except EmptyOutputError:
+            prediction = midpoint
+            flagged.append(idx)
+        per_point.append((prediction - float(target_fn(**pt))) ** 2)
+    return float(np.mean(per_point)), per_point, flagged

@@ -21,6 +21,10 @@ def test_bench_script_writes_every_layer(tmp_path):
             assert f"read_{mode}.{when}.8x12" in names
             assert f"read_{mode}.{when}.16x16" in names
         assert f"evaluate_mse.{mode}.lattice4x4" in names
+    assert "evaluate_mse.pipeline.random20" in names
+    for count in (8, 16):
+        assert f"fuzzify_gaussian.{count}" in names
+        assert f"defuzzify_centroid.{count}" in names
     for v_th in ("v_th0", "v_th1"):
         for size, n in (("8x12", 40), ("16x16", 50)):
             assert f"write_pulse.{v_th}.{size}" in names

@@ -227,6 +227,40 @@ def test_reads_reject_every_non_finite_input(x, mode):
         getattr(xb, f"read_{mode}")(x)
 
 
+def relation_bound(mu: np.ndarray) -> float:
+    """Largest |x| a relation with this ``mu`` infers from: every sum in
+    ``mu @ x`` stays below half the float range."""
+    return np.finfo(float).max / (2 * mu.shape[1]) / max(1.0, mu.max())
+
+
+@examples
+@given(mu=grades(12, NON_NEGATIVE), x=grades(3, READ_VALUE))
+def test_relation_reads_every_input_within_its_bound(mu, x):
+    """Over the whole float range of ``mu`` and inputs: inputs within the
+    bound read finite, and the rest raise ``ValueError``, not an overflow."""
+    rel = Relation(U3, U4, mu=mu.reshape(4, 3))
+    if np.abs(x).max() <= relation_bound(rel.mu):
+        assert np.isfinite(rel.infer(FuzzyNumber(U3, x)).grades).all()
+    else:
+        with pytest.raises(ValueError, match="within"):
+            rel.infer(FuzzyNumber(U3, x))
+
+
+@pytest.mark.parametrize("mode", ["additive", "hardware"])
+def test_relation_bound_follows_its_writes(mode):
+    """The bound is measured again after a write: a pulse that raises the
+    largest stored value to the clamp shrinks it, and an input the fresh
+    relation took is then refused."""
+    rel = Relation(U3, U3, mode=mode)
+    x = FuzzyNumber(U3, np.array([1e303, 0.0, 0.0]))
+    assert rel.infer(x).grades.max() == 0.0
+    one = FuzzyNumber(U3, np.ones(3))
+    rel.accumulate(one, one, DEFAULT_PARAMS, 1.0)  # clamps every cell at r_on
+    assert relation_bound(rel.mu) < 1e303 < relation_bound(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="within"):
+        rel.infer(x)
+
+
 # -- fuzzification width ----------------------------------------------------------------
 
 

@@ -9,10 +9,13 @@ from crossfuzzy.fuzzy import (
     EmptyOutputError,
     FuzzyNumber,
     Universe,
+    centroid_rows,
     defuzzify_centroid,
     fuzzify_gaussian,
     normalize_peak,
+    normalize_peak_rows,
     regrid,
+    regrid_rows,
 )
 from oracles import triangle, weighted_average
 
@@ -177,6 +180,46 @@ def test_regrid_coarse_triangle_centroid_shift():
     ref = FuzzyNumber(dense, np.array([tri(v) for v in dense.values]))
     moved = defuzzify_centroid(regrid(fn, target))
     assert abs(moved - defuzzify_centroid(ref)) <= target.resolution
+
+
+GRADE_ROWS = st.integers(2, 30).flatmap(
+    lambda n: st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any),
+                       min_size=1, max_size=8).map(np.array))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=GRADE_ROWS, lo=st.floats(-5.0, 5.0), width=st.floats(0.1, 10.0))
+def test_row_functions_are_their_rows_taken_alone(rows, lo, width):
+    """A row's centroid and peak normalization do not depend on the rows
+    beside it, and centroids match the pure-Python weighted average."""
+    u = Universe(lo, lo + width, rows.shape[1])
+    centroids = centroid_rows(u, rows)
+    peaked = normalize_peak_rows(rows)
+    for k, row in enumerate(rows):
+        assert centroids[k] == defuzzify_centroid(FuzzyNumber(u, row))
+        assert centroids[k] == pytest.approx(weighted_average(u.values, row), rel=1e-12, abs=1e-12)
+        assert np.array_equal(peaked[k], normalize_peak(FuzzyNumber(u, row)).grades)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    src=st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 4.0), st.integers(2, 40)),
+    tgt=st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 4.0), st.integers(2, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_regrid_rows_equal_np_interp(src, tgt, seed):
+    """Each row regrids bit for bit as ``np.interp`` (zero outside) does it."""
+    source = Universe(src[0], src[0] + src[1], src[2])
+    target = Universe(tgt[0], tgt[0] + tgt[1], tgt[2])
+    rows = np.random.default_rng(seed).uniform(0.0, 1.0, (5, source.count))
+    if source.values[-1] < target.values[0] or target.values[-1] < source.values[0]:
+        with pytest.raises(ValueError, match="disjoint"):
+            regrid_rows(rows, source, target)
+        return
+    want = [np.interp(target.values, source.values, row, left=0.0, right=0.0) for row in rows]
+    assert np.array_equal(regrid_rows(rows, source, target), np.array(want))
+    shared = Universe(source.lo, source.hi, source.count)  # every target point hits a grid point
+    assert np.array_equal(regrid_rows(rows, source, shared), rows)
 
 
 @settings(max_examples=200, deadline=None)

@@ -200,12 +200,13 @@ def test_eval_points_shapes():
     )
     pts = eval_points(lattice)
     assert len(pts) == 900
-    assert pts[0] == {"x": 1.0, "y": 1.0}
-    assert pts[-1] == {"x": 10.0, "y": 10.0}
+    assert pts.dtype.names == ("x", "y")
+    assert pts[0].tolist() == (1.0, 1.0)
+    assert pts[-1].tolist() == (10.0, 10.0)
     random = EvalSpec(kind="random", domains={"x": (0.0, 1.0)}, n=17, seed=5)
     a = eval_points(random)
     b = eval_points(random)
-    assert len(a) == 17 and a == b
+    assert len(a) == 17 and np.array_equal(a, b)
     with pytest.raises(ValueError):
         EvalSpec(kind="random", domains={"x": (0.0, 1.0)}, n=5)  # missing seed
     with pytest.raises(ValueError):
@@ -303,8 +304,12 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
     result = run_experiment("exp-f1", cfg)
     out = tmp_path / "exp-f1"
     blob = json.loads((out / "result.json").read_text())
-    for key in ("mse", "n_train", "saturation_count", "config", "runtime_s"):
+    for key in ("mse", "n_train", "saturation_count", "config", "runtime_s", "phase_s"):
         assert key in blob
+    phases = blob["phase_s"]
+    assert list(phases) == ["dataset", "train", "eval", "persist"]
+    assert all(t > 0 for t in phases.values())
+    assert phases["dataset"] + phases["train"] + phases["eval"] <= blob["runtime_s"]
     assert blob["mse"] == result.mse
     assert blob["n_train"] == 15
     assert len(result.per_point_errors) == 10
