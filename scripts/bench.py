@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the crossbar read, write, fuzzy and evaluation layers and write the medians to JSON.
+"""Time the crossbar, fuzzy, dataset, evaluation and persistence layers; write the medians to JSON.
 
-    python3 scripts/bench.py --out BENCH_10.json
+    python3 scripts/bench.py --out BENCH_11.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -23,6 +23,12 @@ per call, in seconds):
   where every write rewrites the array); a whole training run of N Gaussian
   pulse pairs (N = 800 and 1 000, auto ``t0``) including the settle that
   the first observation of the array pays; and that settle alone.
+- ``generate_dataset`` on the exp-f1 spec (500 samples, one input) and the
+  exp-2input spec (800 samples, two inputs).
+- Persistence at 100x180 and 500x500: ``save_delta_csv`` of one surface and
+  ``json.dumps(model_to_json(block))`` of a crossbar block holding it; and
+  the ``persist`` phase of an exp-2input ``run_experiment`` (``surface.csv``,
+  its two section files and ``model.json``), from its ``phase_s``.
 
 The record also holds the git commit (``-dirty`` if the tree has
 uncommitted changes), the numpy and Python versions and the core count.
@@ -157,6 +163,53 @@ def time_fuzzy(counts: list[int], calls: int, repeats: int, rng) -> dict:
     return out
 
 
+def time_dataset(n_train: int | None, repeats: int) -> dict:
+    """Per-call time of ``generate_dataset`` on the exp-f1 and exp-2input specs."""
+    out = {}
+    for name in ("exp-f1", "exp-2input"):
+        cfg = cf.default_config(name)
+        spec = cfg.dataset if n_train is None else replace(cfg.dataset, n=n_train)
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            cf.generate_dataset(spec, cfg.input_universes, cfg.output_universe)
+            samples.append(time.perf_counter() - start)
+        out[f"generate_dataset.{name}.n{spec.n}"] = dict(_stats(samples), samples=spec.n)
+    return out
+
+
+def time_persist(rows: int, cols: int, repeats: int, rng) -> dict:
+    """Per-call time of writing one surface CSV and of serializing a block holding it."""
+    delta = rng.uniform(0.0, 100.0, (rows, cols))
+    xb = cf.Crossbar.from_delta(delta, cf.DEFAULT_PARAMS)
+    block = cf.Block(xb, [("x", cf.Universe(0.0, 1.0, cols))], cf.Universe(0.0, 1.0, rows))
+    csv, model = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "surface.csv"
+        for _ in range(repeats):
+            start = time.perf_counter()
+            cf.save_delta_csv(path, delta, cf.DEFAULT_PARAMS.r_off)
+            csv.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            json.dumps(cf.model_to_json(block))
+            model.append(time.perf_counter() - start)
+    return {f"save_delta_csv.{rows}x{cols}": _stats(csv),
+            f"model_json.{rows}x{cols}": _stats(model)}
+
+
+def time_run_persist(n_train: int | None, repeats: int) -> dict:
+    """The ``persist`` phase of an exp-2input run: three surface CSVs and ``model.json``."""
+    cfg = cf.default_config("exp-2input")
+    if n_train is not None:
+        cfg.dataset = replace(cfg.dataset, n=n_train)
+    samples = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg.output_dir = tmp
+        for _ in range(repeats):
+            samples.append(cf.run_experiment("exp-2input", cfg).phase_s["persist"])
+    return {"persist.exp-2input": _stats(samples)}
+
+
 def _trained(name: str, n_train: int | None):
     """A named experiment's config and its model, trained as ``run_experiment`` trains it."""
     cfg = cf.default_config(name)
@@ -230,6 +283,10 @@ def main(argv: list[str] | None = None) -> int:
                              size["repeats"], rng))
     layers.update(time_evaluate(size["lattice"], size["pipe_probes"], size["n_train"],
                                 size["evaluate_repeats"]))
+    layers.update(time_dataset(size["n_train"], size["repeats"]))
+    for rows, cols in size["arrays"]:
+        layers.update(time_persist(rows, cols, size["repeats"], rng))
+    layers.update(time_run_persist(size["n_train"], size["evaluate_repeats"]))
     record = {
         "git_sha": _git_sha(),
         "numpy": np.__version__,

@@ -37,6 +37,8 @@ read costs one matrix-vector product.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import numpy as np
 
 from .device import MemristorParams, StoredArray, check_grades, drift
@@ -168,7 +170,7 @@ class Crossbar:
         x = self._read_input(x)
         if self._gain is None:
             self._gain = self.params.r_off / self.memristance
-        return -(self._gain @ x - x.sum())
+        return x.sum() - self._gain @ x  # -(gain @ x - sum x), one ufunc fewer
 
     def read_ideal(self, x) -> np.ndarray:
         """First-order read-out: -(1/r_off) times stored-value matrix times x."""
@@ -183,14 +185,25 @@ class Crossbar:
         return self.params.r_off - self.memristance
 
 
-def save_delta_csv(path, delta: np.ndarray, r_off: float) -> None:
-    """Row-major CSV dump of a stored-value (or relation) surface."""
+def save_delta_csv(path, delta: np.ndarray, r_off: float, sections=None) -> None:
+    """Row-major CSV dump of a stored-value (or relation) surface.
+
+    ``sections`` maps further paths to column ranges ``(start, stop)``; each
+    gets the dump of ``delta[:, start:stop]``. A row's values are formatted
+    once for every file, and one row at a time.
+    """
     delta = np.asarray(delta, dtype=float)
     rows, cols = delta.shape
-    with open(path, "w") as fh:
-        fh.write(f"# rows={rows} cols={cols} r_off={r_off}\n")
+    with ExitStack() as stack:
+        files = []
+        for p, (start, stop) in {path: (0, cols), **(sections or {})}.items():
+            fh = stack.enter_context(open(p, "w"))
+            fh.write(f"# rows={rows} cols={stop - start} r_off={r_off}\n")
+            files.append((fh, start, stop))
         for row in delta.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+            cells = list(map(repr, row))
+            for fh, start, stop in files:
+                fh.write(",".join(cells[start:stop]) + "\n")
 
 
 def load_delta_csv(path) -> tuple[np.ndarray, float]:

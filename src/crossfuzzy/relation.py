@@ -158,7 +158,8 @@ class Relation:
             raise ValueError(
                 f"relation inputs must lie within ±{self._read_bound:.3g} to read finite"
             )
-        return FuzzyNumber(self.output_universe, mu @ a.grades)
+        # Within the bound every sum is finite, so the product needs no check.
+        return FuzzyNumber._unchecked(self.output_universe, mu @ a.grades)
 
 
 def relation_from_sets(

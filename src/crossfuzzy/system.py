@@ -144,10 +144,12 @@ class Block:
                 raise ValueError("relation output universe does not match the block")
             if device_params is None:
                 raise ValueError("relation-backed blocks need explicit device_params")
+            # Drives come from checked fuzzy numbers or bells, and the relation
+            # checks their range itself, so they are wrapped unchecked.
             self._write = lambda col, out, t0: backend.accumulate(
-                FuzzyNumber(u_in, col), out, device_params, t0
+                FuzzyNumber._unchecked(u_in, col), out, device_params, t0
             )
-            self._read = lambda col: backend.infer(FuzzyNumber(u_in, col)).grades
+            self._read = lambda col: backend.infer(FuzzyNumber._unchecked(u_in, col)).grades
         else:
             raise TypeError(f"unsupported backend type {type(backend).__name__}")
         self.device_params = device_params
@@ -254,7 +256,7 @@ def block_infer(block: Block, inputs) -> FuzzyNumber:
     non-negative inputs), read in the block's ``read_mode``; relation-backed
     blocks return the non-negative matrix-product grades.
     """
-    return FuzzyNumber(block.output_universe, block._read(block.concat_grades(inputs)))
+    return FuzzyNumber._unchecked(block.output_universe, block._read(block.concat_grades(inputs)))
 
 
 class Pipeline:

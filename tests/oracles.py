@@ -11,7 +11,8 @@ where crossbars and relations defer threshold-free pulses and settle their
 summed flux once; the two agree to float rounding. ``per_probe_mse``
 evaluates one probe at a time through ``model.infer``, where
 ``evaluate_mse`` reads a chunk of probes and conditions and defuzzifies
-them as arrays.
+them as arrays. ``gaussian_grades`` is the bell as first written, before
+``fuzzify_gaussian`` reordered its arithmetic; the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -93,6 +94,17 @@ def read_ideal(memristance, x, r_off: float):
 def delta_csv_rows(delta) -> str:
     """Surface CSV body, one ``repr(float(v))`` per cell."""
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in delta)
+
+
+def gaussian_grades(x0: float, sigma: float, universe) -> np.ndarray:
+    """``fuzzify_gaussian``'s grades as first written: a one-hot at the nearest
+    grid point below a tenth of the resolution, else ``exp(-(v - x0)**2 / (2 sigma**2))``."""
+    v = universe.lo + np.arange(universe.count) * ((universe.hi - universe.lo) / universe.count)
+    if sigma < (universe.hi - universe.lo) / universe.count / 10.0:
+        grades = np.zeros(universe.count)
+        grades[int(np.argmin(np.abs(v - x0)))] = 1.0
+        return grades
+    return np.exp(-((v - x0) ** 2) / (2.0 * sigma * sigma))
 
 
 def weighted_average(values, weights) -> float:

@@ -7,6 +7,7 @@ hand-picked cases.
 """
 
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -265,9 +266,14 @@ def test_relation_bound_follows_its_writes(mode):
 
 
 @examples
-@given(sigma=POSITIVE, x0=st.floats(0.0, 1.0))
+@given(sigma=POSITIVE, x0=st.floats(-1e150, 1e150))
 def test_fuzzify_accepts_every_in_range_sigma(sigma, x0):
-    fn = fuzzify_gaussian(x0, sigma, U4)
+    """And every finite crisp value: inside the universe silently, outside it
+    with a warning. Beyond ±1e150 the squared distance of the bell overflows."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn = fuzzify_gaussian(x0, sigma, U4)
+    assert [type(w.message) for w in caught] == ([] if 0.0 <= x0 <= 1.0 else [UserWarning])
     assert fn.grades.max() <= 1.0 and fn.grades.min() >= 0.0
 
 
@@ -275,4 +281,17 @@ def test_fuzzify_accepts_every_in_range_sigma(sigma, x0):
 @given(sigma=NOT_POSITIVE, x0=st.floats(0.0, 1.0))
 def test_fuzzify_rejects_every_out_of_range_sigma(sigma, x0):
     with pytest.raises(ValueError, match="sigma"):
+        fuzzify_gaussian(x0, sigma, U4)
+
+
+# Widths on each side of the one-hot switch at a tenth of U4's resolution.
+ONE_HOT_SIGMA = st.floats(0.0, U4.resolution / 10, exclude_min=True, exclude_max=True)
+BELL_SIGMA = st.floats(U4.resolution / 10, allow_infinity=False)
+
+
+@examples
+@given(x0=NON_FINITE, sigma=st.one_of(ONE_HOT_SIGMA, BELL_SIGMA))
+def test_fuzzify_rejects_every_non_finite_x0(x0, sigma):
+    """On both branches: not a one-hot at index 0, not all-zero grades."""
+    with pytest.raises(ValueError, match="x0"):
         fuzzify_gaussian(x0, sigma, U4)

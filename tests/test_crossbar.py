@@ -363,11 +363,16 @@ def test_csv_rows_are_the_per_cell_repr(tmp_path):
         ]
     )
     path = tmp_path / "surface.csv"
-    save_delta_csv(path, delta, R_OFF)
+    sections = {tmp_path / "left.csv": (0, 2), tmp_path / "right.csv": (2, 5)}
+    save_delta_csv(path, delta, R_OFF, sections)
     _, body = path.read_text().split("\n", 1)
     assert body == delta_csv_rows(delta)
     loaded, _ = load_delta_csv(path)
     assert np.array_equal(loaded, delta)
+    for section, (start, stop) in sections.items():  # the columns start:stop, alone
+        header, body = section.read_text().split("\n", 1)
+        assert header == f"# rows=3 cols={stop - start} r_off={R_OFF}"
+        assert body == delta_csv_rows(delta[:, start:stop])
 
 
 def test_csv_round_trip(tmp_path):

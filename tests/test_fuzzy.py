@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from crossfuzzy.fuzzy import (
     regrid,
     regrid_rows,
 )
-from oracles import triangle, weighted_average
+from oracles import gaussian_grades, triangle, weighted_average
 
 
 def test_universe_grid_convention():
@@ -237,6 +238,30 @@ def test_fuzzify_defuzzify_round_trip(count, frac, sigma_cells):
     x0 = lo + frac * (hi - lo)
     x1 = defuzzify_centroid(fuzzify_gaussian(x0, sigma, u))
     assert abs(x1 - x0) <= u.resolution
+
+
+UNIVERSES = st.sampled_from([Universe(0.0, 1.0, 100), Universe(1.0, 10.0, 90),
+                             Universe(0.0, 1.12, 100), Universe(-3.0, 5.0, 7)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), universe=UNIVERSES, one_hot=st.booleans())
+def test_fuzzify_gaussian_equals_the_oracle_bit_for_bit(data, universe, one_hot):
+    """Over crisp values in and out of the universe and widths on both sides
+    of the one-hot switch, the grades equal the first-written expression
+    bit for bit and are a float array of the universe's length."""
+    width = universe.hi - universe.lo
+    x0 = data.draw(st.floats(universe.lo - 2 * width, universe.hi + 2 * width))
+    tenth = universe.resolution / 10.0
+    sigma = data.draw(st.floats(tenth * 1e-6, tenth, exclude_max=True) if one_hot
+                      else st.floats(tenth, 1e6 * width))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # x0 outside the universe
+        fn = fuzzify_gaussian(x0, sigma, universe)
+    want = gaussian_grades(x0, sigma, universe)
+    assert fn.universe is universe
+    assert fn.grades.dtype == float and fn.grades.shape == (universe.count,)
+    assert fn.grades.tobytes() == want.tobytes()
 
 
 def test_json_round_trip():
