@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the crossbar, fuzzy, dataset, evaluation and persistence layers; write the medians to JSON.
 
-    python3 scripts/bench.py --out BENCH_11.json
+    python3 scripts/bench.py --out BENCH_12.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -27,8 +27,14 @@ per call, in seconds):
   exp-2input spec (800 samples, two inputs).
 - Persistence at 100x180 and 500x500: ``save_delta_csv`` of one surface and
   ``json.dumps(model_to_json(block))`` of a crossbar block holding it; and
-  the ``persist`` phase of an exp-2input ``run_experiment`` (``surface.csv``,
-  its two section files and ``model.json``), from its ``phase_s``.
+  the ``persist`` phase, from ``phase_s``, of an exp-2input
+  ``run_experiment`` (``surface.csv``, its two section files and
+  ``model.json``) and of the benchmark's train-scaled run (one 500x500
+  single-input block, N = 1 000). ``model.json`` is written by a forked
+  child where ``os.fork`` exists, so each ``persist`` entry also gives the
+  peak RSS of this process and of its largest child so far
+  (``RUSAGE_CHILDREN``), in MB: memory that moved out of the measured
+  process is stated, not hidden.
 
 The record also holds the git commit (``-dirty`` if the tree has
 uncommitted changes), the numpy and Python versions and the core count.
@@ -41,6 +47,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -62,11 +69,13 @@ SIZES = {
         "arrays": [(100, 180), (500, 500)], "calls": 200, "repeats": 15,
         "lattice": 100, "pipe_probes": 2000, "n_train": None, "evaluate_repeats": 5,
         "trainings": [(100, 180, 800), (500, 500, 1000)], "train_repeats": 5,
+        "scaled": (500, 1000, 200),
     },
     "tiny": {
         "arrays": [(8, 12), (16, 16)], "calls": 10, "repeats": 3,
         "lattice": 4, "pipe_probes": 20, "n_train": 40, "evaluate_repeats": 3,
         "trainings": [(8, 12, 40), (16, 16, 50)], "train_repeats": 3,
+        "scaled": (16, 20, 10),
     },
 }
 V_TH = (0.0, 1.0)
@@ -197,17 +206,43 @@ def time_persist(rows: int, cols: int, repeats: int, rng) -> dict:
             f"model_json.{rows}x{cols}": _stats(model)}
 
 
-def time_run_persist(n_train: int | None, repeats: int) -> dict:
-    """The ``persist`` phase of an exp-2input run: three surface CSVs and ``model.json``."""
-    cfg = cf.default_config("exp-2input")
+def _train_scaled_config(grid: int, n: int, probes: int) -> cf.ExperimentConfig:
+    """The benchmark's train-scaled run at seed 0: one single-input block on a grid x grid array."""
+    u = cf.Universe(0.0, 1.0, grid)
+    return cf.ExperimentConfig(
+        name="train-scaled",
+        device=cf.DEFAULT_PARAMS,
+        dataset=cf.DatasetSpec(target="f1", domains={"x": (0.0, 1.0)}, n=n,
+                               input_sigmas={"x": 0.05}, output_sigma=0.05, seed=101),
+        input_universes={"x": u},
+        output_universe=u,
+        eval=cf.EvalSpec(kind="random", domains={"x": (0.0, 1.0)}, n=probes, seed=211),
+    )
+
+
+def _maxrss_mb(who: int) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024
+
+
+def time_run_persist(n_train: int | None, scaled: tuple[int, int, int], repeats: int) -> dict:
+    """The ``persist`` phase of an exp-2input run and of the train-scaled run, with peak RSS."""
+    paper = cf.default_config("exp-2input")
     if n_train is not None:
-        cfg.dataset = replace(cfg.dataset, n=n_train)
-    samples = []
+        paper.dataset = replace(paper.dataset, n=n_train)
+    runs = {"exp-2input": paper,
+            f"train-scaled.{scaled[0]}x{scaled[0]}": _train_scaled_config(*scaled)}
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        cfg.output_dir = tmp
-        for _ in range(repeats):
-            samples.append(cf.run_experiment("exp-2input", cfg).phase_s["persist"])
-    return {"persist.exp-2input": _stats(samples)}
+        for tag, cfg in runs.items():
+            cfg.output_dir = str(Path(tmp) / tag)
+            samples = [cf.run_experiment(cfg.name, cfg).phase_s["persist"]
+                       for _ in range(repeats)]
+            out[f"persist.{tag}"] = dict(
+                _stats(samples),
+                parent_maxrss_mb=_maxrss_mb(resource.RUSAGE_SELF),
+                child_maxrss_mb=_maxrss_mb(resource.RUSAGE_CHILDREN),
+            )
+    return out
 
 
 def _trained(name: str, n_train: int | None):
@@ -286,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     layers.update(time_dataset(size["n_train"], size["repeats"]))
     for rows, cols in size["arrays"]:
         layers.update(time_persist(rows, cols, size["repeats"], rng))
-    layers.update(time_run_persist(size["n_train"], size["evaluate_repeats"]))
+    layers.update(time_run_persist(size["n_train"], size["scaled"], size["evaluate_repeats"]))
     record = {
         "git_sha": _git_sha(),
         "numpy": np.__version__,

@@ -114,18 +114,29 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
     (the crisp limit). Finite values outside the universe are accepted but
     warned; a non-finite ``x0`` or ``sigma`` raises ``ValueError``. The grades
     are made from these checked scalars, so they are not validated again.
+    A bell centred more than 40 sigma outside the universe is all zeros, as
+    exp(-800) underflows. Nearer than that, a bell whose ``(v - x0) ** 2``
+    would overflow (a sigma past about 3e152) is computed in units of sigma.
     """
     if not (0 < sigma < math.inf):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not math.isfinite(x0):
         raise ValueError(f"crisp value x0 must be finite, got {x0}")
+    v = universe.values
+    one_hot = sigma < universe.resolution / 10.0
     if not (universe.lo <= x0 <= universe.hi):
         warnings.warn(
             f"crisp value {x0} lies outside universe [{universe.lo}, {universe.hi}]",
             stacklevel=2,
         )
-    v = universe.values
-    if sigma < universe.resolution / 10.0:
+        if not one_hot:
+            if max(universe.lo - x0, x0 - universe.hi) > 40.0 * sigma:
+                return FuzzyNumber._unchecked(universe, np.zeros(universe.count))
+            far = max(abs(universe.lo - x0), abs(float(v[-1]) - x0))
+            if far * far == math.inf:  # Python floats: no overflow warning
+                grades = np.exp(np.square((v - x0) / sigma) / -2.0)
+                return FuzzyNumber._unchecked(universe, grades)
+    if one_hot:
         grades = np.zeros(universe.count)
         grades[int(np.argmin(np.abs(v - x0)))] = 1.0
     else:  # bit for bit exp(-((v - x0) ** 2) / (2 sigma^2)), with one ufunc fewer

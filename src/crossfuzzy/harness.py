@@ -8,6 +8,9 @@ model, and centroid-defuzzifies. Results land in an output directory as
 its ``phase_s`` gives the seconds spent on ``dataset``, ``train``, ``eval``
 and ``persist`` (surfaces and ``model.json``). Writes the threshold-free
 device holds settle at the first read, so their cost counts under ``eval``.
+Where ``os.fork`` exists, ``model.json`` is encoded and written by a forked
+child while this process writes the surfaces, so ``persist`` is the wall
+time of the two side by side; the files are the same either way.
 
 A probe set is an array with one named float field per variable
 (``eval_points``), evaluated in chunks of ``_CHUNK`` probes. Per probe,
@@ -27,8 +30,10 @@ below 0.1 % of r_off, which keeps the read-out in its linear regime.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -202,6 +207,10 @@ def generate_dataset(
     for i in range(spec.n):
         crisp = {name: float(draws[name][i]) for name in spec.variables}
         value = float(fn(**crisp))
+        if not math.isfinite(value):
+            raise ValueError(
+                f"target {spec.target!r} is not finite at sample {i} with inputs {crisp}: {value}"
+            )
         inputs = {
             name: fuzzify_gaussian(crisp[name], spec.input_sigmas[name], input_universes[name])
             for name in spec.variables
@@ -591,6 +600,39 @@ def _export_surfaces(model: Block | Pipeline, out_dir: Path, r_off: float) -> li
     return [str(p), *map(str, sections)]
 
 
+def _write_model_beside(path: Path, model: Block | Pipeline):
+    """Start writing ``model``'s JSON to ``path`` in a forked child; return its join.
+
+    ``model_to_json`` runs here, before the fork, so it settles any held write
+    and the child changes no state. This process then drops the JSON: it is
+    not held while the caller writes the surfaces. The join waits for the
+    child. If the child failed, the join makes the same write in this process,
+    so the caller gets the real exception. Where a child cannot be forked, the
+    write is made at once and the join does nothing.
+    """
+    obj = model_to_json(model)
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork on this platform, or no process to spare
+        path.write_text(json.dumps(obj))
+        return lambda: None
+    if pid == 0:  # the child: write, then exit without returning into the caller
+        code = 1
+        try:
+            gc.disable()  # no finalizer of the parent's objects runs a second time here
+            path.write_text(json.dumps(obj))
+            code = 0
+        finally:
+            os._exit(code)
+    del obj
+
+    def join():
+        if os.waitpid(pid, 0)[1] != 0:
+            path.write_text(json.dumps(model_to_json(model)))
+
+    return join
+
+
 def run_experiment(
     name: str, config: ExperimentConfig | None = None
 ) -> ExperimentResult:
@@ -612,9 +654,12 @@ def run_experiment(
     with _timed(phase_s, "persist"):
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        surface_paths = _export_surfaces(model, out_dir, cfg.device.r_off)
         model_path = out_dir / "model.json"
-        model_path.write_text(json.dumps(model_to_json(model)))
+        join = _write_model_beside(model_path, model)
+        try:
+            surface_paths = _export_surfaces(model, out_dir, cfg.device.r_off)
+        finally:
+            join()
     n_train = cfg.dataset.n * (len(cfg.pipeline_targets) if cfg.pipeline_targets else 1)
     result = ExperimentResult(
         name=cfg.name,

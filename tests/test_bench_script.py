@@ -28,8 +28,10 @@ def test_bench_script_writes_every_layer(tmp_path):
     for size in ("8x12", "16x16"):
         assert f"save_delta_csv.{size}" in names
         assert f"model_json.{size}" in names
-    assert {"generate_dataset.exp-f1.n40", "generate_dataset.exp-2input.n40",
-            "persist.exp-2input"} <= names
+    assert {"generate_dataset.exp-f1.n40", "generate_dataset.exp-2input.n40"} <= names
+    for run in ("exp-2input", "train-scaled.16x16"):
+        persist = record["layers"][f"persist.{run}"]
+        assert persist["parent_maxrss_mb"] > 0 and persist["child_maxrss_mb"] > 0
     for v_th in ("v_th0", "v_th1"):
         for size, n in (("8x12", 40), ("16x16", 50)):
             assert f"write_pulse.{v_th}.{size}" in names

@@ -266,10 +266,10 @@ def test_relation_bound_follows_its_writes(mode):
 
 
 @examples
-@given(sigma=POSITIVE, x0=st.floats(-1e150, 1e150))
+@given(sigma=POSITIVE, x0=st.floats(allow_nan=False, allow_infinity=False))
 def test_fuzzify_accepts_every_in_range_sigma(sigma, x0):
     """And every finite crisp value: inside the universe silently, outside it
-    with a warning. Beyond ±1e150 the squared distance of the bell overflows."""
+    with one warning and no other (no overflow, however far out)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fn = fuzzify_gaussian(x0, sigma, U4)

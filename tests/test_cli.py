@@ -84,6 +84,19 @@ def test_experiment_that_stored_nothing_fails(tmp_path, capsys):
     assert not (tmp_path / "exp-f1" / "result.json").exists()
 
 
+def test_experiment_with_a_target_that_is_not_finite_fails(tmp_path, capsys):
+    override = tiny_override(tmp_path, "exp-f1")
+    blob = json.loads(override.read_text())
+    blob["dataset"]["target"] = "sqrt(x - 2)"
+    override.write_text(json.dumps(blob))
+    with np.errstate(invalid="ignore"):  # numpy's sqrt of a negative gives nan
+        code = main(["experiment", "exp-f1", "--config", str(override)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: target 'sqrt(x - 2)' is not finite at sample 0 ")
+
+
 def test_train_command_with_full_config(tmp_path, capsys):
     cfg = default_config("exp-f2", output_dir=str(tmp_path / "custom"))
     cfg.name = "custom-sqrt"

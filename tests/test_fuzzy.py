@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -271,3 +272,24 @@ def test_json_round_trip():
     back = FuzzyNumber.from_json(json.loads(blob))
     assert back.universe == u
     assert np.array_equal(back.grades, fn.grades)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), universe=UNIVERSES,
+       x0=st.floats(allow_nan=False, allow_infinity=False))
+def test_far_bells_equal_the_oracle_wherever_it_does_not_overflow(data, universe, x0):
+    """Over every finite crisp value and bell widths from the one-hot switch to
+    the float limit: where the first-written expression computes without
+    overflow, the grades equal it bit for bit; where it overflows, they are
+    still grades in [0, 1]."""
+    sigma = data.draw(st.floats(universe.resolution / 10.0, sys.float_info.max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # x0 outside the universe
+        fn = fuzzify_gaussian(x0, sigma, universe)
+    try:
+        with np.errstate(over="raise"):
+            want = gaussian_grades(x0, sigma, universe)
+    except FloatingPointError:
+        assert ((0.0 <= fn.grades) & (fn.grades <= 1.0)).all()
+        return
+    assert fn.grades.tobytes() == want.tobytes()

@@ -1,15 +1,19 @@
+import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crossfuzzy import harness
 from crossfuzzy.crossbar import Crossbar, load_delta_csv
 from crossfuzzy.device import DEFAULT_PARAMS, beta
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import (
+    EXPERIMENT_NAMES,
     DatasetSpec,
     EvalSpec,
     ExperimentConfig,
@@ -122,6 +126,14 @@ def test_generate_dataset_deterministic():
     assert all(np.array_equal(x.output.grades, y.output.grades) for x, y in zip(a, b))
     c = generate_dataset(small_spec(seed=43), universes, out_u)
     assert any(x.crisp != y.crisp for x, y in zip(a, c))
+
+
+def test_generate_dataset_names_a_target_that_is_not_finite():
+    universes, out_u = small_universes()
+    with np.errstate(invalid="ignore"):  # numpy's sqrt of a negative gives nan
+        with pytest.raises(ValueError, match=r"target 'sqrt\(x - 2\)' is not finite "
+                                             r"at sample 0 with inputs \{'x': 0\.\d+\}: nan"):
+            generate_dataset(small_spec(target="sqrt(x - 2)"), universes, out_u)
 
 
 def test_train_block_empty_dataset_keeps_block_pristine():
@@ -354,6 +366,69 @@ def test_run_experiment_compose_pipeline(tmp_path):
     assert result.n_train == 30  # 15 samples per stage
     model = model_from_json(json.loads((out / "model.json").read_text()))
     assert len(model.blocks) == 2
+
+
+def _digests(out_dir) -> dict[str, str]:
+    """sha256 of ``model.json`` and of every surface CSV in a run's output directory."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir()) if p.name != "result.json"}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+@needs_fork
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_forked_model_write_gives_the_same_files_as_the_in_process_one(tmp_path, monkeypatch,
+                                                                       name):
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(name) or fork())
+    run_experiment(name, tiny_config(tmp_path / "forked", name))
+    assert forks == [name]
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    run_experiment(name, tiny_config(tmp_path / "in-process", name))
+    forked = _digests(tmp_path / "forked" / name)
+    assert "model.json" in forked and any(n.endswith(".csv") for n in forked)
+    assert forked == _digests(tmp_path / "in-process" / name)
+
+
+def test_the_model_is_written_in_process_when_no_child_can_be_forked(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    run_experiment("exp-f1", tiny_config(tmp_path))
+    model_from_json(json.loads((tmp_path / "exp-f1" / "model.json").read_text()))
+
+
+@needs_fork
+def test_a_failed_model_write_raises_its_own_error(tmp_path):
+    cfg = tiny_config(tmp_path)
+    (tmp_path / "exp-f1" / "model.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        run_experiment("exp-f1", cfg)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_failed_surface_write_propagates_after_the_model_write(tmp_path, monkeypatch):
+    class DiskFull(OSError):
+        pass
+
+    def fail(*args, **kwargs):
+        raise DiskFull("no space left")
+
+    monkeypatch.setattr(harness, "save_delta_csv", fail)
+    with pytest.raises(DiskFull):
+        run_experiment("exp-f1", tiny_config(tmp_path))
+    _assert_no_child_left()
+    model_from_json(json.loads((tmp_path / "exp-f1" / "model.json").read_text()))
 
 
 def test_run_experiment_unknown_name():
