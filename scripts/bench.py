@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the crossbar, fuzzy, dataset, evaluation and persistence layers; write the medians to JSON.
 
-    python3 scripts/bench.py --out BENCH_12.json
+    python3 scripts/bench.py --out BENCH_13.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -24,7 +24,10 @@ per call, in seconds):
   pulse pairs (N = 800 and 1 000, auto ``t0``) including the settle that
   the first observation of the array pays; and that settle alone.
 - ``generate_dataset`` on the exp-f1 spec (500 samples, one input) and the
-  exp-2input spec (800 samples, two inputs).
+  exp-2input spec (800 samples, two inputs); and ``train_block`` of each
+  such dataset onto a pristine crossbar block (the block is built outside
+  the timed region), including the settle that the first observation of
+  the array pays.
 - Persistence at 100x180 and 500x500: ``save_delta_csv`` of one surface and
   ``json.dumps(model_to_json(block))`` of a crossbar block holding it; and
   the ``persist`` phase, from ``phase_s``, of an exp-2input
@@ -187,6 +190,26 @@ def time_dataset(n_train: int | None, repeats: int) -> dict:
     return out
 
 
+def time_train_block(n_train: int | None, repeats: int) -> dict:
+    """Per-call time of ``train_block`` from a generated exp-f1 and exp-2input dataset."""
+    out = {}
+    for name in ("exp-f1", "exp-2input"):
+        cfg = cf.default_config(name)
+        spec = cfg.dataset if n_train is None else replace(cfg.dataset, n=n_train)
+        dataset = cf.generate_dataset(spec, cfg.input_universes, cfg.output_universe)
+        t0 = cf.auto_t0(cfg.device, spec.n)
+        samples = []
+        for _ in range(repeats):
+            block = cf.Block.pristine(list(cfg.input_universes.items()), cfg.output_universe,
+                                      cfg.device)
+            start = time.perf_counter()
+            cf.train_block(block, dataset, t0)
+            block.backend.memristance  # the first observation settles deferred writes
+            samples.append(time.perf_counter() - start)
+        out[f"train_block.{name}.n{spec.n}"] = dict(_stats(samples), samples=spec.n)
+    return out
+
+
 def time_persist(rows: int, cols: int, repeats: int, rng) -> dict:
     """Per-call time of writing one surface CSV and of serializing a block holding it."""
     delta = rng.uniform(0.0, 100.0, (rows, cols))
@@ -319,6 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     layers.update(time_evaluate(size["lattice"], size["pipe_probes"], size["n_train"],
                                 size["evaluate_repeats"]))
     layers.update(time_dataset(size["n_train"], size["repeats"]))
+    layers.update(time_train_block(size["n_train"], size["repeats"]))
     for rows, cols in size["arrays"]:
         layers.update(time_persist(rows, cols, size["repeats"], rng))
     layers.update(time_run_persist(size["n_train"], size["scaled"], size["evaluate_repeats"]))

@@ -18,11 +18,11 @@ from .fuzzy import (
 )
 from .harness import (
     EXPERIMENT_NAMES,
+    Dataset,
     DatasetSpec,
     EvalSpec,
     ExperimentConfig,
     ExperimentResult,
-    Sample,
     auto_t0,
     default_config,
     evaluate_mse,
@@ -50,6 +50,7 @@ __all__ = [
     "Block",
     "Crossbar",
     "DEFAULT_PARAMS",
+    "Dataset",
     "DatasetSpec",
     "EXPERIMENT_NAMES",
     "EmptyOutputError",
@@ -60,7 +61,6 @@ __all__ = [
     "MemristorParams",
     "Pipeline",
     "Relation",
-    "Sample",
     "Section",
     "Universe",
     "apply_flux",

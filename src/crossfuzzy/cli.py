@@ -35,7 +35,7 @@ def _from_json(build, obj, what: str):
         return build(obj)
     except KeyError as exc:
         raise ValueError(f"{what}: missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"{what}: malformed JSON ({exc})") from None
 
 
@@ -43,8 +43,14 @@ def _load_model(path: str) -> Block | Pipeline:
     return _from_json(model_from_json, json.loads(Path(path).read_text()), path)
 
 
+def _config(obj: dict) -> ExperimentConfig:
+    cfg = ExperimentConfig.from_json(obj)
+    cfg.validate()
+    return cfg
+
+
 def _cmd_train(args) -> int:
-    cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
+    cfg = _from_json(_config, json.loads(Path(args.config).read_text()), args.config)
     if args.output_dir:
         cfg.output_dir = args.output_dir
     result = run_experiment(cfg.name, cfg)
@@ -104,10 +110,10 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg_json = default_config(args.name).to_json()
-    if args.config:
-        cfg_json = merge_json(cfg_json, json.loads(Path(args.config).read_text()))
-    cfg = ExperimentConfig.from_json(cfg_json)
+    override = json.loads(Path(args.config).read_text()) if args.config else {}
+    defaults = default_config(args.name).to_json()
+    cfg = _from_json(lambda obj: _config(merge_json(defaults, obj)), override,
+                     args.config or args.name)
     if args.fault_fraction is not None:
         cfg.fault_fraction = args.fault_fraction
     if args.seed is not None:

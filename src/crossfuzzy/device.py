@@ -86,10 +86,10 @@ class MemristorParams:
             raise ValueError(f"mu_v must be positive and finite, got {self.mu_v}")
         if not (0 < self.d < math.inf):
             raise ValueError(f"d must be positive and finite, got {self.d}")
-        if not (0 < self.r_on < self.r_off < math.inf):
-            raise ValueError(
-                f"need 0 < r_on < r_off < inf, got r_on={self.r_on}, r_off={self.r_off}"
-            )
+        if not (0 < self.r_on < self.r_off and self.r_off * self.r_off < math.inf):
+            raise ValueError(  # the closed form and the write budget square r_off
+                f"need 0 < r_on < r_off and a finite r_off**2, got r_on={self.r_on}, "
+                f"r_off={self.r_off}")
         if not (math.isfinite(self.v_th) and self.v_th >= 0):
             raise ValueError(f"v_th must be finite and non-negative, got {self.v_th}")
         try:

@@ -115,8 +115,10 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
     warned; a non-finite ``x0`` or ``sigma`` raises ``ValueError``. The grades
     are made from these checked scalars, so they are not validated again.
     A bell centred more than 40 sigma outside the universe is all zeros, as
-    exp(-800) underflows. Nearer than that, a bell whose ``(v - x0) ** 2``
-    would overflow (a sigma past about 3e152) is computed in units of sigma.
+    exp(-800) underflows. Any other bell whose ``(v - x0) ** 2`` would
+    overflow (a sigma or a universe past about 1e152), or whose ``2 sigma ** 2``
+    would underflow to 0 (a sigma below about 1e-162), is computed in units of
+    sigma, inside the universe as outside it.
     """
     if not (0 < sigma < math.inf):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -129,16 +131,18 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
             f"crisp value {x0} lies outside universe [{universe.lo}, {universe.hi}]",
             stacklevel=2,
         )
-        if not one_hot:
-            if max(universe.lo - x0, x0 - universe.hi) > 40.0 * sigma:
-                return FuzzyNumber._unchecked(universe, np.zeros(universe.count))
-            far = max(abs(universe.lo - x0), abs(float(v[-1]) - x0))
-            if far * far == math.inf:  # Python floats: no overflow warning
-                grades = np.exp(np.square((v - x0) / sigma) / -2.0)
-                return FuzzyNumber._unchecked(universe, grades)
+        if not one_hot and max(universe.lo - x0, x0 - universe.hi) > 40.0 * sigma:
+            return FuzzyNumber._unchecked(universe, np.zeros(universe.count))
     if one_hot:
         grades = np.zeros(universe.count)
         grades[int(np.argmin(np.abs(v - x0)))] = 1.0
+    elif not 1e-150 < sigma < 1e100 and (-2.0 * sigma * sigma == 0.0 or math.inf == (
+            far := max(abs(universe.lo - x0), abs(float(v[-1]) - x0))) * far):
+        # 2 sigma^2 underflows to 0 or (v - x0) ** 2 overflows (Python floats give 0
+        # and inf without a warning), where (v - x0) / sigma stays in range. Neither
+        # can happen for a sigma inside the bounds tested first, which cost less than
+        # the test itself: a bell's grid points lie within (40 + 10 count) sigma of x0.
+        grades = np.exp(np.square((v - x0) / sigma) / -2.0)
     else:  # bit for bit exp(-((v - x0) ** 2) / (2 sigma^2)), with one ufunc fewer
         grades = np.exp(np.square(v - x0) / (-2.0 * sigma * sigma))
     return FuzzyNumber._unchecked(universe, grades)

@@ -21,6 +21,19 @@ other target, such as an expression, is called once per probe with scalars,
 as it may branch on them. The signal test, the conditioning between stages,
 the centroids, the errors and the flags are array operations on the chunk.
 
+A training set is a ``Dataset`` of arrays, not a list of per-sample
+objects: its crisp points are a random probe set (``eval_points`` with the
+dataset's domains, size and seed), its targets one value per point, its
+drives one column-drive row per sample along the block's sections
+(``system.section_layout``) and its outputs one output-grade row per sample.
+Training and evaluation share one probe-row path: ``_probe_rows`` builds a
+probe set's drive rows and targets for ``generate_dataset`` and for each
+chunk of ``evaluate_mse``, and ``_bells`` fills every grade row, output
+bells included, with one ``fuzzify_gaussian`` per value. ``train_block``
+checks a dataset's sections and output universe against the block once,
+then writes one pulse per row, in dataset order; ``system.block_train`` is
+the one-sample case.
+
 The write-pulse duration is auto-scaled unless pinned: with n samples the
 worst case is every pulse hitting one cell at the full summed grade of 2,
 which writes with the drive ``2 - v_th`` left above the device's write
@@ -33,6 +46,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -43,13 +57,13 @@ import numpy as np
 
 from .crossbar import save_delta_csv
 from .device import DEFAULT_PARAMS, MemristorParams, beta, drift
-from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, centroid_rows, fuzzify_gaussian
-from .system import READ_MODES, Block, Pipeline, block_train, model_to_json
+from .fuzzy import EmptyOutputError, Universe, centroid_rows, fuzzify_gaussian
+from .system import READ_MODES, Block, Pipeline, Section, model_to_json, section_layout
 
 __all__ = [
     "EXPERIMENT_NAMES",
     "DatasetSpec",
-    "Sample",
+    "Dataset",
     "EvalSpec",
     "ExperimentConfig",
     "ExperimentResult",
@@ -145,13 +159,11 @@ class DatasetSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one sample, got n={self.n}")
-        if not self.domains:
-            raise ValueError("dataset needs at least one input variable")
-        for name, (lo, hi) in self.domains.items():
-            if not lo < hi:
-                raise ValueError(f"invalid domain for {name!r}: [{lo}, {hi}]")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError(f"need an integer number of samples n >= 1, got n={self.n!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"dataset seed must be an integer, got {self.seed!r}")
+        _check_domains(self.domains)
         if set(self.input_sigmas) != set(self.domains):
             raise ValueError("input_sigmas keys must match domains keys")
         sigmas = [*self.input_sigmas.values(), self.output_sigma]
@@ -184,46 +196,76 @@ class DatasetSpec:
         }
 
 
-@dataclass
-class Sample:
-    crisp: dict[str, float]
-    target_value: float
-    inputs: dict[str, FuzzyNumber]
-    output: FuzzyNumber
+def _check_domains(domains: dict[str, tuple[float, float]]) -> None:
+    """At least one variable, each on a domain with finite ends lo < hi a finite width apart."""
+    if not domains:
+        raise ValueError("need at least one input variable")
+    for name, (lo, hi) in domains.items():
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"invalid domain for {name!r}: need finite lo < hi, got [{lo}, {hi}]")
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Training pairs as arrays, one row per sample in draw order.
+
+    ``points`` holds the crisp inputs, laid out as ``eval_points`` lays out a
+    probe set, and ``targets`` the target value at each. Row k of ``drives``
+    is sample k's column drive: one input bell per section, in the section's
+    columns. Row k of ``outputs`` is its output bell on ``output_universe``.
+    """
+
+    points: np.ndarray
+    targets: np.ndarray
+    drives: np.ndarray
+    outputs: np.ndarray
+    sections: list[Section]
+    output_universe: Universe
+
+    def __post_init__(self) -> None:
+        n = len(self.points)
+        if (self.targets.shape, self.drives.shape, self.outputs.shape) != (
+                (n,), (n, self.sections[-1].stop), (n, self.output_universe.count)):
+            raise ValueError("a dataset needs one target, drive and output row per point")
 
 
 def generate_dataset(
     spec: DatasetSpec,
     input_universes: dict[str, Universe],
     output_universe: Universe,
-) -> list[Sample]:
-    """Draw seeded uniform crisp points, evaluate the target, fuzzify everything."""
+) -> Dataset:
+    """Draw seeded uniform crisp points, evaluate the target, fuzzify everything.
+
+    The points are ``eval_points`` of a random ``EvalSpec`` with the spec's
+    domains, ``n`` and seed. The drives follow the sections of a block built
+    on ``input_universes`` in their order.
+    """
     if set(input_universes) != set(spec.domains):
         raise ValueError("input universes must cover exactly the dataset variables")
+    points = eval_points(EvalSpec("random", spec.domains, n=spec.n, seed=spec.seed))
+    sections = section_layout(list(input_universes.items()))
     fn = target_function(spec.target, spec.variables)
-    rng = np.random.default_rng(spec.seed)
-    draws = {name: rng.uniform(lo, hi, spec.n) for name, (lo, hi) in spec.domains.items()}
-    samples = []
-    for i in range(spec.n):
-        crisp = {name: float(draws[name][i]) for name in spec.variables}
-        value = float(fn(**crisp))
-        if not math.isfinite(value):
-            raise ValueError(
-                f"target {spec.target!r} is not finite at sample {i} with inputs {crisp}: {value}"
-            )
-        inputs = {
-            name: fuzzify_gaussian(crisp[name], spec.input_sigmas[name], input_universes[name])
-            for name in spec.variables
-        }
-        output = fuzzify_gaussian(value, spec.output_sigma, output_universe)
-        samples.append(Sample(crisp, value, inputs, output))
-    return samples
+    drives, targets = _probe_rows(points, sections, spec.input_sigmas, fn)
+    if not np.isfinite(targets).all():
+        i = int(np.argmin(np.isfinite(targets)))  # the first sample that is not finite
+        inputs = dict(zip(spec.variables, points[i].tolist()))
+        raise ValueError(f"target {spec.target!r} is not finite at sample {i} "
+                         f"with inputs {inputs}: {targets[i]}")
+    outputs = _bells(np.empty((spec.n, output_universe.count)), targets, spec.output_sigma,
+                     output_universe)
+    return Dataset(points, targets, drives, outputs, sections, output_universe)
 
 
-def train_block(block: Block, dataset: list[Sample], t0: float) -> Block:
-    """One write pulse per sample, in dataset order."""
-    for sample in dataset:
-        block_train(block, sample.inputs, sample.output, t0)
+def train_block(block: Block, dataset: Dataset, t0: float) -> Block:
+    """One write pulse per sample, in dataset order.
+
+    The dataset's sections (names, order and universes) and output universe
+    must be the block's; they are checked once, not per pulse.
+    """
+    if (dataset.sections, dataset.output_universe) != (block.sections, block.output_universe):
+        raise ValueError("the dataset's sections or output universe differ from the block's")
+    for drive, output in zip(dataset.drives, dataset.outputs):
+        block._write(drive, output, t0)
     return block
 
 
@@ -239,16 +281,17 @@ class EvalSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        _check_domains(self.domains)
         if self.kind == "random":
-            if self.n < 1:
-                raise ValueError("random evaluation needs n >= 1")
-            if self.seed is None:
-                raise ValueError("random evaluation needs an explicit seed")
+            if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+                raise ValueError(f"random evaluation needs an integer n >= 1, got {self.n!r}")
+            if not isinstance(self.seed, numbers.Integral):
+                raise ValueError(f"random evaluation needs an integer seed, got {self.seed!r}")
         elif self.kind == "lattice":
             if len(self.shape) != len(self.domains):
                 raise ValueError("lattice shape must give one count per variable")
-            if any(k < 2 for k in self.shape):
-                raise ValueError("lattice needs at least 2 points per axis")
+            if not all(isinstance(k, numbers.Integral) and k >= 2 for k in self.shape):
+                raise ValueError(f"lattice needs integer counts >= 2 per axis, got {self.shape}")
         else:
             raise ValueError(f"unknown evaluation kind {self.kind!r}")
 
@@ -286,6 +329,22 @@ def eval_points(spec: EvalSpec) -> np.ndarray:
     for name, column in zip(spec.domains, columns):
         points[name] = column
     return points
+
+
+def _bells(rows: np.ndarray, values: np.ndarray, sigma: float, universe: Universe) -> np.ndarray:
+    """Fill row k of ``rows`` with ``fuzzify_gaussian(values[k], sigma, universe)``'s grades."""
+    for row, x in zip(rows, values.tolist()):
+        row[:] = fuzzify_gaussian(x, sigma, universe).grades
+    return rows
+
+
+def _probe_rows(points: np.ndarray, sections: list[Section], sigmas: dict[str, float],
+                target_fn) -> tuple[np.ndarray, np.ndarray]:
+    """A probe set's column drives, one row per probe with one bell per section, and targets."""
+    drives = np.empty((len(points), sections[-1].stop))
+    for sec in sections:
+        _bells(drives[:, sec.start : sec.stop], points[sec.name], sigmas[sec.name], sec.universe)
+    return drives, _target_values(target_fn, points)
 
 
 def _target_values(target_fn, chunk: np.ndarray) -> np.ndarray:
@@ -326,15 +385,10 @@ def evaluate_mse(
     flagged = []
     for start in range(0, len(points), _CHUNK):
         chunk = points[start : start + _CHUNK]
-        drives = np.empty((len(chunk), model.sections[-1].stop))
-        for sec in model.sections:
-            sigma, universe = input_sigmas[sec.name], sec.universe
-            for drive, x in zip(drives[:, sec.start : sec.stop], chunk[sec.name].tolist()):
-                drive[:] = fuzzify_gaussian(x, sigma, universe).grades
+        drives, target = _probe_rows(chunk, model.sections, input_sigmas, target_fn)
         rows, live = model.infer_rows(drives)
         prediction = np.full(len(chunk), midpoint)
         prediction[live] = centroid_rows(out_u, rows[live])
-        target = _target_values(target_fn, chunk)
         per_point[start : start + len(chunk)] = (prediction - target) ** 2
         flagged += (start + np.flatnonzero(~live)).tolist()
     return float(np.mean(per_point)), per_point.tolist(), flagged
@@ -383,8 +437,8 @@ class ExperimentConfig:
         return self.t0 if self.t0 is not None else auto_t0(self.device, self.dataset.n)
 
     def validate(self) -> None:
-        if set(self.input_universes) != set(self.dataset.domains):
-            raise ValueError("input universes must match dataset variables")
+        if not set(self.input_universes) == set(self.eval.domains) == set(self.dataset.domains):
+            raise ValueError("input universes and eval domains must name the dataset variables")
         if self.read_mode not in READ_MODES:
             raise ValueError(f"read mode must be one of {READ_MODES}, got {self.read_mode!r}")
         if not (0.0 <= self.fault_fraction <= 1.0):
@@ -476,8 +530,8 @@ def default_config(name: str, output_dir: str | None = None) -> ExperimentConfig
     """Built-in configuration for one of the named experiments."""
     params = DEFAULT_PARAMS
     out = output_dir or f"results/{name}"
-    if name in ("exp-f1", "exp-f2"):
-        return ExperimentConfig(
+    if name in ("exp-f1", "exp-f2", "exp-compose"):
+        cfg = ExperimentConfig(
             name=name,
             device=params,
             dataset=DatasetSpec(
@@ -493,25 +547,11 @@ def default_config(name: str, output_dir: str | None = None) -> ExperimentConfig
             eval=EvalSpec(kind="random", domains={"x": (0.0, 1.0)}, n=200, seed=211),
             output_dir=out,
         )
-    if name == "exp-compose":
-        return ExperimentConfig(
-            name=name,
-            device=params,
-            dataset=DatasetSpec(
-                target="f2",
-                domains={"x": (0.0, 1.0)},
-                n=500,
-                input_sigmas={"x": 0.05},
-                output_sigma=0.05,
-                seed=101,
-            ),
-            input_universes={"x": Universe(0.0, 1.0, 100)},
-            output_universe=Universe(0.0, 1.0, 100),
-            eval=EvalSpec(kind="random", domains={"x": (0.05, 0.95)}, n=100, seed=307),
-            pipeline_targets=("f2", "f1"),
-            eval_target="identity",
-            output_dir=out,
-        )
+        if name == "exp-compose":  # the f2 block chained into an f1 block
+            cfg.eval = EvalSpec(kind="random", domains={"x": (0.05, 0.95)}, n=100, seed=307)
+            cfg.pipeline_targets = ("f2", "f1")
+            cfg.eval_target = "identity"
+        return cfg
     if name in ("exp-2input", "exp-2input-faulty"):
         cfg = ExperimentConfig(
             name=name,

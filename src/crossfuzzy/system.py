@@ -19,9 +19,11 @@ amplifier algebra, ``Crossbar.read_exact``) or ``"ideal"`` (its first-order
 limit, ``Crossbar.read_ideal``); the read-only ``Block.read_mode`` picks
 one, and model JSON stores it under the same name.
 
-The backend is decided once, in ``Block.__init__``, which binds one write
-and one read to it; ``block_train``, ``block_infer`` and ``pipeline_infer``
-test no type. ``Block.backend`` is read-only, so the bound calls never go
+``section_layout`` lays the sections out, for a block and for a training
+``Dataset`` alike. The backend is decided once, in ``Block.__init__``, which
+binds one write (a column-drive row and an output-grade row) and one read
+to it; ``block_train``, ``block_infer``, ``pipeline_infer`` and the
+harness's ``train_block`` test no type. ``Block.backend`` is read-only, so the bound calls never go
 to a backend the block no longer names. Each bound callable looks its
 method up on the backend when it runs, so a wrapper put on the class later
 still sees every call. A block pickles and deep-copies through its model
@@ -37,6 +39,7 @@ one-row case of ``signal_rows`` and ``pipeline_rows``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,7 @@ __all__ = [
     "READ_MODES",
     "SIGNAL_FLOOR",
     "Section",
+    "section_layout",
     "Block",
     "Pipeline",
     "signal_rows",
@@ -93,6 +97,15 @@ class Section:
     stop: int  # exclusive; stop - start == universe.count
 
 
+def section_layout(inputs: list[tuple[str, Universe]]) -> list[Section]:
+    """One section per named universe, on consecutive column ranges in the given order."""
+    names = [name for name, _ in inputs]
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"need at least one input and no duplicate names, got {names}")
+    stops = itertools.accumulate(universe.count for _, universe in inputs)
+    return [Section(name, u, stop - u.count, stop) for (name, u), stop in zip(inputs, stops)]
+
+
 class Block:
     def __init__(
         self,
@@ -104,24 +117,14 @@ class Block:
     ):
         if read_mode not in READ_MODES:
             raise ValueError(f"read mode must be one of {READ_MODES}, got {read_mode!r}")
-        if not inputs:
-            raise ValueError("block needs at least one input section")
-        names = [name for name, _ in inputs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate input variable names: {names}")
-        sections, start = [], 0
-        for name, universe in inputs:
-            stop = start + universe.count
-            sections.append(Section(name, universe, start, stop))
-            start = stop
-        self.sections = sections
+        self.sections = sections = section_layout(inputs)
         self.output_universe = output_universe
         self._read_mode = read_mode
         self._backend = backend
         if isinstance(backend, Crossbar):
-            if backend.cols != start:
+            if backend.cols != sections[-1].stop:
                 raise ValueError(
-                    f"crossbar has {backend.cols} columns but sections cover {start}"
+                    f"crossbar has {backend.cols} columns but sections cover {sections[-1].stop}"
                 )
             if backend.rows != output_universe.count:
                 raise ValueError(
@@ -132,7 +135,7 @@ class Block:
                 raise ValueError("device_params differ from the crossbar's own params")
             device_params = backend.params
             read = f"read_{read_mode}"  # Crossbar.read_exact or Crossbar.read_ideal
-            self._write = lambda col, out, t0: backend.write_pulse(col, out.grades, t0)
+            self._write = lambda col, row, t0: backend.write_pulse(col, row, t0)
             self._read = lambda col: getattr(backend, read)(col)
         elif isinstance(backend, Relation):
             if len(sections) != 1:
@@ -144,11 +147,12 @@ class Block:
                 raise ValueError("relation output universe does not match the block")
             if device_params is None:
                 raise ValueError("relation-backed blocks need explicit device_params")
-            # Drives come from checked fuzzy numbers or bells, and the relation
-            # checks their range itself, so they are wrapped unchecked.
-            self._write = lambda col, out, t0: backend.accumulate(
-                FuzzyNumber._unchecked(u_in, col), out, device_params, t0
-            )
+            # Grade rows come from checked fuzzy numbers or bells laid out along
+            # the block's sections, and the relation checks their range itself,
+            # so both rows are wrapped unchecked.
+            self._write = lambda col, row, t0: backend.accumulate(
+                FuzzyNumber._unchecked(u_in, col),
+                FuzzyNumber._unchecked(output_universe, row), device_params, t0)
             self._read = lambda col: backend.infer(FuzzyNumber._unchecked(u_in, col)).grades
         else:
             raise TypeError(f"unsupported backend type {type(backend).__name__}")
@@ -246,7 +250,7 @@ def block_train(block: Block, inputs, output: FuzzyNumber, t0: float) -> None:
     """One training pulse: per-variable input fuzzy numbers plus the output."""
     if output.universe != block.output_universe:
         raise ValueError("output fuzzy number lives on the wrong universe")
-    block._write(block.concat_grades(inputs), output, t0)
+    block._write(block.concat_grades(inputs), output.grades, t0)
 
 
 def block_infer(block: Block, inputs) -> FuzzyNumber:

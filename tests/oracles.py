@@ -13,6 +13,10 @@ evaluates one probe at a time through ``model.infer``, where
 ``evaluate_mse`` reads a chunk of probes and conditions and defuzzifies
 them as arrays. ``gaussian_grades`` is the bell as first written, before
 ``fuzzify_gaussian`` reordered its arithmetic; the two must agree bit for bit.
+``per_sample_training`` trains one sample at a time through ``block_train``,
+with per-variable fuzzy numbers and a scalar target call per sample, where
+``train_block`` writes the rows of a ``Dataset`` built as arrays; the two
+must store the same arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import math
 import numpy as np
 
 from crossfuzzy.fuzzy import EmptyOutputError, defuzzify_centroid, fuzzify_gaussian
-from crossfuzzy.system import has_signal
+from crossfuzzy.harness import target_function
+from crossfuzzy.system import block_train, has_signal
 
 
 def rk4_memristance(m0: float, v: float, t: float, params, steps: int = 20000) -> float:
@@ -148,3 +153,20 @@ def per_probe_mse(model, target_fn, points, input_sigmas):
             flagged.append(idx)
         per_point.append((prediction - float(target_fn(**pt))) ** 2)
     return float(np.mean(per_point)), per_point, flagged
+
+
+def per_sample_training(block, spec, input_universes, output_universe, t0):
+    """``train_block(block, generate_dataset(...), t0)`` as first written: per
+    sample, the crisp inputs as Python floats, one scalar target call, one
+    fuzzy number per variable and for the output, and one ``block_train``."""
+    fn = target_function(spec.target, spec.variables)
+    rng = np.random.default_rng(spec.seed)
+    draws = {name: rng.uniform(lo, hi, spec.n) for name, (lo, hi) in spec.domains.items()}
+    for i in range(spec.n):
+        crisp = {name: float(draws[name][i]) for name in spec.variables}
+        inputs = {name: fuzzify_gaussian(crisp[name], spec.input_sigmas[name],
+                                         input_universes[name])
+                  for name in spec.variables}
+        output = fuzzify_gaussian(float(fn(**crisp)), spec.output_sigma, output_universe)
+        block_train(block, inputs, output, t0)
+    return block

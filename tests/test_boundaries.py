@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossfuzzy import cli
 from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
+from crossfuzzy.harness import DatasetSpec, EvalSpec, default_config, eval_points
 from crossfuzzy.relation import Relation
 
 NAN, INF = math.nan, math.inf
@@ -72,14 +74,16 @@ def one_field(field, values):
 @examples
 @given(data=st.data())
 def test_memristor_params_reject_every_out_of_range_draw(data):
-    """One constant out of range, or each in range but beta past the float
-    range: ``d**2`` or beta overflows, ``d**2`` or beta underflows to 0."""
+    """One constant out of range (an ``r_off`` whose square overflows too),
+    or each in range but beta past the float range: ``d**2`` or beta
+    overflows, ``d**2`` or beta underflows to 0."""
     r_on, r_off = DEFAULT_PARAMS.r_on, DEFAULT_PARAMS.r_off
     match, bad = data.draw(st.sampled_from([
         ("mu_v", one_field("mu_v", NOT_POSITIVE)),
         ("d", one_field("d", NOT_POSITIVE)),
         ("r_on", one_field("r_on", st.one_of(NOT_POSITIVE, st.floats(min_value=r_off)))),
         ("r_off", one_field("r_off", st.one_of(NON_FINITE, st.floats(max_value=r_on)))),
+        ("r_off", one_field("r_off", st.floats(1.35e154, 1e300))),  # r_off**2 overflows
         ("v_th", one_field("v_th", NEGATIVE)),
         ("beta", st.one_of(
             one_field("d", st.floats(min_value=1.5e154, allow_infinity=False)),
@@ -295,3 +299,98 @@ def test_fuzzify_rejects_every_non_finite_x0(x0, sigma):
     """On both branches: not a one-hot at index 0, not all-zero grades."""
     with pytest.raises(ValueError, match="x0"):
         fuzzify_gaussian(x0, sigma, U4)
+
+
+# -- dataset and evaluation specs ---------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Domain ends anywhere in the float range, as far apart as it allows.
+DOMAIN = (st.lists(FINITE, min_size=2, max_size=2, unique=True).map(sorted)
+          .filter(lambda ends: math.isfinite(ends[1] - ends[0])).map(tuple))
+BAD_DOMAIN = st.one_of(
+    st.tuples(NON_FINITE, FINITE),
+    st.tuples(FINITE, NON_FINITE),
+    st.tuples(FINITE, FINITE).filter(
+        lambda ends: not (ends[0] < ends[1] and math.isfinite(ends[1] - ends[0]))),
+)
+# Floats are refused even where whole: JSON's 2.0 is no count, as for a universe.
+NOT_INTEGER = st.one_of(st.floats(), st.none(), st.text(max_size=3))
+
+
+def specs(domain=(0.0, 1.0), n=5, seed=1, shape=3) -> dict:
+    """A dataset, a random and a lattice evaluation spec over one variable, unbuilt."""
+    domains = {"x": domain}
+    return {
+        "dataset": lambda: DatasetSpec("f1", domains, n, {"x": 0.05}, 0.05, seed),
+        "random": lambda: EvalSpec("random", domains, n=n, seed=seed),
+        "lattice": lambda: EvalSpec("lattice", domains, shape=(shape,)),
+    }
+
+
+@examples
+@given(domain=DOMAIN, n=st.integers(1, 10**9), seed=st.integers(0, 2**64),
+       shape=st.integers(2, 10**9))
+def test_specs_accept_every_in_range_draw(domain, n, seed, shape):
+    """And a random probe set over any such domain lies inside it."""
+    for build in specs(domain, n, seed, shape).values():
+        build()
+    points = eval_points(EvalSpec("random", {"x": domain}, n=3, seed=seed))["x"]
+    assert ((domain[0] <= points) & (points <= domain[1])).all()
+
+
+# Per spec field: its out-of-range draws and the specs that read it.
+BAD_FIELDS = {
+    "n": (st.one_of(NOT_INTEGER, st.integers(max_value=0)), ("dataset", "random")),
+    "seed": (NOT_INTEGER, ("dataset", "random")),
+    "shape": (st.one_of(NOT_INTEGER, st.integers(max_value=1)), ("lattice",)),
+    "domain": (BAD_DOMAIN, ("dataset", "random", "lattice")),
+}
+
+
+@examples
+@given(data=st.data(), field=st.sampled_from(sorted(BAD_FIELDS)))
+def test_specs_reject_every_out_of_range_draw(data, field):
+    bad, readers = BAD_FIELDS[field]
+    built = specs(**{field: data.draw(bad)})
+    for reader in readers:
+        with pytest.raises(ValueError):
+            built[reader]()
+
+
+# -- experiment configs -----------------------------------------------------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+def json_paths(obj, path=()):
+    """Every place in a JSON object a value can be put, the object itself excluded."""
+    for key, value in obj.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from json_paths(value, (*path, key))
+
+
+@examples
+@given(data=st.data(), name=st.sampled_from(["exp-2input-faulty", "exp-compose"]))
+def test_configs_fail_only_as_value_errors(data, name):
+    """A config with any one value replaced by any JSON value, or removed,
+    is built and validated as the CLI does, or fails as ``ValueError``, which
+    the CLI reports as ``error: …`` with exit status 2."""
+    blob = default_config(name).to_json()
+    *parents, key = data.draw(st.sampled_from(sorted(json_paths(blob))))
+    node = blob
+    for parent in parents:
+        node = node[parent]
+    if data.draw(st.booleans()):
+        node[key] = data.draw(JSON)
+    else:
+        del node[key]
+    try:
+        cli._from_json(cli._config, blob, "config")
+    except ValueError:
+        pass

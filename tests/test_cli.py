@@ -7,7 +7,7 @@ import pytest
 from crossfuzzy.cli import main
 from crossfuzzy.crossbar import load_delta_csv
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
-from crossfuzzy.harness import DatasetSpec, EvalSpec, default_config
+from crossfuzzy.harness import DatasetSpec, EvalSpec, default_config, merge_json
 
 
 def tiny_override(tmp_path, name, n=15):
@@ -117,6 +117,60 @@ def test_train_command_with_full_config(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "custom" / "model.json").exists()
     assert out["mse"] >= 0.0
+
+
+def run_failing(capsys, *argv) -> str:
+    """Run a command that must fail as ``error: …`` with exit 2; return the message."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("config, named", [
+    ('{"name": "x"}', "missing key 'device'"),
+    ("[1]", "must be a JSON object, got list"),
+    ({"t0": "abc"}, "malformed JSON"),
+    ({"fault": {"fraction": "x"}}, "malformed JSON"),
+    ({"fault": "x"}, "malformed JSON"),
+    ({"dataset": {"n": 2.5}}, "integer"),
+    ({"eval": {"domains": {"z": [0, 1]}}}, "eval domains"),
+], ids=["no-device", "list", "t0-text", "fraction-text", "fault-text", "n-float",
+        "eval-variable"])
+def test_train_rejects_a_malformed_config(tmp_path, capsys, config, named):
+    """Each bad config fails where it is read, before anything is trained."""
+    if isinstance(config, dict):
+        full = default_config("exp-f1", output_dir=str(tmp_path / "out")).to_json()
+        config = json.dumps(merge_json(full, config))
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert named in run_failing(capsys, "train", "--config", str(path))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, override, named", [
+    ("exp-f1", "[1]", "must be a JSON object, got list"),
+    ("exp-f1", '{"t0": "abc"}', "malformed JSON"),
+    ("exp-f1", '{"fault": {"fraction": "x"}}', "malformed JSON"),
+    ("exp-f1", '{"dataset": {"n": 2.5}}', "integer"),
+    ("exp-f1", '{"eval": {"n": 2.5}}', "integer"),
+    ("exp-f1", '{"eval": {"seed": 1.5}}', "integer"),
+    ("exp-2input", '{"eval": {"shape": [2.5, 3]}}', "integer"),
+    ("exp-f1", '{"dataset": {"domains": {"x": [0, 1e309]}}}', "invalid domain"),
+    ("exp-f1", '{"eval": {"domains": {"x": [0, 1e309]}}}', "invalid domain"),
+    ("exp-f1", '{"eval": {"domains": {"z": [0, 1]}}}', "eval domains"),
+    ("exp-f1", '{"dataset": {"domains": {"x": [0]}}}', "malformed JSON"),
+], ids=["list", "t0-text", "fraction-text", "dataset-n-float", "eval-n-float",
+        "eval-seed-float", "shape-float", "dataset-domain-inf", "eval-domain-inf",
+        "eval-variable", "domain-one-end"])
+def test_experiment_rejects_a_malformed_override(tmp_path, capsys, name, override, named):
+    path = tmp_path / "override.json"
+    path.write_text(override)
+    out = tmp_path / "out"
+    assert named in run_failing(capsys, "experiment", name, "--config", str(path),
+                                "--output-dir", str(out))
+    assert not out.exists()
 
 
 def trained_model_path(tmp_path, capsys, name="exp-f1") -> str:

@@ -274,20 +274,34 @@ def test_json_round_trip():
     assert np.array_equal(back.grades, fn.grades)
 
 
+WIDE_ENDS = (st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                      max_size=2, unique=True).map(sorted)
+             .filter(lambda ends: math.isfinite(ends[1] - ends[0])))
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), universe=UNIVERSES,
-       x0=st.floats(allow_nan=False, allow_infinity=False))
-def test_far_bells_equal_the_oracle_wherever_it_does_not_overflow(data, universe, x0):
-    """Over every finite crisp value and bell widths from the one-hot switch to
-    the float limit: where the first-written expression computes without
-    overflow, the grades equal it bit for bit; where it overflows, they are
-    still grades in [0, 1]."""
-    sigma = data.draw(st.floats(universe.resolution / 10.0, sys.float_info.max))
+@given(data=st.data(), wide=st.booleans())
+def test_far_bells_equal_the_oracle_wherever_it_does_not_overflow(data, wide):
+    """Over every finite crisp value on four paper-sized universes, and every
+    crisp value inside universes with ends anywhere in the float range, with
+    bell widths from the one-hot switch to the float limit: where the
+    first-written expression computes without overflow or a division by zero,
+    the grades equal it bit for bit; elsewhere they are still grades in
+    [0, 1], and numpy reports neither (the suite makes its warnings errors)."""
+    if wide:
+        lo, hi = data.draw(WIDE_ENDS)
+        universe = Universe(lo, hi, data.draw(st.integers(2, 200)))
+        x0 = data.draw(st.floats(lo, hi))
+    else:
+        universe = data.draw(UNIVERSES)
+        x0 = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    sigma = data.draw(st.floats(universe.resolution / 10.0, sys.float_info.max)
+                      .filter(lambda s: s > 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # x0 outside the universe
         fn = fuzzify_gaussian(x0, sigma, universe)
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             want = gaussian_grades(x0, sigma, universe)
     except FloatingPointError:
         assert ((0.0 <= fn.grades) & (fn.grades <= 1.0)).all()

@@ -11,9 +11,10 @@ import pytest
 from crossfuzzy import harness
 from crossfuzzy.crossbar import Crossbar, load_delta_csv
 from crossfuzzy.device import DEFAULT_PARAMS, beta
-from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
+from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
 from crossfuzzy.harness import (
     EXPERIMENT_NAMES,
+    Dataset,
     DatasetSpec,
     EvalSpec,
     ExperimentConfig,
@@ -28,7 +29,8 @@ from crossfuzzy.harness import (
     train_block,
 )
 from crossfuzzy.relation import Relation, relation_from_sets
-from crossfuzzy.system import Block, block_infer, model_from_json
+from crossfuzzy.system import Block, Section, block_infer, model_from_json, section_layout
+from oracles import per_sample_training
 
 
 def small_spec(**overrides) -> DatasetSpec:
@@ -108,24 +110,25 @@ def test_non_finite_values_are_rejected_where_they_enter(build, match):
 
 def test_generate_dataset_shapes_and_targets():
     universes, out_u = small_universes()
-    samples = generate_dataset(small_spec(), universes, out_u)
-    assert len(samples) == 12
-    for s in samples:
-        assert 0.0 <= s.crisp["x"] <= 1.0
-        assert s.target_value == s.crisp["x"] ** 2
-        assert s.inputs["x"].universe == universes["x"]
-        assert s.output.universe == out_u
-        assert s.output.grades.max() <= 1.0
+    dataset = generate_dataset(small_spec(), universes, out_u)
+    assert len(dataset.points) == len(dataset.targets) == 12
+    assert dataset.drives.shape == dataset.outputs.shape == (12, 20)
+    xs = dataset.points["x"].tolist()
+    assert all(0.0 <= x <= 1.0 for x in xs)
+    assert dataset.targets.tolist() == [x ** 2 for x in xs]
+    assert dataset.sections == [Section("x", universes["x"], 0, 20)]
+    assert dataset.output_universe == out_u
+    assert dataset.outputs.max() <= 1.0
 
 
 def test_generate_dataset_deterministic():
     universes, out_u = small_universes()
     a = generate_dataset(small_spec(), universes, out_u)
     b = generate_dataset(small_spec(), universes, out_u)
-    assert all(x.crisp == y.crisp for x, y in zip(a, b))
-    assert all(np.array_equal(x.output.grades, y.output.grades) for x, y in zip(a, b))
+    assert a.points.tolist() == b.points.tolist()
+    assert np.array_equal(a.outputs, b.outputs)
     c = generate_dataset(small_spec(seed=43), universes, out_u)
-    assert any(x.crisp != y.crisp for x, y in zip(a, c))
+    assert a.points.tolist() != c.points.tolist()
 
 
 def test_generate_dataset_names_a_target_that_is_not_finite():
@@ -139,17 +142,101 @@ def test_generate_dataset_names_a_target_that_is_not_finite():
 def test_train_block_empty_dataset_keeps_block_pristine():
     universes, out_u = small_universes()
     blk = Block.pristine(list(universes.items()), out_u, DEFAULT_PARAMS)
-    train_block(blk, [], 1e-6)
+    empty = Dataset(points=np.empty(0, dtype=[("x", float)]), targets=np.empty(0),
+                    drives=np.empty((0, 20)), outputs=np.empty((0, 20)),
+                    sections=section_layout(list(universes.items())), output_universe=out_u)
+    train_block(blk, empty, 1e-6)
     assert np.all(blk.snapshot_delta() == 0.0)
 
 
 def test_train_block_single_sample_equals_single_shot_relation():
     universes, out_u = small_universes()
-    samples = generate_dataset(small_spec(n=1), universes, out_u)
+    dataset = generate_dataset(small_spec(n=1), universes, out_u)
     blk = Block.pristine(list(universes.items()), out_u, DEFAULT_PARAMS)
-    train_block(blk, samples, 1e-6)
-    rel = relation_from_sets(samples[0].inputs["x"], samples[0].output, DEFAULT_PARAMS, 1e-6)
+    train_block(blk, dataset, 1e-6)
+    rel = relation_from_sets(FuzzyNumber(universes["x"], dataset.drives[0]),
+                             FuzzyNumber(out_u, dataset.outputs[0]), DEFAULT_PARAMS, 1e-6)
     assert np.allclose(blk.snapshot_delta(), rel.mu, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("field, rows", [
+    ("targets", np.zeros(11)),
+    ("drives", np.zeros((12, 19))),
+    ("drives", np.zeros((11, 20))),
+    ("outputs", np.zeros((12, 1))),
+], ids=["targets-short", "drives-narrow", "drives-short", "outputs-narrow"])
+def test_a_dataset_needs_one_row_per_point(field, rows):
+    """A width-1 row would broadcast in a relation's write, so the layout is checked."""
+    universes, out_u = small_universes()
+    dataset = generate_dataset(small_spec(), universes, out_u)
+    with pytest.raises(ValueError, match="one target, drive and output row per point"):
+        replace(dataset, **{field: rows})
+
+
+# (named experiment, relation mode or None for its crossbar, t0 over the auto t0)
+TRAININGS = {
+    "crossbar": ("exp-f1", None, 1.0),
+    "crossbar-saturating": ("exp-f1", None, 1e4),
+    "hardware-relation": ("exp-f2", "hardware", 1.0),
+    "exp-2input-faulty": ("exp-2input-faulty", None, 1.0),
+}
+
+
+@pytest.mark.parametrize("v_th", [0.0, 1.0])
+@pytest.mark.parametrize("training", TRAININGS)
+def test_train_block_equals_the_per_sample_oracle_bit_for_bit(training, v_th):
+    """The dataset's rows write what one ``block_train`` per sample writes:
+    the same stored array, bit for bit, and the same clamp events."""
+    name, relation_mode, t0_scale = TRAININGS[training]
+    cfg = default_config(name)
+    cfg.device = replace(cfg.device, v_th=v_th)
+    if relation_mode:  # output rows on another grid than the input rows
+        cfg.output_universe = Universe(0.0, 1.0, 80)
+    inputs, out_u = list(cfg.input_universes.items()), cfg.output_universe
+    t0 = t0_scale * cfg.resolved_t0()
+
+    def pristine() -> Block:
+        if relation_mode:
+            rel = Relation(inputs[0][1], out_u, mode=relation_mode)
+            return Block(rel, inputs, out_u, device_params=cfg.device)
+        blk = Block.pristine(inputs, out_u, cfg.device)
+        if cfg.fault_fraction > 0:
+            blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed)
+        return blk
+
+    want = per_sample_training(pristine(), cfg.dataset, cfg.input_universes, out_u, t0)
+    dataset = generate_dataset(cfg.dataset, cfg.input_universes, out_u)
+    got = train_block(pristine(), dataset, t0)
+    assert got.snapshot_delta().tobytes() == want.snapshot_delta().tobytes()
+    assert got.saturation_count == want.saturation_count
+    assert want.snapshot_delta().max() > 1.0  # ohm: the run wrote something
+    assert (want.saturation_count > 0) == (training == "crossbar-saturating")
+
+
+UX, UY, U_OUT = Universe(1.0, 10.0, 9), Universe(1.0, 10.0, 6), Universe(0.0, 1.12, 10)
+
+
+@pytest.mark.parametrize(
+    "inputs, out_u",
+    [
+        ([("x", UX), ("z", UY)], U_OUT),
+        ([("y", UY), ("x", UX)], U_OUT),
+        ([("x", UX), ("y", Universe(0.0, 10.0, 6))], U_OUT),
+        ([("x", UX), ("y", UY)], Universe(0.0, 1.0, 10)),
+    ],
+    ids=["section-name", "section-order", "section-universe", "output-universe"],
+)
+def test_train_block_refuses_a_dataset_laid_out_for_another_block(inputs, out_u):
+    spec = small_spec(target="eq30", domains={"x": (1.0, 10.0), "y": (1.0, 10.0)},
+                      input_sigmas={"x": 0.45, "y": 0.45})
+    dataset = generate_dataset(spec, {"x": UX, "y": UY}, U_OUT)
+    blk = Block.pristine(inputs, out_u, DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match="differ"):
+        train_block(blk, dataset, 1e-6)
+    assert np.all(blk.snapshot_delta() == 0.0)
+    matching = train_block(Block.pristine([("x", UX), ("y", UY)], U_OUT, DEFAULT_PARAMS),
+                           dataset, 1e-6)
+    assert matching.snapshot_delta().max() > 0.0
 
 
 def test_auto_t0_meets_write_budget():

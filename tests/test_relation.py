@@ -214,9 +214,10 @@ def test_hardware_relation_equals_its_crossbar_bit_for_bit(v_th):
     device, t0 = cfg.device, cfg.resolved_t0()
     rel = Relation(ui, uo, mode="hardware")
     xb = Crossbar(uo.count, ui.count, cfg.device)
-    for sample in generate_dataset(cfg.dataset, cfg.input_universes, uo):
-        rel.accumulate(sample.inputs["x"], sample.output, device, t0)
-        xb.write_pulse(sample.inputs["x"].grades, sample.output.grades, t0)
+    dataset = generate_dataset(cfg.dataset, cfg.input_universes, uo)
+    for drive, output in zip(dataset.drives, dataset.outputs):
+        rel.accumulate(FuzzyNumber(ui, drive), FuzzyNumber(uo, output), device, t0)
+        xb.write_pulse(drive, output, t0)
     assert np.array_equal(rel.mu, xb.snapshot_delta())
     assert rel.mu.max() > 1.0  # ohm: the run wrote something
 
