@@ -251,13 +251,13 @@ def time_run_persist(n_train: int | None, scaled: tuple[int, int, int], repeats:
     """The ``persist`` phase of an exp-2input run and of the train-scaled run, with peak RSS."""
     paper = cf.default_config("exp-2input")
     if n_train is not None:
-        paper.dataset = replace(paper.dataset, n=n_train)
+        paper = replace(paper, dataset=replace(paper.dataset, n=n_train))
     runs = {"exp-2input": paper,
             f"train-scaled.{scaled[0]}x{scaled[0]}": _train_scaled_config(*scaled)}
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for tag, cfg in runs.items():
-            cfg.output_dir = str(Path(tmp) / tag)
+            cfg = replace(cfg, output_dir=str(Path(tmp) / tag))
             samples = [cf.run_experiment(cfg.name, cfg).phase_s["persist"]
                        for _ in range(repeats)]
             out[f"persist.{tag}"] = dict(
@@ -272,9 +272,9 @@ def _trained(name: str, n_train: int | None):
     """A named experiment's config and its model, trained as ``run_experiment`` trains it."""
     cfg = cf.default_config(name)
     if n_train is not None:
-        cfg.dataset = replace(cfg.dataset, n=n_train)
+        cfg = replace(cfg, dataset=replace(cfg.dataset, n=n_train))
     with tempfile.TemporaryDirectory() as tmp:
-        cfg.output_dir = tmp
+        cfg = replace(cfg, output_dir=tmp)
         result = cf.run_experiment(name, cfg)
         return cfg, cf.model_from_json(json.loads(Path(result.model_path).read_text()))
 

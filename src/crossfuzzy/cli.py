@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .crossbar import save_delta_csv
@@ -43,16 +44,15 @@ def _load_model(path: str) -> Block | Pipeline:
     return _from_json(model_from_json, json.loads(Path(path).read_text()), path)
 
 
-def _config(obj: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(obj)
-    cfg.validate()
-    return cfg
+def _with_flags(cfg: ExperimentConfig, **flags) -> ExperimentConfig:
+    """``cfg`` with each field a command-line flag gave (not None or empty) replaced."""
+    return replace(cfg, **{k: v for k, v in flags.items() if v not in (None, "")})
 
 
 def _cmd_train(args) -> int:
-    cfg = _from_json(_config, json.loads(Path(args.config).read_text()), args.config)
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
+    cfg = _from_json(ExperimentConfig.from_json, json.loads(Path(args.config).read_text()),
+                     args.config)
+    cfg = _with_flags(cfg, output_dir=args.output_dir)
     result = run_experiment(cfg.name, cfg)
     print(json.dumps({"mse": result.mse, "model": result.model_path,
                       "result": str(Path(cfg.output_dir) / "result.json")}, indent=2))
@@ -76,8 +76,8 @@ def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
         raise ValueError(f"model expects {len(sections)} input value(s), got {len(values)}")
     out = {}
     for sec, value in zip(sections, values):
-        width = sec.universe.hi - sec.universe.lo
-        out[sec.name] = fuzzify_gaussian(value, sigma if sigma else 0.05 * width, sec.universe)
+        width = 0.05 * (sec.universe.hi - sec.universe.lo) if sigma is None else sigma
+        out[sec.name] = fuzzify_gaussian(value, width, sec.universe)
     return out
 
 
@@ -112,14 +112,10 @@ def _cmd_compose(args) -> int:
 def _cmd_experiment(args) -> int:
     override = json.loads(Path(args.config).read_text()) if args.config else {}
     defaults = default_config(args.name).to_json()
-    cfg = _from_json(lambda obj: _config(merge_json(defaults, obj)), override,
-                     args.config or args.name)
-    if args.fault_fraction is not None:
-        cfg.fault_fraction = args.fault_fraction
-    if args.seed is not None:
-        cfg.fault_seed = args.seed
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
+    cfg = _from_json(lambda obj: ExperimentConfig.from_json(merge_json(defaults, obj)),
+                     override, args.config or args.name)
+    cfg = _with_flags(cfg, fault_fraction=args.fault_fraction, fault_seed=args.seed,
+                      output_dir=args.output_dir)
     result = run_experiment(args.name, cfg)
     print(
         json.dumps(

@@ -142,7 +142,11 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
         # and inf without a warning), where (v - x0) / sigma stays in range. Neither
         # can happen for a sigma inside the bounds tested first, which cost less than
         # the test itself: a bell's grid points lie within (40 + 10 count) sigma of x0.
-        grades = np.exp(np.square((v - x0) / sigma) / -2.0)
+        # A wide bell halves v, x0 and sigma first, so v - x0 cannot overflow; halving
+        # a number that is not subnormal is exact, and a wide bell's quotient does not
+        # see the last bit of one that is. A narrow bell keeps a subnormal sigma whole.
+        h = 0.5 if sigma > 1.0 else 1.0
+        grades = np.exp(np.square((v * h - x0 * h) / (sigma * h)) / -2.0)
     else:  # bit for bit exp(-((v - x0) ** 2) / (2 sigma^2)), with one ufunc fewer
         grades = np.exp(np.square(v - x0) / (-2.0 * sigma * sigma))
     return FuzzyNumber._unchecked(universe, grades)

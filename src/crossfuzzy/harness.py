@@ -34,6 +34,12 @@ checks a dataset's sections and output universe against the block once,
 then writes one pulse per row, in dataset order; ``system.block_train`` is
 the one-sample case.
 
+An ``ExperimentConfig`` is frozen and checked once, when it is built: its
+variables agree, every target it names resolves through ``target_function``
+and its pulse duration keeps within the write budget below. A changed config
+is derived with ``dataclasses.replace``, which checks it again, so a bad
+config fails where it is read and ``run_experiment`` trains only valid ones.
+
 The write-pulse duration is auto-scaled unless pinned: with n samples the
 worst case is every pulse hitting one cell at the full summed grade of 2,
 which writes with the drive ``2 - v_th`` left above the device's write
@@ -56,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .crossbar import save_delta_csv
-from .device import DEFAULT_PARAMS, MemristorParams, beta, drift
+from .device import DEFAULT_PARAMS, MemristorParams, beta
 from .fuzzy import EmptyOutputError, Universe, centroid_rows, fuzzify_gaussian
 from .system import READ_MODES, Block, Pipeline, Section, model_to_json, section_layout
 
@@ -132,10 +138,19 @@ _EXPR_NAMES = {
 
 
 def target_function(target: str, variables: tuple[str, ...]):
-    """Resolve a target id or arithmetic expression to a callable of the variables."""
+    """Resolve a target id or arithmetic expression to a callable of the variables.
+
+    Anything that is not a named target or a well-formed expression over the
+    variables and the names in ``_EXPR_NAMES`` raises ``ValueError``.
+    """
+    if not isinstance(target, str):
+        raise ValueError(f"a target must be a name or an expression string, got {target!r}")
     if target in NAMED_TARGETS:
         return NAMED_TARGETS[target]
-    code = compile(target, "<target>", "eval")
+    try:
+        code = compile(target, "<target>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"target expression {target!r} is malformed: {exc.msg}") from None
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in variables:
             raise ValueError(f"unknown name {name!r} in target expression {target!r}")
@@ -159,11 +174,7 @@ class DatasetSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise ValueError(f"need an integer number of samples n >= 1, got n={self.n!r}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"dataset seed must be an integer, got {self.seed!r}")
-        _check_domains(self.domains)
+        _check_draw("a dataset", self.domains, self.n, self.seed)
         if set(self.input_sigmas) != set(self.domains):
             raise ValueError("input_sigmas keys must match domains keys")
         sigmas = [*self.input_sigmas.values(), self.output_sigma]
@@ -203,6 +214,15 @@ def _check_domains(domains: dict[str, tuple[float, float]]) -> None:
     for name, (lo, hi) in domains.items():
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError(f"invalid domain for {name!r}: need finite lo < hi, got [{lo}, {hi}]")
+
+
+def _check_draw(what: str, domains: dict[str, tuple[float, float]], n, seed) -> None:
+    """Valid domains, and an integer count n >= 1 of points drawn from an integer seed."""
+    _check_domains(domains)
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"{what} needs an integer n >= 1, got n={n!r}")
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"{what} needs an integer seed, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,13 +301,10 @@ class EvalSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        _check_domains(self.domains)
         if self.kind == "random":
-            if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-                raise ValueError(f"random evaluation needs an integer n >= 1, got {self.n!r}")
-            if not isinstance(self.seed, numbers.Integral):
-                raise ValueError(f"random evaluation needs an integer seed, got {self.seed!r}")
+            _check_draw("random evaluation", self.domains, self.n, self.seed)
         elif self.kind == "lattice":
+            _check_domains(self.domains)
             if len(self.shape) != len(self.domains):
                 raise ValueError("lattice shape must give one count per variable")
             if not all(isinstance(k, numbers.Integral) and k >= 2 for k in self.shape):
@@ -401,24 +418,28 @@ def auto_t0(params: MemristorParams, n: int) -> float:
     """Pulse duration keeping worst-case stored value at MAX_DELTA_FRACTION of r_off.
 
     Worst case: all n pulses land on one cell at the maximum summed grade of
-    2, which moves flux ``(2 - v_th) * t0`` per pulse.
+    2, which moves flux ``(2 - v_th) * t0`` per pulse; a longer pulse breaks
+    the write budget. A ``v_th`` that no such drive exceeds raises ``ValueError``.
     """
-    drive = _worst_drive(params)
-    budget = params.r_off**2 * (1.0 - (1.0 - MAX_DELTA_FRACTION) ** 2)
-    return budget / (drive * n * beta(params))
-
-
-def _worst_drive(params: MemristorParams) -> float:
-    """Largest drive above threshold a pulse of grades in [0, 1] can apply (V)."""
     if not params.v_th < 2.0:
         raise ValueError(
             f"v_th={params.v_th} V is at or above the largest drive of 2 V: no pulse can write"
         )
-    return 2.0 - params.v_th
+    budget = params.r_off**2 * (1.0 - (1.0 - MAX_DELTA_FRACTION) ** 2)
+    return budget / ((2.0 - params.v_th) * n * beta(params))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's set-up, checked when it is built.
+
+    A config that exists is valid: its variables agree, every target it
+    names (the dataset's, each chained stage's and the evaluation's) resolves
+    through ``target_function``, and its pulse duration keeps the worst-case
+    stored value within the write budget. It is frozen; ``dataclasses.replace``
+    derives a new one, which is checked again.
+    """
+
     name: str
     device: MemristorParams
     dataset: DatasetSpec
@@ -433,31 +454,40 @@ class ExperimentConfig:
     eval_target: str | None = None  # defaults to the dataset target
     output_dir: str = "results"
 
-    def resolved_t0(self) -> float:
-        return self.t0 if self.t0 is not None else auto_t0(self.device, self.dataset.n)
-
-    def validate(self) -> None:
-        if not set(self.input_universes) == set(self.eval.domains) == set(self.dataset.domains):
+    def __post_init__(self) -> None:
+        variables = self.dataset.variables
+        if not set(self.input_universes) == set(self.eval.domains) == set(variables):
             raise ValueError("input universes and eval domains must name the dataset variables")
+        if self.pipeline_targets and len(variables) != 1:
+            raise ValueError("chained experiments need a single input variable")
+        eval_target = self.dataset.target if self.eval_target is None else self.eval_target
+        for target in (self.dataset.target, *(self.pipeline_targets or ()), eval_target):
+            target_function(target, variables)
         if self.read_mode not in READ_MODES:
             raise ValueError(f"read mode must be one of {READ_MODES}, got {self.read_mode!r}")
         if not (0.0 <= self.fault_fraction <= 1.0):
             raise ValueError("fault fraction must lie in [0, 1]")
-        drive = _worst_drive(self.device)
+        if not isinstance(self.fault_seed, numbers.Integral):
+            raise ValueError(f"fault seed must be an integer, got {self.fault_seed!r}")
+        longest = auto_t0(self.device, self.dataset.n)  # refuses a device no pulse can write
         t0 = self.resolved_t0()
         if not (math.isfinite(t0) and t0 > 0):
             raise ValueError(f"t0 must be positive and finite, got {t0}")
-        worst_flux = drive * self.dataset.n * t0
-        worst_delta = self.device.r_off - drift(self.device.r_off, worst_flux, self.device)[0]
-        if worst_delta > MAX_DELTA_FRACTION * self.device.r_off * (1.0 + 1e-9):
+        if t0 > longest * (1.0 + 1e-9):
             raise ValueError(
-                f"t0={t0:g} violates the write budget: worst-case stored value "
-                f"{worst_delta:.3g} ohm exceeds {MAX_DELTA_FRACTION:.0e} of r_off"
+                f"t0={t0:g} violates the write budget: past {longest:g} s the worst-case "
+                f"stored value exceeds {MAX_DELTA_FRACTION:.0e} of r_off"
             )
+
+    def resolved_t0(self) -> float:
+        return self.t0 if self.t0 is not None else auto_t0(self.device, self.dataset.n)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         fault = obj.get("fault", {})
+        stages = obj.get("pipeline_targets")
+        if stages and not isinstance(stages, list):
+            raise ValueError(f"pipeline_targets must be a list of targets, got {stages!r}")
         return cls(
             name=obj["name"],
             device=MemristorParams.from_json(obj["device"]),
@@ -469,9 +499,7 @@ class ExperimentConfig:
             eval=EvalSpec.from_json(obj["eval"]),
             t0=obj.get("t0"),
             read_mode=obj.get("read_mode", "exact"),
-            pipeline_targets=tuple(obj["pipeline_targets"])
-            if obj.get("pipeline_targets")
-            else None,
+            pipeline_targets=tuple(stages) if stages else None,
             fault_fraction=fault.get("fraction", 0.0),
             fault_seed=fault.get("seed", 0),
             eval_target=obj.get("eval_target"),
@@ -548,9 +576,9 @@ def default_config(name: str, output_dir: str | None = None) -> ExperimentConfig
             output_dir=out,
         )
         if name == "exp-compose":  # the f2 block chained into an f1 block
-            cfg.eval = EvalSpec(kind="random", domains={"x": (0.05, 0.95)}, n=100, seed=307)
-            cfg.pipeline_targets = ("f2", "f1")
-            cfg.eval_target = "identity"
+            cfg = replace(cfg, pipeline_targets=("f2", "f1"), eval_target="identity",
+                          eval=EvalSpec(kind="random", domains={"x": (0.05, 0.95)}, n=100,
+                                        seed=307))
         return cfg
     if name in ("exp-2input", "exp-2input-faulty"):
         cfg = ExperimentConfig(
@@ -577,8 +605,7 @@ def default_config(name: str, output_dir: str | None = None) -> ExperimentConfig
             output_dir=out,
         )
         if name == "exp-2input-faulty":
-            cfg.fault_fraction = 0.5
-            cfg.fault_seed = 503
+            cfg = replace(cfg, fault_fraction=0.5, fault_seed=503)
         return cfg
     raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
 
@@ -606,8 +633,6 @@ def _build_and_train(cfg: ExperimentConfig, phase_s: dict[str, float]) -> Block 
     """Train one block per stage; stage i shifts the dataset and fault seeds by i."""
     t0 = cfg.resolved_t0()
     inputs = list(cfg.input_universes.items())
-    if cfg.pipeline_targets and len(inputs) != 1:
-        raise ValueError("chained experiments need a single input variable")
     blocks = []
     for i, target in enumerate(cfg.pipeline_targets or (cfg.dataset.target,)):
         spec = replace(cfg.dataset, target=target, seed=cfg.dataset.seed + i)
@@ -678,7 +703,6 @@ def run_experiment(
 ) -> ExperimentResult:
     """Train, evaluate, and persist one named experiment."""
     cfg = config if config is not None else default_config(name)
-    cfg.validate()
     phase_s = dict.fromkeys(("dataset", "train", "eval", "persist"), 0.0)
     started = time.perf_counter()
     model = _build_and_train(cfg, phase_s)

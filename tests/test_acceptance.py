@@ -150,8 +150,7 @@ def test_criterion_3_hardware_additive_reconciliation():
 def threshold_config(name: str, output_dir: str):
     """The named experiment's default configuration on the ``V_TH`` device."""
     cfg = default_config(name, output_dir=output_dir)
-    cfg.device = replace(cfg.device, v_th=V_TH)
-    return cfg
+    return replace(cfg, device=replace(cfg.device, v_th=V_TH))
 
 
 def _argmax_tracking(result_model_path: str, target, sigma: float):

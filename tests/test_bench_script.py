@@ -1,10 +1,13 @@
-"""Smoke run of ``scripts/bench.py`` at its tiny sizes (well under 2 s)."""
+"""Smoke runs of ``scripts/bench.py`` (tiny sizes, well under 2 s) and ``scripts/loc.py``."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench.py"
 
 
 def test_bench_script_writes_every_layer(tmp_path):
@@ -40,3 +43,21 @@ def test_bench_script_writes_every_layer(tmp_path):
             assert f"settle.{v_th}.{size}.n{n}" in names
     for stats in record["layers"].values():
         assert stats["median_s"] > 0 and stats["iqr_s"] >= 0 and stats["repeats"] >= 3
+
+
+def test_loc_script_totals_the_modules_of_the_package():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "loc.py"),
+                          str(ROOT / "src" / "crossfuzzy")],
+                         capture_output=True, text=True, check=True).stdout
+    rows = [line.split() for line in out.splitlines()]
+    *modules, (total, label) = rows
+    assert label == "total"
+    assert {name for _, name in modules} >= {"__init__.py", "harness.py", "cli.py"}
+    assert all(int(lines) > 0 for lines, _ in modules)
+    assert int(total) == sum(int(lines) for lines, _ in modules)
+    spec = importlib.util.spec_from_file_location("loc", ROOT / "scripts" / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = ('"""Doc."""\n# a comment\n\nx = {\n    1: 2}  # trailing\n\n'
+              'def f():\n    """Two\n    lines."""\n    return x\n')
+    assert loc.code_lines(source) == 4  # x = {, 1: 2}, def f(), return x

@@ -13,13 +13,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossfuzzy import cli
 from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
-from crossfuzzy.harness import DatasetSpec, EvalSpec, default_config, eval_points
+from crossfuzzy.harness import (DatasetSpec, EvalSpec, ExperimentConfig, default_config,
+                                eval_points)
 from crossfuzzy.relation import Relation
 
 NAN, INF = math.nan, math.inf
@@ -375,22 +376,37 @@ def json_paths(obj, path=()):
             yield from json_paths(value, (*path, key))
 
 
+REMOVED = "<removed>"  # in place of a value: the key is deleted
+# A named experiment, a place in its config and what goes there.
+CONFIG_CHANGES = st.sampled_from(["exp-2input-faulty", "exp-compose"]).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           st.sampled_from(sorted(json_paths(default_config(name).to_json()))),
+                           st.one_of(st.just(REMOVED), JSON)))
+
+
 @examples
-@given(data=st.data(), name=st.sampled_from(["exp-2input-faulty", "exp-compose"]))
-def test_configs_fail_only_as_value_errors(data, name):
+@example(change=("exp-compose", ("eval_target",), 5))
+@example(change=("exp-compose", ("eval_target",), ["f1"]))
+@example(change=("exp-compose", ("eval_target",), "x +"))
+@example(change=("exp-compose", ("eval_target",), "q"))
+@example(change=("exp-2input-faulty", ("dataset", "target"), "x +"))
+@example(change=("exp-compose", ("pipeline_targets",), "f2"))
+@example(change=("exp-compose", ("pipeline_targets",), ["f2", 7]))
+@given(change=CONFIG_CHANGES)
+def test_configs_fail_only_as_value_errors(change):
     """A config with any one value replaced by any JSON value, or removed,
-    is built and validated as the CLI does, or fails as ``ValueError``, which
-    the CLI reports as ``error: …`` with exit status 2."""
+    is built as the CLI builds it, or fails as ``ValueError``, which the CLI
+    reports as ``error: …`` with exit status 2."""
+    name, (*parents, key), value = change
     blob = default_config(name).to_json()
-    *parents, key = data.draw(st.sampled_from(sorted(json_paths(blob))))
     node = blob
     for parent in parents:
         node = node[parent]
-    if data.draw(st.booleans()):
-        node[key] = data.draw(JSON)
-    else:
+    if value == REMOVED:
         del node[key]
+    else:
+        node[key] = value
     try:
-        cli._from_json(cli._config, blob, "config")
+        cli._from_json(ExperimentConfig.from_json, blob, "config")
     except ValueError:
         pass

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,17 +99,19 @@ def test_experiment_with_a_target_that_is_not_finite_fails(tmp_path, capsys):
 
 
 def test_train_command_with_full_config(tmp_path, capsys):
-    cfg = default_config("exp-f2", output_dir=str(tmp_path / "custom"))
-    cfg.name = "custom-sqrt"
-    cfg.dataset = DatasetSpec(
-        target="f2",
-        domains={"x": (0.0, 1.0)},
-        n=20,
-        input_sigmas={"x": 0.05},
-        output_sigma=0.05,
-        seed=9,
+    cfg = replace(
+        default_config("exp-f2", output_dir=str(tmp_path / "custom")),
+        name="custom-sqrt",
+        dataset=DatasetSpec(
+            target="f2",
+            domains={"x": (0.0, 1.0)},
+            n=20,
+            input_sigmas={"x": 0.05},
+            output_sigma=0.05,
+            seed=9,
+        ),
+        eval=EvalSpec(kind="random", domains={"x": (0.0, 1.0)}, n=8, seed=10),
     )
-    cfg.eval = EvalSpec(kind="random", domains={"x": (0.0, 1.0)}, n=8, seed=10)
     blob = cfg.to_json()
     blob.pop("resolved_t0")
     path = tmp_path / "config.json"
@@ -117,6 +120,24 @@ def test_train_command_with_full_config(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "custom" / "model.json").exists()
     assert out["mse"] >= 0.0
+
+
+def never_train(*args, **kwargs):
+    raise AssertionError("a malformed config reached dataset generation")
+
+
+# Targets a config may name that are not a target: (JSON override, part of the error).
+BAD_TARGETS = [
+    ({"eval_target": 5}, "got 5"),
+    ({"eval_target": ["f1"]}, "got ['f1']"),
+    ({"eval_target": "x +"}, "'x +' is malformed"),
+    ({"eval_target": "q"}, "unknown name 'q'"),
+    ({"dataset": {"target": "x +"}}, "'x +' is malformed"),
+    ({"pipeline_targets": "f2"}, "pipeline_targets must be a list"),
+    ({"pipeline_targets": ["f2", 7]}, "got 7"),
+]
+BAD_TARGET_IDS = ["eval-target-int", "eval-target-list", "eval-target-syntax",
+                  "eval-target-unknown", "dataset-target-syntax", "stages-text", "stages-int"]
 
 
 def run_failing(capsys, *argv) -> str:
@@ -136,10 +157,12 @@ def run_failing(capsys, *argv) -> str:
     ({"fault": "x"}, "malformed JSON"),
     ({"dataset": {"n": 2.5}}, "integer"),
     ({"eval": {"domains": {"z": [0, 1]}}}, "eval domains"),
+    *BAD_TARGETS,
 ], ids=["no-device", "list", "t0-text", "fraction-text", "fault-text", "n-float",
-        "eval-variable"])
-def test_train_rejects_a_malformed_config(tmp_path, capsys, config, named):
+        "eval-variable", *BAD_TARGET_IDS])
+def test_train_rejects_a_malformed_config(tmp_path, capsys, monkeypatch, config, named):
     """Each bad config fails where it is read, before anything is trained."""
+    monkeypatch.setattr("crossfuzzy.harness.generate_dataset", never_train)
     if isinstance(config, dict):
         full = default_config("exp-f1", output_dir=str(tmp_path / "out")).to_json()
         config = json.dumps(merge_json(full, config))
@@ -161,10 +184,15 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, config, named):
     ("exp-f1", '{"eval": {"domains": {"x": [0, 1e309]}}}', "invalid domain"),
     ("exp-f1", '{"eval": {"domains": {"z": [0, 1]}}}', "eval domains"),
     ("exp-f1", '{"dataset": {"domains": {"x": [0]}}}', "malformed JSON"),
+    ("exp-f1", '{"fault": {"fraction": 0.5, "seed": 1.5}}', "fault seed must be an integer"),
+    *(("exp-f1", json.dumps(override), named) for override, named in BAD_TARGETS),
 ], ids=["list", "t0-text", "fraction-text", "dataset-n-float", "eval-n-float",
         "eval-seed-float", "shape-float", "dataset-domain-inf", "eval-domain-inf",
-        "eval-variable", "domain-one-end"])
-def test_experiment_rejects_a_malformed_override(tmp_path, capsys, name, override, named):
+        "eval-variable", "domain-one-end", "fault-seed-float", *BAD_TARGET_IDS])
+def test_experiment_rejects_a_malformed_override(tmp_path, capsys, monkeypatch, name,
+                                                 override, named):
+    """Each bad override fails where it is read, before anything is trained."""
+    monkeypatch.setattr("crossfuzzy.harness.generate_dataset", never_train)
     path = tmp_path / "override.json"
     path.write_text(override)
     out = tmp_path / "out"
@@ -293,6 +321,12 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     code = main(["export", "--model", str(tmp_path / "missing.json"), "--surface", "s.csv"])
     capsys.readouterr()
     assert code == 2
+    model = trained_model_path(tmp_path, capsys)
+    for sigma in ("0", "-0.0"):  # not the default width: a width of 0 is refused
+        code = main(["infer", "--model", model, "--input", "0.5", "--sigma", sigma])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: sigma must be positive")
 
 
 def two_stage_pipeline(tmp_path, capsys) -> str:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,10 +89,8 @@ def test_write_pulse_validation():
 NAN, INF = float("nan"), float("inf")
 
 
-def _validate_with_t0(t0):
-    cfg = default_config("exp-f1")
-    cfg.t0 = t0
-    cfg.validate()
+def _config_with_t0(t0):
+    replace(default_config("exp-f1"), t0=t0)
 
 
 @pytest.mark.parametrize(
@@ -102,8 +102,8 @@ def _validate_with_t0(t0):
         lambda: Crossbar(1, 1, DEFAULT_PARAMS).write_pulse([0.5], [0.5], INF),
         lambda: implication_f(1.0, DEFAULT_PARAMS, NAN),
         lambda: implication_f(1.0, DEFAULT_PARAMS, INF),
-        lambda: _validate_with_t0(NAN),
-        lambda: _validate_with_t0(INF),
+        lambda: _config_with_t0(NAN),
+        lambda: _config_with_t0(INF),
         lambda: Crossbar(1, 2, DEFAULT_PARAMS, memristance=[[R_OFF, NAN]]),
         lambda: apply_flux(R_OFF, DEFAULT_PARAMS, NAN),
     ],

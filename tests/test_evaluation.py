@@ -89,7 +89,7 @@ def count_reads(xbar: Crossbar) -> list:
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_named_experiments_match_the_per_probe_oracle(tmp_path, name, v_th):
     cfg = default_config(name, output_dir=str(tmp_path / name))
-    cfg.device = replace(cfg.device, v_th=v_th)
+    cfg = replace(cfg, device=replace(cfg.device, v_th=v_th))
     result = run_experiment(name, cfg)
     model = model_from_json(json.loads(Path(result.model_path).read_text()))
     target = target_function(cfg.eval_target or cfg.dataset.target, tuple(cfg.eval.domains))
@@ -108,8 +108,7 @@ def test_branching_expression_target_through_run_experiment(tmp_path):
     with pytest.raises(ValueError, match="truth value"):
         fn(x=np.array([0.2, 0.7]))
     cfg = default_config("exp-f1", output_dir=str(tmp_path))
-    cfg.device = LUKASIEWICZ
-    cfg.dataset = replace(cfg.dataset, target=expr)
+    cfg = replace(cfg, device=LUKASIEWICZ, dataset=replace(cfg.dataset, target=expr))
     result = run_experiment("exp-f1", cfg)
     model = model_from_json(json.loads(Path(result.model_path).read_text()))
     want_mse, want_points, want_flagged = per_probe_mse(
@@ -123,7 +122,7 @@ def test_branching_expression_target_through_run_experiment(tmp_path):
 
 def test_both_read_modes_match_the_oracle(tmp_path):
     cfg = default_config("exp-2input", output_dir=str(tmp_path))
-    cfg.dataset = replace(cfg.dataset, n=200)
+    cfg = replace(cfg, dataset=replace(cfg.dataset, n=200))
     blob = json.loads(Path(run_experiment("exp-2input", cfg).model_path).read_text())
     points = eval_points(EvalSpec(kind="lattice", domains=cfg.eval.domains, shape=(23, 29)))
     target = target_function("eq30", ("x", "y"))

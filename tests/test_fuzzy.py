@@ -279,16 +279,29 @@ WIDE_ENDS = (st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size
              .filter(lambda ends: math.isfinite(ends[1] - ends[0])))
 
 
+# Ends within a decade of the float limit: from a centre on the other side of
+# zero, v - x0 itself overflows.
+HUGE_ENDS = st.lists(st.floats(1e307, sys.float_info.max), min_size=2, max_size=2,
+                     unique=True).map(sorted)
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), wide=st.booleans())
-def test_far_bells_equal_the_oracle_wherever_it_does_not_overflow(data, wide):
+@given(data=st.data(), case=st.sampled_from(["paper", "wide", "huge"]))
+def test_far_bells_equal_the_oracle_wherever_it_does_not_overflow(data, case):
     """Over every finite crisp value on four paper-sized universes, and every
     crisp value inside universes with ends anywhere in the float range, with
     bell widths from the one-hot switch to the float limit: where the
     first-written expression computes without overflow or a division by zero,
     the grades equal it bit for bit; elsewhere they are still grades in
-    [0, 1], and numpy reports neither (the suite makes its warnings errors)."""
-    if wide:
+    [0, 1], and numpy reports neither (the suite makes its warnings errors).
+    Centres outside universes whose ends lie near the float limit, on the
+    other side of zero, give the bell computed in units of sigma."""
+    if case == "huge":
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        lo, hi = sorted(sign * end for end in data.draw(HUGE_ENDS))
+        universe = Universe(lo, hi, data.draw(st.integers(2, 200)))
+        x0 = -sign * data.draw(st.floats(1e307, sys.float_info.max))
+    elif case == "wide":
         lo, hi = data.draw(WIDE_ENDS)
         universe = Universe(lo, hi, data.draw(st.integers(2, 200)))
         x0 = data.draw(st.floats(lo, hi))
@@ -300,6 +313,11 @@ def test_far_bells_equal_the_oracle_wherever_it_does_not_overflow(data, wide):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # x0 outside the universe
         fn = fuzzify_gaussian(x0, sigma, universe)
+    if case == "huge":  # subnormal grades hold fewer digits, hence the absolute floor
+        v = universe.values
+        want = np.exp(-((v / sigma - x0 / sigma) ** 2) / 2)
+        np.testing.assert_allclose(fn.grades, want, rtol=1e-6, atol=sys.float_info.min)
+        return
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             want = gaussian_grades(x0, sigma, universe)
@@ -307,3 +325,11 @@ def test_far_bells_equal_the_oracle_wherever_it_does_not_overflow(data, wide):
         assert ((0.0 <= fn.grades) & (fn.grades <= 1.0)).all()
         return
     assert fn.grades.tobytes() == want.tobytes()
+
+
+def test_a_bell_far_outside_a_universe_near_the_float_limit():
+    """The nearest grid point lies 20 sigma from the centre, though v - x0 overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # x0 outside the universe
+        fn = fuzzify_gaussian(-1e308, 1e307, Universe(1e308, 1.7e308, 4))
+    assert fn.grades[0] == pytest.approx(math.exp(-200.0), rel=1e-12)  # 1.384e-87

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -189,9 +189,9 @@ def test_train_block_equals_the_per_sample_oracle_bit_for_bit(training, v_th):
     the same stored array, bit for bit, and the same clamp events."""
     name, relation_mode, t0_scale = TRAININGS[training]
     cfg = default_config(name)
-    cfg.device = replace(cfg.device, v_th=v_th)
+    cfg = replace(cfg, device=replace(cfg.device, v_th=v_th))
     if relation_mode:  # output rows on another grid than the input rows
-        cfg.output_universe = Universe(0.0, 1.0, 80)
+        cfg = replace(cfg, output_universe=Universe(0.0, 1.0, 80))
     inputs, out_u = list(cfg.input_universes.items()), cfg.output_universe
     t0 = t0_scale * cfg.resolved_t0()
 
@@ -248,9 +248,7 @@ def test_auto_t0_meets_write_budget():
         assert worst <= 1e-3 * params.r_off * (1 + 1e-12)
         assert worst >= 0.99e-3 * params.r_off  # budget actually used
         cfg = default_config("exp-f1")
-        cfg.device = params
-        cfg.dataset = replace(cfg.dataset, n=n)
-        cfg.validate()
+        replace(cfg, device=params, dataset=replace(cfg.dataset, n=n))  # checked when built
     assert auto_t0(DEFAULT_PARAMS, 500) == pytest.approx(1.0095959595959462e-06, rel=1e-9)
     assert auto_t0(replace(DEFAULT_PARAMS, v_th=1.0), 500) == pytest.approx(
         2 * 1.0095959595959462e-06, rel=1e-9
@@ -270,10 +268,10 @@ def test_auto_t0_meets_write_budget():
 )
 def test_bad_write_threshold_rejected(v_th, t0):
     """A threshold no device can have fails in MemristorParams; one that no
-    pulse of grades in [0, 1] can exceed fails in validation and auto_t0."""
+    pulse of grades in [0, 1] can exceed fails in the config and auto_t0."""
     blob = merge_json(default_config("exp-f1").to_json(), {"device": {"v_th": v_th}, "t0": t0})
     with pytest.raises(ValueError, match="v_th"):
-        ExperimentConfig.from_json(blob).validate()
+        ExperimentConfig.from_json(blob)
     if 2.0 <= v_th < math.inf:
         with pytest.raises(ValueError, match="v_th"):
             auto_t0(replace(DEFAULT_PARAMS, v_th=v_th), 10)
@@ -281,9 +279,25 @@ def test_bad_write_threshold_rejected(v_th, t0):
 
 def test_config_validation_rejects_oversized_t0():
     cfg = default_config("exp-f1")
-    cfg.t0 = 1e-4  # two decades over the budget for n=500
     with pytest.raises(ValueError):
-        cfg.validate()
+        replace(cfg, t0=1e-4)  # two decades over the budget for n=500
+
+
+def test_config_fields_cannot_be_assigned():
+    """A config is checked once, when built: no field changes after that."""
+    cfg = default_config("exp-compose")
+    assert not hasattr(cfg, "validate")
+    for field in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field.name, getattr(cfg, field.name))
+
+
+def test_replace_checks_the_derived_config():
+    cfg = default_config("exp-f1")
+    for change, named in (({"t0": 1e-4}, "write budget"), ({"fault_fraction": 2}, "fault"),
+                          ({"eval_target": "q"}, "unknown name 'q'")):
+        with pytest.raises(ValueError, match=named):
+            replace(cfg, **change)
 
 
 def test_default_universe_resolutions():
@@ -388,14 +402,11 @@ def tiny_config(tmp_path, name="exp-f1", **dataset_overrides) -> ExperimentConfi
         seed=cfg.dataset.seed,
     )
     ds.update(dataset_overrides)
-    cfg.dataset = DatasetSpec(**ds)
     if cfg.eval.kind == "random":
-        cfg.eval = EvalSpec(
-            kind="random", domains=cfg.eval.domains, n=10, seed=cfg.eval.seed
-        )
+        ev = EvalSpec(kind="random", domains=cfg.eval.domains, n=10, seed=cfg.eval.seed)
     else:
-        cfg.eval = EvalSpec(kind="lattice", domains=cfg.eval.domains, shape=(5, 5))
-    return cfg
+        ev = EvalSpec(kind="lattice", domains=cfg.eval.domains, shape=(5, 5))
+    return replace(cfg, dataset=DatasetSpec(**ds), eval=ev)
 
 
 def test_run_experiment_artifacts_and_determinism(tmp_path):

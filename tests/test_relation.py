@@ -209,7 +209,7 @@ def test_hardware_relation_tracks_crossbar(seed, pulses):
 def test_hardware_relation_equals_its_crossbar_bit_for_bit(v_th):
     """Trained from zero on exp-f1's data, a relation holds exactly r_off - M."""
     cfg = default_config("exp-f1")
-    cfg.device = replace(cfg.device, v_th=v_th)
+    cfg = replace(cfg, device=replace(cfg.device, v_th=v_th))
     ui, uo = cfg.input_universes["x"], cfg.output_universe
     device, t0 = cfg.device, cfg.resolved_t0()
     rel = Relation(ui, uo, mode="hardware")
