@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the crossbar, fuzzy, dataset, evaluation and persistence layers; write the medians to JSON.
 
-    python3 scripts/bench.py --out BENCH_13.json
+    python3 scripts/bench.py --out BENCH_15.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -25,9 +25,11 @@ per call, in seconds):
   the first observation of the array pays; and that settle alone.
 - ``generate_dataset`` on the exp-f1 spec (500 samples, one input) and the
   exp-2input spec (800 samples, two inputs); and ``train_block`` of each
-  such dataset onto a pristine crossbar block (the block is built outside
-  the timed region), including the settle that the first observation of
-  the array pays.
+  such dataset onto a pristine crossbar block, and of the train-scaled
+  run's dataset (500x500, N = 1 000) onto a hardware-relation block, as
+  that workload's second half does (each block is built outside the timed
+  region), including the settle that the first observation of the array
+  pays.
 - Persistence at 100x180 and 500x500: ``save_delta_csv`` of one surface and
   ``json.dumps(model_to_json(block))`` of a crossbar block holding it; and
   the ``persist`` phase, from ``phase_s``, of an exp-2input
@@ -190,8 +192,9 @@ def time_dataset(n_train: int | None, repeats: int) -> dict:
     return out
 
 
-def time_train_block(n_train: int | None, repeats: int) -> dict:
-    """Per-call time of ``train_block`` from a generated exp-f1 and exp-2input dataset."""
+def time_train_block(n_train: int | None, scaled: tuple[int, int, int], repeats: int) -> dict:
+    """Per-call time of ``train_block`` from a generated exp-f1 and exp-2input dataset,
+    and of the train-scaled run's dataset onto a hardware-relation block."""
     out = {}
     for name in ("exp-f1", "exp-2input"):
         cfg = cf.default_config(name)
@@ -207,6 +210,20 @@ def time_train_block(n_train: int | None, repeats: int) -> dict:
             block.backend.memristance  # the first observation settles deferred writes
             samples.append(time.perf_counter() - start)
         out[f"train_block.{name}.n{spec.n}"] = dict(_stats(samples), samples=spec.n)
+    cfg = _train_scaled_config(*scaled)
+    (var, u), = cfg.input_universes.items()
+    dataset = cf.generate_dataset(cfg.dataset, cfg.input_universes, cfg.output_universe)
+    samples = []
+    for _ in range(repeats):
+        # Built as the benchmark's train-scaled workload builds it.
+        block = cf.Block(cf.Relation(u, cfg.output_universe, mode="hardware"), [(var, u)],
+                         cfg.output_universe, device_params=cfg.device)
+        start = time.perf_counter()
+        cf.train_block(block, dataset, cfg.resolved_t0())
+        block.backend.mu  # the first observation settles deferred writes
+        samples.append(time.perf_counter() - start)
+    grid, n = scaled[0], cfg.dataset.n
+    out[f"train_block.relation-hardware.{grid}x{grid}.n{n}"] = dict(_stats(samples), samples=n)
     return out
 
 
@@ -342,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     layers.update(time_evaluate(size["lattice"], size["pipe_probes"], size["n_train"],
                                 size["evaluate_repeats"]))
     layers.update(time_dataset(size["n_train"], size["repeats"]))
-    layers.update(time_train_block(size["n_train"], size["repeats"]))
+    layers.update(time_train_block(size["n_train"], size["scaled"], size["repeats"]))
     for rows, cols in size["arrays"]:
         layers.update(time_persist(rows, cols, size["repeats"], rng))
     layers.update(time_run_persist(size["n_train"], size["scaled"], size["evaluate_repeats"]))

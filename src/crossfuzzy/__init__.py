@@ -32,7 +32,7 @@ from .harness import (
     target_function,
     train_block,
 )
-from .relation import Relation, implication_f, relation_from_sets
+from .relation import Relation, implication_f
 from .system import (
     Block,
     Pipeline,
@@ -81,7 +81,6 @@ __all__ = [
     "normalize_peak",
     "pipeline_infer",
     "regrid",
-    "relation_from_sets",
     "run_experiment",
     "save_delta_csv",
     "target_function",

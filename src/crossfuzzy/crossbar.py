@@ -11,8 +11,10 @@ M lives in a ``device.StoredArray``, which decides whether a checked pulse
 is written now or, on the default threshold-free device, held as two line
 sums and settled when M is next observed: by the ``memristance`` property
 (and so ``snapshot_delta`` and serialization), by building a read matrix
-and by ``inject_faults``. The crossbar supplies only its eager write,
-``_step``: ``drift``, stuck cells kept at ``r_off``, and the clamp count.
+and by ``inject_faults``. The crossbar gives the store, once, its device
+and its eager write ``_step``: ``drift``, stuck cells kept at ``r_off``, and
+the clamp count. Writes and reads check their inputs with
+``device.check_lines`` and ``device.check_read``, as a ``Relation``'s do.
 ``saturation_count`` and ``fault_mask`` are exact without a settle, so
 reading them never settles.
 
@@ -37,11 +39,12 @@ read costs one matrix-vector product.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import ExitStack
 
 import numpy as np
 
-from .device import MemristorParams, StoredArray, check_grades, drift
+from .device import MemristorParams, StoredArray, check_lines, check_read, drift
 
 __all__ = ["Crossbar", "save_delta_csv", "load_delta_csv"]
 
@@ -81,7 +84,11 @@ class Crossbar:
             memristance[fault_mask] = params.r_off
         fault_mask.setflags(write=False)  # replaced only by inject_faults
         self._fault_mask = fault_mask
-        self._store = StoredArray(memristance)
+        # The store reaches the eager write through a weak reference: a bound
+        # method would tie the crossbar into a cycle only the collector frees.
+        owner = weakref.ref(self)
+        self._store = StoredArray(memristance, params,
+                                  lambda m, flux: owner()._step(m, flux), np.min)
         self._gain = None  # r_off / M, built by the first exact read
         self._stored = None  # r_off - M, built by the first ideal read
         # Largest |x| a read takes. As r_off / M <= r_off / r_on and r_off - M
@@ -93,7 +100,7 @@ class Crossbar:
     @property
     def memristance(self) -> np.ndarray:
         """The memristance matrix M (ohm), settled; read-only."""
-        return self._store.state(self._step)
+        return self._store.state()
 
     @property
     def fault_mask(self) -> np.ndarray:
@@ -118,20 +125,14 @@ class Crossbar:
         Stuck cells are skipped; clamp events add to ``saturation_count``.
         The write is deferred when the headroom rule allows (module docstring).
         """
-        col = np.asarray(col_grades, dtype=float)
-        row = np.asarray(row_grades, dtype=float)
-        if col.shape != (self.cols,):
-            raise ValueError(f"column grades shape {col.shape} != ({self.cols},)")
-        if row.shape != (self.rows,):
-            raise ValueError(f"row grades shape {row.shape} != ({self.rows},)")
-        check_grades(t0, col, row)
-        self._store.pulse(col, row, t0, self.params, self._step, np.min)
+        col, row = check_lines(col_grades, row_grades, self.cols, self.rows, t0)
+        self._store.pulse(col, row, t0)
         self._gain = self._stored = None
 
-    def _step(self, m: np.ndarray, flux: np.ndarray, params: MemristorParams) -> np.ndarray:
+    def _step(self, m: np.ndarray, flux: np.ndarray) -> np.ndarray:
         # One eager write of ``flux`` onto M. A settle of held pulses is one
         # such write, which the headroom rule proves clamps no cell.
-        new_m, clamped = drift(m, flux, params)
+        new_m, clamped = drift(m, flux, self.params)
         clamped[self._fault_mask] = False
         self.saturation_count += int(np.count_nonzero(clamped))
         np.copyto(new_m, m, where=self._fault_mask)
@@ -157,24 +158,16 @@ class Crossbar:
 
     # -- reads (side-effect free) ----------------------------------------
 
-    def _read_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
-            raise ValueError(f"input shape {x.shape} != ({self.cols},)")
-        if not np.abs(x).max() <= self._read_bound:  # also refuses NaN
-            raise ValueError(f"read inputs must be finite and within ±{self._read_bound:.3g}")
-        return x
-
     def read_exact(self, x) -> np.ndarray:
         """Full amplifier algebra, using the true memristance of every cell."""
-        x = self._read_input(x)
+        x = check_read(x, self.cols, self._read_bound)
         if self._gain is None:
             self._gain = self.params.r_off / self.memristance
         return x.sum() - self._gain @ x  # -(gain @ x - sum x), one ufunc fewer
 
     def read_ideal(self, x) -> np.ndarray:
         """First-order read-out: -(1/r_off) times stored-value matrix times x."""
-        x = self._read_input(x)
+        x = check_read(x, self.cols, self._read_bound)
         if self._stored is None:
             self._stored = self.params.r_off - self.memristance
         alpha = -1.0 / self.params.r_off

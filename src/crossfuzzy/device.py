@@ -23,15 +23,18 @@ threshold acts on the drive, not on the state, so flux still adds up per
 device. With the default ``v_th = 0`` every pulse writes its full drive.
 Every writer checks its inputs with ``check_pulse`` before it moves any
 flux: ``t0`` must be finite and positive, and drives must be non-negative
-(NaN is rejected); the writers of line grades (``Crossbar.write_pulse``,
-``Relation.accumulate``) use ``check_grades``, which also caps them at 1.
+(NaN is rejected). Both backends, ``Crossbar`` and ``Relation``, share one
+check per boundary: ``check_lines`` for the two grade rows of a write (their
+lengths, and grades in [0, 1]) and ``check_read`` for a read's input (its
+length, and a magnitude bound that keeps the read finite).
 
 Deferred writes. At ``v_th = 0`` a pulse moves flux ``t0 * (row[i] + col[j])``
 into cell (i, j): a row term plus a column term. Flux adds up, so a run of
 pulses that never clamps equals one write of ``np.add.outer(row_sum,
-col_sum)``. ``StoredArray`` owns a stored array and decides, pulse by
-pulse, whether to hold it as the two line sums (O(rows + cols) work) or to
-write it now; held pulses are written as one flux when the array is next
+col_sum)``. ``StoredArray`` owns a backend's stored array; it gets the
+backend's device and eager write once and decides, pulse by pulse, whether
+to hold a pulse as the two line sums (O(rows + cols) work) or to write it
+now; held pulses are written as one flux when the array is next
 observed (the settle). A pulse is held only when the headroom rule proves
 that no cell on the way could clamp:
 
@@ -59,7 +62,8 @@ __all__ = [
     "beta",
     "drift",
     "check_pulse",
-    "check_grades",
+    "check_lines",
+    "check_read",
     "pulse_flux",
     "StoredArray",
     "apply_flux",
@@ -171,11 +175,38 @@ def check_pulse(t0: float, *drives) -> None:
             raise ValueError("drives must be non-negative (write polarity reversal not modeled)")
 
 
-def check_grades(t0: float, *grades) -> None:
-    """``check_pulse`` for line grade vectors, which must also lie in [0, 1]."""
-    check_pulse(t0, *grades)
-    if not all(g.max() <= 1.0 for g in grades):
+def check_lines(col, row, cols: int, rows: int, t0: float):
+    """The write-input check of both backends: one pulse's two line grade vectors.
+
+    ``col`` must hold ``cols`` grades and ``row`` ``rows``, every one in
+    [0, 1], and ``t0`` must pass ``check_pulse``. Returns both lines as float
+    arrays; raises ``ValueError``.
+    """
+    col = np.asarray(col, dtype=float)
+    row = np.asarray(row, dtype=float)
+    if col.shape != (cols,):
+        raise ValueError(f"column grades shape {col.shape} != ({cols},)")
+    if row.shape != (rows,):
+        raise ValueError(f"row grades shape {row.shape} != ({rows},)")
+    check_pulse(t0, col, row)
+    if not (col.max() <= 1.0 and row.max() <= 1.0):
         raise ValueError("grades must lie in [0, 1]")
+    return col, row
+
+
+def check_read(x, cols: int, bound: float) -> np.ndarray:
+    """The read-input check of both backends: ``cols`` inputs within ``±bound``.
+
+    Each backend picks the bound within which every sum its read forms stays
+    finite; NaN fails too. Returns ``x`` as a float array; raises
+    ``ValueError``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (cols,):
+        raise ValueError(f"input shape {x.shape} != ({cols},)")
+    if not np.abs(x).max() <= bound:
+        raise ValueError(f"read inputs must be finite and within ±{bound:.3g}")
+    return x
 
 
 def pulse_flux(col, row, t0: float, params: MemristorParams):
@@ -196,12 +227,17 @@ def pulse_flux(col, row, t0: float, params: MemristorParams):
 class StoredArray:
     """A stored array and the threshold-free pulses held on it (module docstring).
 
-    The owner passes, on every call that may write, its eager write
-    ``step(state, flux, params)``, which returns the new array, and
-    ``lowest(state)``, the smallest memristance of a state; neither is kept.
+    Its owner gives it, once, the device ``params``, its eager write
+    ``step(state, flux)``, which returns the new array, and
+    ``lowest(state)``, the smallest memristance of a state. Neither callable
+    may refer to the owner, so a backend and its arrays are freed without
+    the cycle collector.
     """
 
-    def __init__(self, state: np.ndarray):
+    def __init__(self, state: np.ndarray, params: MemristorParams, step, lowest):
+        self._params = params
+        self._step = step
+        self._lowest = lowest
         self.replace(state)
 
     def replace(self, state: np.ndarray) -> None:
@@ -209,33 +245,34 @@ class StoredArray:
         state.setflags(write=False)
         self._state = state
         self._row = self._col = 0.0  # summed t0 * drive per row and per column (V s)
-        self._params = None  # device of the held pulses; None while none is held
+        self._held = False
         self._headroom = None  # flux the line sums may reach; None until measured
 
-    def state(self, step) -> np.ndarray:
+    def state(self) -> np.ndarray:
         """The stored array, with every held pulse settled by one ``step``."""
-        if self._params is not None:
-            self.replace(step(self._state, np.add.outer(self._row, self._col), self._params))
+        if self._held:
+            self.replace(self._step(self._state, np.add.outer(self._row, self._col)))
         return self._state
 
-    def pulse(self, col, row, t0: float, params: MemristorParams, step, lowest) -> None:
-        """Hold one checked pulse, or settle and write it now.
+    def pulse(self, col, row, t0: float) -> None:
+        """Hold one pulse checked by ``check_lines``, or settle and write it now.
 
-        A pulse is held only on a threshold-free device, on the device of
-        the pulses already held, and while the headroom rule holds.
+        A pulse is held only on a threshold-free device and while the
+        headroom rule holds.
         """
-        if params.v_th == 0 and self._params in (None, params):
+        params = self._params
+        if params.v_th == 0:
             if self._headroom is None:
-                lo = float(lowest(self._state))
+                lo = float(self._lowest(self._state))
                 self._headroom = (lo * lo * (1.0 - HOLD_MARGIN) - params.r_on**2) / beta(params)
             row_sum = t0 * row
             row_sum += self._row
             col_sum = t0 * col
             col_sum += self._col
             if row_sum.max() < self._headroom - col_sum.max():  # cannot overflow
-                self._row, self._col, self._params = row_sum, col_sum, params
+                self._row, self._col, self._held = row_sum, col_sum, True
                 return
-        self.replace(step(self.state(step), pulse_flux(col, row, t0, params), params))
+        self.replace(self._step(self.state(), pulse_flux(col, row, t0, params)))
 
 
 def apply_flux(m: float, params: MemristorParams, flux: float) -> tuple[float, bool]:

@@ -34,11 +34,12 @@ checks a dataset's sections and output universe against the block once,
 then writes one pulse per row, in dataset order; ``system.block_train`` is
 the one-sample case.
 
-An ``ExperimentConfig`` is frozen and checked once, when it is built: its
-variables agree, every target it names resolves through ``target_function``
-and its pulse duration keeps within the write budget below. A changed config
-is derived with ``dataclasses.replace``, which checks it again, so a bad
-config fails where it is read and ``run_experiment`` trains only valid ones.
+An ``ExperimentConfig`` is frozen, down to the read-only mappings it and its
+specs hold, and checked once, when it is built: its variables agree, every
+target it names resolves through ``target_function`` and its pulse duration
+keeps within the write budget below. A changed config is derived with
+``dataclasses.replace``, which checks it again, so a bad config fails where
+it is read and ``run_experiment`` trains only valid ones.
 
 The write-pulse duration is auto-scaled unless pinned: with n samples the
 worst case is every pulse hitting one cell at the full summed grade of 2,
@@ -55,9 +56,11 @@ import math
 import numbers
 import os
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -167,13 +170,15 @@ def target_function(target: str, variables: tuple[str, ...]):
 @dataclass(frozen=True)
 class DatasetSpec:
     target: str
-    domains: dict[str, tuple[float, float]]
+    domains: Mapping[str, tuple[float, float]]
     n: int
-    input_sigmas: dict[str, float]
+    input_sigmas: Mapping[str, float]
     output_sigma: float
     seed: int
 
     def __post_init__(self) -> None:
+        _hold_read_only(self, domains=_pairs(self.domains),
+                        input_sigmas=dict(self.input_sigmas.items()))
         _check_draw("a dataset", self.domains, self.n, self.seed)
         if set(self.input_sigmas) != set(self.domains):
             raise ValueError("input_sigmas keys must match domains keys")
@@ -205,6 +210,21 @@ class DatasetSpec:
             "output_sigma": self.output_sigma,
             "seed": self.seed,
         }
+
+
+def _pairs(domains) -> dict[str, tuple[float, float]]:
+    """A copy of named domains with each ``(lo, hi)`` as a tuple."""
+    return {name: (lo, hi) for name, (lo, hi) in domains.items()}
+
+
+def _hold_read_only(spec, **fields: dict) -> None:
+    """Set fields of a frozen ``spec`` to read-only views of the given dicts.
+
+    Callers pass copies of the mappings they were given, so neither those
+    mappings nor the built spec can change what the other holds.
+    """
+    for name, value in fields.items():
+        object.__setattr__(spec, name, MappingProxyType(value))
 
 
 def _check_domains(domains: dict[str, tuple[float, float]]) -> None:
@@ -295,12 +315,13 @@ def train_block(block: Block, dataset: Dataset, t0: float) -> Block:
 @dataclass(frozen=True)
 class EvalSpec:
     kind: str  # "random" | "lattice"
-    domains: dict[str, tuple[float, float]]
+    domains: Mapping[str, tuple[float, float]]
     n: int = 0
     shape: tuple[int, ...] = ()
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        _hold_read_only(self, domains=_pairs(self.domains))
         if self.kind == "random":
             _check_draw("random evaluation", self.domains, self.n, self.seed)
         elif self.kind == "lattice":
@@ -436,14 +457,16 @@ class ExperimentConfig:
     A config that exists is valid: its variables agree, every target it
     names (the dataset's, each chained stage's and the evaluation's) resolves
     through ``target_function``, and its pulse duration keeps the worst-case
-    stored value within the write budget. It is frozen; ``dataclasses.replace``
-    derives a new one, which is checked again.
+    stored value within the write budget. It is frozen all the way down: it
+    and its specs hold their mappings as read-only copies, domains as
+    ``(lo, hi)`` tuples. ``dataclasses.replace`` derives a new one, which is
+    checked again.
     """
 
     name: str
     device: MemristorParams
     dataset: DatasetSpec
-    input_universes: dict[str, Universe]
+    input_universes: Mapping[str, Universe]
     output_universe: Universe
     eval: EvalSpec
     t0: float | None = None  # None: auto-scaled from the sample count
@@ -455,6 +478,7 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
+        _hold_read_only(self, input_universes=dict(self.input_universes.items()))
         variables = self.dataset.variables
         if not set(self.input_universes) == set(self.eval.domains) == set(variables):
             raise ValueError("input universes and eval domains must name the dataset variables")

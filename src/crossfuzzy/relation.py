@@ -2,7 +2,7 @@
 
 A relation is a non-negative matrix ``mu`` (in ohm, matching the crossbar's
 stored-value units) over output rows x input columns. Each training pair of
-fuzzy numbers deposits ``f(input_grade + output_grade)`` at every cell, where
+grade rows deposits ``f(input_grade + output_grade)`` at every cell, where
 
     f(nu) = r_off - sqrt(r_off**2 - beta * t0 * max(0, nu - v_th))
 
@@ -10,17 +10,25 @@ is the increment one write pulse of duration ``t0`` leaves on a pristine
 device seeing the summed grade as its drive voltage (``device.pulse_flux``
 and ``device.drift``). With the default threshold ``v_th = 0`` every cell
 takes flux ``t0 * nu``; at ``v_th = 1`` the flux ``t0 * max(0, a + b - 1)``
-is the Lukasiewicz conjunction of the two grades. ``implication_f``,
-``Relation.accumulate`` and ``relation_from_sets`` take the device constants
-and ``t0`` as plain arguments; ``accumulate`` takes line grades in [0, 1], as
-a crossbar does, and ``implication_f`` summed grades up to 2.
+is the Lukasiewicz conjunction of the two grades. ``implication_f`` takes
+the device constants and ``t0`` as plain arguments, and summed grades up
+to 2.
+
+``Relation`` has a crossbar's backend contract. It owns its device
+(``params``, ``DEFAULT_PARAMS`` unless given) and exposes ``rows`` and
+``cols``; ``accumulate(col, row, t0)`` takes one pulse's input and output
+grade rows, checked as a crossbar write's are (``device.check_lines``), and
+``infer(x)`` returns the grade array ``mu @ x``.
 
 Two accumulation modes exist. ``additive`` sums the per-pulse increments
-(the mathematical idealization); ``hardware`` chains the device state
-through the pulses exactly like a crossbar does, which is equivalent to
-putting the per-cell total flux through the device closed form once. f is
-convex, so hardware accumulation runs slightly ahead of additive; the two
-agree to first order while stored values stay far below r_off.
+(the mathematical idealization) and holds any finite ``mu >= 0``;
+``hardware`` chains the device state through the pulses exactly like a
+crossbar does, which is equivalent to putting the per-cell total flux
+through the device closed form once, and holds ``mu`` in ``[0, r_off -
+r_on]``, the range of ``r_off - M``. The constructor, and so model JSON,
+refuses ``mu`` outside its mode's range. f is convex, so hardware
+accumulation runs slightly ahead of additive; the two agree to first order
+while stored values stay far below r_off.
 
 ``mu`` lives in a ``device.StoredArray``, as a crossbar's M does, so
 hardware accumulation defers its pulses exactly as a crossbar does: on a
@@ -34,19 +42,20 @@ settle at one point.
 Inference is a plain matrix-vector product: output grades = mu @ input
 grades. No normalization is applied; centroid defuzzification ignores
 scale anyway. Like a crossbar's reads, ``infer`` refuses inputs beyond a
-magnitude bound that keeps the product finite; the bound follows from the
-largest stored value, so it is measured on the first read after a write
-and kept until the next one.
+magnitude bound that keeps the product finite (``device.check_read``); the
+bound follows from the largest stored value, so it is measured on the
+first read after a write and kept until the next one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .device import MemristorParams, StoredArray, check_grades, check_pulse, drift, pulse_flux
-from .fuzzy import FuzzyNumber, Universe
+from .device import (DEFAULT_PARAMS, MemristorParams, StoredArray, check_lines, check_pulse,
+                     check_read, drift, pulse_flux)
+from .fuzzy import Universe
 
-__all__ = ["Relation", "implication_f", "relation_from_sets"]
+__all__ = ["Relation", "implication_f"]
 
 RELATION_MODES = ("additive", "hardware")
 
@@ -71,15 +80,24 @@ def _chain(mu: np.ndarray, flux: np.ndarray, device: MemristorParams) -> np.ndar
     # without flux add exactly 0, so they keep mu bit-identical. The flux is
     # the crossbar's, and while M stays above r_off / 2 every step is exact,
     # so a relation trained from zero holds exactly r_off - M of the
-    # crossbar it mirrors.
+    # crossbar it mirrors. Rounding can leave a cell near the clamp an ulp
+    # above r_off - r_on; it is held at that top, which the constructor takes.
     m = device.r_off - mu
     m_new, _ = drift(m, flux, device)
     np.subtract(m, m_new, out=m_new)
     m_new += mu
-    return m_new
+    return np.minimum(m_new, device.r_off - device.r_on, out=m_new)
 
 
 class Relation:
+    """A software relation on its own device: the crossbar's backend contract.
+
+    ``rows`` x ``cols`` is ``output_universe.count`` x
+    ``input_universe.count``. A hardware relation holds ``mu`` in
+    ``[0, r_off - r_on]`` of its ``params``, the range of ``r_off - M``; an
+    additive one holds any finite ``mu >= 0``.
+    """
+
     saturation_count = 0  # clamp events are counted by crossbars only
     inverts = False  # reads are the plain matrix product
 
@@ -89,83 +107,62 @@ class Relation:
         output_universe: Universe,
         mode: str = "hardware",
         mu: np.ndarray | None = None,
+        params: MemristorParams = DEFAULT_PARAMS,
     ):
         if mode not in RELATION_MODES:
             raise ValueError(f"mode must be one of {RELATION_MODES}, got {mode!r}")
         self.input_universe = input_universe
         self.output_universe = output_universe
         self.mode = mode
-        shape = (output_universe.count, input_universe.count)
+        self.params = params
+        self.rows, self.cols = shape = (output_universe.count, input_universe.count)
         if mu is None:
             mu = np.zeros(shape)
         else:
             mu = np.array(mu, dtype=float)
             if mu.shape != shape:
                 raise ValueError(f"mu shape {mu.shape} != {shape}")
-            if not (mu.min() >= 0 and np.isfinite(mu).all()):
-                raise ValueError("mu must be finite and non-negative")
-        self._store = StoredArray(mu)
+            top = params.r_off - params.r_on if mode == "hardware" else np.finfo(float).max
+            if not (mu.min() >= 0 and mu.max() <= top):  # NaN fails the first test
+                raise ValueError(f"{mode} relation needs every mu finite and in [0, {top:.6g}]")
+        self._store = StoredArray(mu, params, lambda mu, flux: _chain(mu, flux, params),
+                                  lambda mu: params.r_off - mu.max())
         self._read_bound = None  # largest |x| infer takes; None until measured
 
     @property
     def mu(self) -> np.ndarray:
         """The stored-value matrix (ohm), with every deferred pulse settled; read-only."""
-        return self._store.state(_chain)
+        return self._store.state()
 
-    def accumulate(
-        self, a: FuzzyNumber, b: FuzzyNumber, device: MemristorParams, t0: float
-    ) -> None:
-        """Fold one training pair (input a, output b) into the relation.
+    def accumulate(self, col, row, t0: float) -> None:
+        """Fold one training pair into the relation: input grades ``col``, output grades ``row``.
 
-        One write pulse of ``t0`` seconds on a device with constants
-        ``device``. Every grade of both lines must lie in [0, 1], as on a
-        crossbar, and ``t0`` must be finite and positive; the lines are checked
+        One write pulse of ``t0`` seconds on the relation's device, checked
+        as a crossbar's is (``device.check_lines``); the lines are checked
         here because ``implication_f`` sees only the summed grades, which a
         negative grade can hide. In hardware mode the pulse is deferred when
         the headroom rule allows.
         """
-        if a.universe != self.input_universe:
-            raise ValueError("input fuzzy number lives on the wrong universe")
-        if b.universe != self.output_universe:
-            raise ValueError("output fuzzy number lives on the wrong universe")
-        check_grades(t0, a.grades, b.grades)
+        col, row = check_lines(col, row, self.cols, self.rows, t0)
         self._read_bound = None
         if self.mode == "additive":
-            nu = a.grades[None, :] + b.grades[:, None]
-            self._store.replace(self.mu + implication_f(nu, device, t0))
+            self._store.replace(self.mu + implication_f(np.add.outer(row, col), self.params, t0))
             return
-        self._store.pulse(a.grades, b.grades, t0, device, _chain,
-                          lambda mu: device.r_off - mu.max())
+        self._store.pulse(col, row, t0)
 
     def snapshot_delta(self) -> np.ndarray:
         """A copy of the stored-value matrix mu (ohm)."""
         return self.mu.copy()
 
-    def infer(self, a: FuzzyNumber) -> FuzzyNumber:
-        """Compose an input fuzzy number with the relation.
+    def infer(self, x) -> np.ndarray:
+        """Compose input grades ``x`` with the relation: the output grades ``mu @ x``.
 
         Grades beyond ``±max / (2 * n) / max(1, mu.max())`` (``max`` the
         largest float, ``n`` the input count) raise ``ValueError``: within
-        it every sum in ``mu @ grades`` stays below half the float range.
+        it every sum in ``mu @ x`` stays below half the float range.
         """
-        if a.universe != self.input_universe:
-            raise ValueError("input fuzzy number lives on the wrong universe")
         mu = self.mu
         if self._read_bound is None:
-            largest = max(1.0, float(mu.max()))
-            self._read_bound = np.finfo(float).max / (2.0 * mu.shape[1]) / largest
-        if not np.abs(a.grades).max() <= self._read_bound:
-            raise ValueError(
-                f"relation inputs must lie within ±{self._read_bound:.3g} to read finite"
-            )
+            self._read_bound = np.finfo(float).max / (2.0 * self.cols) / max(1.0, float(mu.max()))
         # Within the bound every sum is finite, so the product needs no check.
-        return FuzzyNumber._unchecked(self.output_universe, mu @ a.grades)
-
-
-def relation_from_sets(
-    a: FuzzyNumber, b: FuzzyNumber, device: MemristorParams, t0: float, mode: str = "hardware"
-) -> Relation:
-    """Relation written by a single pulse pairing fuzzy sets a (input) and b (output)."""
-    rel = Relation(a.universe, b.universe, mode=mode)
-    rel.accumulate(a, b, device, t0)
-    return rel
+        return mu @ check_read(x, self.cols, self._read_bound)

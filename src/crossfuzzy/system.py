@@ -20,15 +20,21 @@ limit, ``Crossbar.read_ideal``); the read-only ``Block.read_mode`` picks
 one, and model JSON stores it under the same name.
 
 ``section_layout`` lays the sections out, for a block and for a training
-``Dataset`` alike. The backend is decided once, in ``Block.__init__``, which
-binds one write (a column-drive row and an output-grade row) and one read
-to it; ``block_train``, ``block_infer``, ``pipeline_infer`` and the
-harness's ``train_block`` test no type. ``Block.backend`` is read-only, so the bound calls never go
-to a backend the block no longer names. Each bound callable looks its
-method up on the backend when it runs, so a wrapper put on the class later
-still sees every call. A block pickles and deep-copies through its model
-JSON, which settles any deferred writes; the copy shares nothing with the
-original.
+``Dataset`` alike. Both backends keep one contract: they own their device
+(``params``), expose ``rows`` and ``cols``, take a write as two grade rows
+(a column drive and an output row) and return a read as a grade array.
+``Block.__init__`` makes one shape check and one device check for both
+(``device_params``, if given, must be the backend's own); only a relation
+adds that it has one input section on the relation's universes. It then
+binds one write and one read by method name (``write_pulse`` and
+``read_exact``/``read_ideal``, or ``accumulate`` and ``infer``), so
+``block_train``, ``block_infer``, ``pipeline_infer`` and the harness's
+``train_block`` test no type. ``Block.backend`` is read-only, so the bound
+calls never go to a backend the block no longer names. Each bound callable
+looks its method up on the backend when it runs, so a wrapper put on the
+class later still sees every call. A block pickles and deep-copies through
+its model JSON, which settles any deferred writes; the copy shares nothing
+with the original.
 
 ``Block.infer_rows`` and ``Pipeline.infer_rows`` infer a matrix of column
 drives, one probe per row, with one backend read per row and stage; between
@@ -121,42 +127,27 @@ class Block:
         self.output_universe = output_universe
         self._read_mode = read_mode
         self._backend = backend
-        if isinstance(backend, Crossbar):
-            if backend.cols != sections[-1].stop:
-                raise ValueError(
-                    f"crossbar has {backend.cols} columns but sections cover {sections[-1].stop}"
-                )
-            if backend.rows != output_universe.count:
-                raise ValueError(
-                    f"crossbar has {backend.rows} rows but output universe has "
-                    f"{output_universe.count} points"
-                )
-            if device_params not in (None, backend.params):
-                raise ValueError("device_params differ from the crossbar's own params")
-            device_params = backend.params
-            read = f"read_{read_mode}"  # Crossbar.read_exact or Crossbar.read_ideal
-            self._write = lambda col, row, t0: backend.write_pulse(col, row, t0)
-            self._read = lambda col: getattr(backend, read)(col)
-        elif isinstance(backend, Relation):
-            if len(sections) != 1:
-                raise ValueError("relation-backed blocks support a single input section")
-            u_in = sections[0].universe
-            if backend.input_universe != u_in:
-                raise ValueError("relation input universe does not match the section")
-            if backend.output_universe != output_universe:
-                raise ValueError("relation output universe does not match the block")
-            if device_params is None:
-                raise ValueError("relation-backed blocks need explicit device_params")
-            # Grade rows come from checked fuzzy numbers or bells laid out along
-            # the block's sections, and the relation checks their range itself,
-            # so both rows are wrapped unchecked.
-            self._write = lambda col, row, t0: backend.accumulate(
-                FuzzyNumber._unchecked(u_in, col),
-                FuzzyNumber._unchecked(output_universe, row), device_params, t0)
-            self._read = lambda col: backend.infer(FuzzyNumber._unchecked(u_in, col)).grades
+        if isinstance(backend, Relation):
+            if len(sections) != 1 or (backend.input_universe, backend.output_universe) != (
+                    sections[0].universe, output_universe):
+                raise ValueError("a relation-backed block needs one input section and "
+                                 "output universe, each on the relation's universe")
+            write, read = "accumulate", "infer"
+        elif isinstance(backend, Crossbar):
+            write, read = "write_pulse", f"read_{read_mode}"
         else:
             raise TypeError(f"unsupported backend type {type(backend).__name__}")
-        self.device_params = device_params
+        if (backend.rows, backend.cols) != (output_universe.count, sections[-1].stop):
+            raise ValueError(
+                f"backend has {backend.rows}x{backend.cols} cells but the block needs "
+                f"{output_universe.count}x{sections[-1].stop}"
+            )
+        if device_params not in (None, backend.params):
+            raise ValueError("device_params differ from the backend's own params")
+        # Looked up on each call, so a wrapper put on the class later sees it.
+        self._write = lambda col, row, t0: getattr(backend, write)(col, row, t0)
+        self._read = lambda col: getattr(backend, read)(col)
+        self.device_params = backend.params
         self.read_sign = -1.0 if backend.inverts else 1.0
 
     @classmethod
@@ -384,10 +375,14 @@ def block_from_json(obj: dict) -> Block:
         mask = np.zeros(memristance.shape, dtype=bool)
         mask.flat[cells] = True
         xbar = Crossbar(*memristance.shape, params, memristance=memristance, fault_mask=mask)
-        xbar.saturation_count = int(obj.get("saturation_count", 0))
+        count = obj.get("saturation_count", 0)
+        if not (type(count) is int and count >= 0):
+            raise ValueError(f"saturation_count must be a non-negative integer, got {count!r}")
+        xbar.saturation_count = count
         return Block(xbar, inputs, output_universe, read_mode=read_mode)
-    rel = Relation(inputs[0][1], output_universe, mode=obj["mode"], mu=np.asarray(obj["mu"]))
-    return Block(rel, inputs, output_universe, read_mode=read_mode, device_params=params)
+    rel = Relation(inputs[0][1], output_universe, mode=obj["mode"], mu=np.asarray(obj["mu"]),
+                   params=params)
+    return Block(rel, inputs, output_universe, read_mode=read_mode)
 
 
 def pipeline_to_json(pipe: Pipeline) -> dict:

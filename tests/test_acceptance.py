@@ -121,8 +121,8 @@ def test_criterion_3_hardware_additive_reconciliation():
         add = Relation(ui, uo, mode="additive")
         hw = Relation(ui, uo, mode="hardware")
         for a, bfn in pairs:
-            add.accumulate(a, bfn, DEFAULT_PARAMS, t0)
-            hw.accumulate(a, bfn, DEFAULT_PARAMS, t0)
+            add.accumulate(a.grades, bfn.grades, t0)
+            hw.accumulate(a.grades, bfn.grades, t0)
         # one-sided bias: sequential (hardware) accumulation runs ahead of
         # the additive sum because the per-pulse increment is convex
         assert np.all(hw.mu >= add.mu - 1e-9)
@@ -314,8 +314,8 @@ def _infer_linearity_cases(count: int) -> int:
         x = rng.uniform(0, 1, ui.count)
         z = rng.uniform(0, 1, ui.count)
         a, b = rng.uniform(-3, 3, 2)
-        lhs = rel.infer(FuzzyNumber(ui, a * x + b * z)).grades
-        rhs = a * rel.infer(FuzzyNumber(ui, x)).grades + b * rel.infer(FuzzyNumber(ui, z)).grades
+        lhs = rel.infer(a * x + b * z)
+        rhs = a * rel.infer(x) + b * rel.infer(z)
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
     return count
 

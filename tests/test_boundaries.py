@@ -18,10 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 from crossfuzzy import cli
 from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
-from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
+from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import (DatasetSpec, EvalSpec, ExperimentConfig, default_config,
                                 eval_points)
 from crossfuzzy.relation import Relation
+from crossfuzzy.system import Block, model_from_json, model_to_json
 
 NAN, INF = math.nan, math.inf
 NON_FINITE = st.sampled_from([NAN, INF, -INF])
@@ -134,9 +135,9 @@ def write_everywhere(col, row, t0, params=DEFAULT_PARAMS):
     """One pulse through a crossbar and both relation modes."""
     Crossbar(len(row), len(col), params).write_pulse(col, row, t0)
     for mode in ("hardware", "additive"):
-        rel = Relation(Universe(0.0, 1.0, len(col)), Universe(0.0, 1.0, len(row)), mode=mode)
-        rel.accumulate(FuzzyNumber(rel.input_universe, col),
-                       FuzzyNumber(rel.output_universe, row), params, t0)
+        rel = Relation(Universe(0.0, 1.0, len(col)), Universe(0.0, 1.0, len(row)), mode=mode,
+                       params=params)
+        rel.accumulate(col, row, t0)
 
 
 @examples
@@ -152,8 +153,7 @@ def test_writers_reject_every_out_of_range_t0(col, row, t0):
         Crossbar(3, 4, DEFAULT_PARAMS).write_pulse(col, row, t0)
     for mode in ("hardware", "additive"):
         with pytest.raises(ValueError, match="t0"):
-            Relation(U4, U3, mode=mode).accumulate(
-                FuzzyNumber(U4, col), FuzzyNumber(U3, row), DEFAULT_PARAMS, t0)
+            Relation(U4, U3, mode=mode).accumulate(col, row, t0)
 
 
 def reject_in_every_writer(col, row, t0):
@@ -161,8 +161,7 @@ def reject_in_every_writer(col, row, t0):
         Crossbar(3, 4, DEFAULT_PARAMS).write_pulse(col, row, t0)
     for mode in ("hardware", "additive"):
         with pytest.raises(ValueError):
-            Relation(U4, U3, mode=mode).accumulate(
-                FuzzyNumber(U4, col), FuzzyNumber(U3, row), DEFAULT_PARAMS, t0)
+            Relation(U4, U3, mode=mode).accumulate(col, row, t0)
 
 
 @examples
@@ -170,7 +169,7 @@ def reject_in_every_writer(col, row, t0):
 def test_writers_reject_every_out_of_range_grade(data, t0):
     """Negative, NaN, infinite and above-1 grades, on either line, fail in
     every writer: a crossbar and a relation in both modes take grades in
-    [0, 1]. A relation sees infinite ones first in ``FuzzyNumber``."""
+    [0, 1]."""
     above = st.one_of(st.just(INF), st.floats(1.0, exclude_min=True))
     for bad_values in (NEGATIVE, above):
         on_col = data.draw(st.booleans())
@@ -182,18 +181,42 @@ def test_writers_reject_every_out_of_range_grade(data, t0):
 # -- stored relations -------------------------------------------------------------
 
 
+# A hardware relation holds r_off - M, so its mu lies in [0, r_off - r_on];
+# an additive one sums increments and holds any finite mu >= 0.
+TOP = DEFAULT_PARAMS.r_off - DEFAULT_PARAMS.r_on
+IN_RANGE_MU = {"hardware": st.floats(0.0, TOP), "additive": NON_NEGATIVE}
+OUT_OF_RANGE_MU = {"hardware": st.one_of(NEGATIVE, st.floats(TOP, exclude_min=True)),
+                   "additive": NEGATIVE}
+
+
+def per_mode(draw_mu):
+    """(mode, 12 values) with the values drawn by ``draw_mu(mode)``."""
+    return st.sampled_from(["hardware", "additive"]).flatmap(
+        lambda mode: st.tuples(st.just(mode), draw_mu(mode)))
+
+
 @examples
-@given(mu=grades(12, NON_NEGATIVE))
-def test_relation_accepts_every_in_range_mu(mu):
-    rel = Relation(U3, U4, mu=mu.reshape(4, 3))
+@given(case=per_mode(lambda mode: grades(12, IN_RANGE_MU[mode])))
+@example(case=("hardware", np.full(12, TOP)))
+def test_relation_accepts_every_in_range_mu(case):
+    mode, mu = case
+    rel = Relation(U3, U4, mode=mode, mu=mu.reshape(4, 3))
     assert np.array_equal(rel.mu, mu.reshape(4, 3))
 
 
 @examples
-@given(mu=with_one_bad(12, NEGATIVE, NON_NEGATIVE))
-def test_relation_rejects_every_out_of_range_mu(mu):
+@given(case=per_mode(lambda mode: with_one_bad(12, OUT_OF_RANGE_MU[mode], IN_RANGE_MU[mode])))
+@example(case=("hardware", np.full(12, 2e5)))
+@example(case=("hardware", np.full(12, np.nextafter(TOP, INF))))
+def test_relation_rejects_every_out_of_range_mu(case):
+    """From its constructor and from model JSON alike."""
+    mode, mu = case
     with pytest.raises(ValueError, match="mu"):
-        Relation(U3, U4, mu=mu.reshape(4, 3))
+        Relation(U3, U4, mode=mode, mu=mu.reshape(4, 3))
+    obj = model_to_json(Block(Relation(U3, U4, mode=mode), [("x", U3)], U4))
+    obj["mu"] = mu.reshape(4, 3).tolist()
+    with pytest.raises(ValueError, match="mu"):
+        model_from_json(obj)
 
 
 # -- reads ----------------------------------------------------------------------------
@@ -240,16 +263,18 @@ def relation_bound(mu: np.ndarray) -> float:
 
 
 @examples
-@given(mu=grades(12, NON_NEGATIVE), x=grades(3, READ_VALUE))
-def test_relation_reads_every_input_within_its_bound(mu, x):
-    """Over the whole float range of ``mu`` and inputs: inputs within the
-    bound read finite, and the rest raise ``ValueError``, not an overflow."""
-    rel = Relation(U3, U4, mu=mu.reshape(4, 3))
+@given(case=per_mode(lambda mode: grades(12, IN_RANGE_MU[mode])), x=grades(3, READ_VALUE))
+def test_relation_reads_every_input_within_its_bound(case, x):
+    """Over each mode's whole range of ``mu`` (an additive relation's is the
+    float range) and inputs anywhere: inputs within the bound read finite,
+    and the rest raise ``ValueError``, not an overflow."""
+    mode, mu = case
+    rel = Relation(U3, U4, mode=mode, mu=mu.reshape(4, 3))
     if np.abs(x).max() <= relation_bound(rel.mu):
-        assert np.isfinite(rel.infer(FuzzyNumber(U3, x)).grades).all()
+        assert np.isfinite(rel.infer(x)).all()
     else:
         with pytest.raises(ValueError, match="within"):
-            rel.infer(FuzzyNumber(U3, x))
+            rel.infer(x)
 
 
 @pytest.mark.parametrize("mode", ["additive", "hardware"])
@@ -258,10 +283,9 @@ def test_relation_bound_follows_its_writes(mode):
     largest stored value to the clamp shrinks it, and an input the fresh
     relation took is then refused."""
     rel = Relation(U3, U3, mode=mode)
-    x = FuzzyNumber(U3, np.array([1e303, 0.0, 0.0]))
-    assert rel.infer(x).grades.max() == 0.0
-    one = FuzzyNumber(U3, np.ones(3))
-    rel.accumulate(one, one, DEFAULT_PARAMS, 1.0)  # clamps every cell at r_on
+    x = np.array([1e303, 0.0, 0.0])
+    assert rel.infer(x).max() == 0.0
+    rel.accumulate(np.ones(3), np.ones(3), 1.0)  # clamps every cell at r_on
     assert relation_bound(rel.mu) < 1e303 < relation_bound(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="within"):
         rel.infer(x)

@@ -298,6 +298,22 @@ def test_infer_rejects_bad_fault_cells(tmp_path, capsys, cells):
     assert captured.err.startswith("error: fault_cells")
 
 
+@pytest.mark.parametrize("count", [-5, 2.7, "3", True])
+def test_infer_rejects_a_bad_saturation_count(tmp_path, capsys, count):
+    from crossfuzzy.device import DEFAULT_PARAMS
+    from crossfuzzy.system import Block, model_to_json
+
+    u = Universe(0.0, 1.0, 3)
+    obj = dict(model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS)),
+               saturation_count=count)
+    path = tmp_path / "counted.json"
+    path.write_text(json.dumps(obj))
+    code = main(["infer", "--model", str(path), "--input", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: saturation_count")
+
+
 @pytest.mark.parametrize("memristance", [[1e5, 1e5, 1e5], 1e5, [[[1e5]]]], ids=["1d", "0d", "3d"])
 def test_infer_rejects_memristance_that_is_not_2d(tmp_path, capsys, memristance):
     from crossfuzzy.device import DEFAULT_PARAMS

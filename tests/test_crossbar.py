@@ -129,10 +129,7 @@ U2 = Universe(0.0, 1.0, 2)
 
 
 def _accumulate(mode, a_grades, b_grades, t0):
-    a, b = FuzzyNumber(U2, np.zeros(2)), FuzzyNumber(U2, np.zeros(2))
-    # Set the grades after construction: FuzzyNumber would reject NaN itself.
-    a.grades, b.grades = a_grades, b_grades
-    Relation(U2, U2, mode=mode).accumulate(a, b, DEFAULT_PARAMS, t0)
+    Relation(U2, U2, mode=mode).accumulate(a_grades, b_grades, t0)
 
 
 WRITERS = {

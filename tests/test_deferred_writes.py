@@ -21,7 +21,7 @@ import crossfuzzy.crossbar
 import crossfuzzy.relation
 from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, beta
-from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
+from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import auto_t0
 from crossfuzzy.relation import Relation
 from crossfuzzy.system import Block, Pipeline, block_infer, block_train, model_to_json
@@ -66,10 +66,10 @@ def test_deferred_writers_match_the_sequential_oracle(seed, pulses, v_th, faults
 
     xb = Crossbar(rows, cols, params, fault_mask=mask)
     ui, uo = Universe(0.0, 1.0, cols), Universe(0.0, 1.0, rows)
-    rel = Relation(ui, uo, mode="hardware")
+    rel = Relation(ui, uo, mode="hardware", params=params)
     for col, row, t0 in plan:
         xb.write_pulse(col, row, t0)
-        rel.accumulate(FuzzyNumber(ui, col), FuzzyNumber(uo, row), params, t0)
+        rel.accumulate(col, row, t0)
     assert xb.saturation_count == events
     assert_near_oracle(xb.memristance, want)
     # A relation has no stuck cells: its oracle runs without the mask.
@@ -107,21 +107,24 @@ def test_holding_keeps_r_on_clear():
     assert np.array_equal(xb.memristance, want)
 
 
-def test_relation_pulses_on_another_device_are_written_with_their_own_constants():
-    """A hardware relation takes its device per pulse. Pulses are held
-    together only on one device: a pulse on another settles those held and
-    is written with its own constants."""
+def test_relation_pulses_are_written_with_its_own_device_constants():
+    """A hardware relation owns its device: held and eager pulses, and the
+    settle between them, use its constants, not the default device's, and a
+    block refuses other device params for it."""
     other = replace(DEFAULT_PARAMS, mu_v=3 * DEFAULT_PARAMS.mu_v)
     rng = np.random.default_rng(7)
     u = Universe(0.0, 1.0, 5)
-    rel = Relation(u, u, mode="hardware")
-    want = np.full((5, 5), R_OFF)
-    for params in (DEFAULT_PARAMS, other, other, DEFAULT_PARAMS):
-        plan = [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), 1e-4) for _ in range(3)]
-        for col, row, t0 in plan:
-            rel.accumulate(FuzzyNumber(u, col), FuzzyNumber(u, row), params, t0)
-        want = sequential_writes(want, plan, params)[0]
+    rel = Relation(u, u, mode="hardware", params=other)
+    plan = [(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), 1e-4) for _ in range(6)]
+    plan[3] = (np.eye(5)[0], np.eye(5)[0], CLAMP_T0)  # settles those held; clamps row and column 0
+    for col, row, t0 in plan:
+        rel.accumulate(col, row, t0)
+    want = sequential_writes(np.full((5, 5), R_OFF), plan, other)[0]
     assert_near_oracle(R_OFF - rel.mu, want)
+    assert not np.allclose(want, sequential_writes(np.full((5, 5), R_OFF), plan,
+                                                   DEFAULT_PARAMS)[0])
+    with pytest.raises(ValueError, match="device_params"):
+        Block(rel, [("x", u)], u, device_params=DEFAULT_PARAMS)
 
 
 def count_drift_calls(monkeypatch) -> list:

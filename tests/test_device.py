@@ -12,7 +12,7 @@ from crossfuzzy.device import (
     apply_flux,
     beta,
 )
-from crossfuzzy.fuzzy import FuzzyNumber, Universe
+from crossfuzzy.fuzzy import Universe
 from crossfuzzy.relation import Relation, implication_f
 from oracles import closed_form_memristance, pulse_memristance, rk4_memristance
 
@@ -152,10 +152,10 @@ def test_every_writer_matches_the_closed_form_oracle(m0, c, r, t0, v_th):
     xb.write_pulse(col, row, t0)
     u = Universe(0.0, 1.0, 2)
     mu0 = np.full((2, 2), R_OFF - m0)
-    hw = Relation(u, u, mode="hardware", mu=mu0)
-    add = Relation(u, u, mode="additive")
+    hw = Relation(u, u, mode="hardware", mu=mu0, params=params)
+    add = Relation(u, u, mode="additive", params=params)
     for rel in (hw, add):
-        rel.accumulate(FuzzyNumber(u, col), FuzzyNumber(u, row), params, t0)
+        rel.accumulate(col, row, t0)
     for i in range(2):
         for j in range(2):
             drive = col[j] + row[i]
@@ -191,14 +191,14 @@ def test_zero_grade_lines_are_never_written_at_one_volt(data, rows, cols, t0):
     m0 = m0.reshape(rows, cols)
     xb = Crossbar(rows, cols, THRESHOLD_PARAMS, memristance=m0)
     ui, uo = Universe(0.0, 1.0, cols), Universe(0.0, 1.0, rows)
-    rel = Relation(ui, uo, mode="hardware", mu=R_OFF - m0)
+    rel = Relation(ui, uo, mode="hardware", mu=R_OFF - m0, params=THRESHOLD_PARAMS)
     mu0 = rel.mu.copy()
     idle = np.ones((rows, cols), dtype=bool)  # a grade-0 line in every pulse so far
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         col = np.array(data.draw(st.lists(maybe_zero, min_size=cols, max_size=cols)))
         row = np.array(data.draw(st.lists(maybe_zero, min_size=rows, max_size=rows)))
         xb.write_pulse(col, row, t0)
-        rel.accumulate(FuzzyNumber(ui, col), FuzzyNumber(uo, row), THRESHOLD_PARAMS, t0)
+        rel.accumulate(col, row, t0)
         idle &= (row[:, None] == 0.0) | (col[None, :] == 0.0)
     assert np.array_equal(xb.memristance[idle], m0[idle])
     assert np.array_equal(rel.mu[idle], mu0[idle])

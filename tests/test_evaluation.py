@@ -136,7 +136,7 @@ def test_both_read_modes_match_the_oracle(tmp_path):
 def test_relation_backed_block_matches_the_oracle(params, monkeypatch):
     """Evaluation validates no grades: its bells and the relation's reads are
     made by the package and wrapped unchecked."""
-    blk = trained_block(params=params, backend=Relation(U, U))
+    blk = trained_block(params=params, backend=Relation(U, U, params=params))
     target, points = target_function("f1", ("x",)), probes(300)
     want = assert_matches_oracle(blk, target, points, SIGMAS)
 

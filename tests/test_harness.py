@@ -11,7 +11,7 @@ import pytest
 from crossfuzzy import harness
 from crossfuzzy.crossbar import Crossbar, load_delta_csv
 from crossfuzzy.device import DEFAULT_PARAMS, beta
-from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
+from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import (
     EXPERIMENT_NAMES,
     Dataset,
@@ -28,7 +28,7 @@ from crossfuzzy.harness import (
     target_function,
     train_block,
 )
-from crossfuzzy.relation import Relation, relation_from_sets
+from crossfuzzy.relation import Relation
 from crossfuzzy.system import Block, Section, block_infer, model_from_json, section_layout
 from oracles import per_sample_training
 
@@ -154,8 +154,8 @@ def test_train_block_single_sample_equals_single_shot_relation():
     dataset = generate_dataset(small_spec(n=1), universes, out_u)
     blk = Block.pristine(list(universes.items()), out_u, DEFAULT_PARAMS)
     train_block(blk, dataset, 1e-6)
-    rel = relation_from_sets(FuzzyNumber(universes["x"], dataset.drives[0]),
-                             FuzzyNumber(out_u, dataset.outputs[0]), DEFAULT_PARAMS, 1e-6)
+    rel = Relation(universes["x"], out_u)
+    rel.accumulate(dataset.drives[0], dataset.outputs[0], 1e-6)
     assert np.allclose(blk.snapshot_delta(), rel.mu, rtol=1e-12, atol=0.0)
 
 
@@ -197,8 +197,8 @@ def test_train_block_equals_the_per_sample_oracle_bit_for_bit(training, v_th):
 
     def pristine() -> Block:
         if relation_mode:
-            rel = Relation(inputs[0][1], out_u, mode=relation_mode)
-            return Block(rel, inputs, out_u, device_params=cfg.device)
+            return Block(Relation(inputs[0][1], out_u, mode=relation_mode, params=cfg.device),
+                         inputs, out_u)
         blk = Block.pristine(inputs, out_u, cfg.device)
         if cfg.fault_fraction > 0:
             blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed)
@@ -290,6 +290,41 @@ def test_config_fields_cannot_be_assigned():
     for field in fields(cfg):
         with pytest.raises(FrozenInstanceError):
             setattr(cfg, field.name, getattr(cfg, field.name))
+
+
+def test_config_mappings_are_read_only():
+    """Frozen all the way down: no mapping a config or its specs hold takes an item."""
+    cfg = default_config("exp-2input")
+    for mapping, key, value in ((cfg.dataset.domains, "x", (1.0, 0.0)),
+                                (cfg.dataset.input_sigmas, "x", -1.0),
+                                (cfg.eval.domains, "x", (1.0, 0.0)),
+                                (cfg.input_universes, "z", Universe(0.0, 1.0, 2))):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping["x"]
+    assert cfg == default_config("exp-2input")
+
+
+def test_config_holds_copies_of_the_mappings_it_was_given():
+    """Editing the dicts a config was built from does not reach it, and its
+    domains are held as ``(lo, hi)`` tuples whatever sequence gave them."""
+    domains, sigmas = {"x": [0.0, 1.0]}, {"x": 0.05}
+    universes = {"x": Universe(0.0, 1.0, 20)}
+    eval_domains = {"x": [0.0, 1.0]}
+    cfg = replace(default_config("exp-f1"), input_universes=universes,
+                  dataset=replace(default_config("exp-f1").dataset, domains=domains,
+                                  input_sigmas=sigmas),
+                  eval=EvalSpec(kind="random", domains=eval_domains, n=10, seed=1))
+    before = json.dumps(cfg.to_json())
+    domains["x"][0] = 5.0
+    domains["x"] = (1.0, 0.0)
+    sigmas["x"] = -1.0
+    universes["y"] = Universe(0.0, 1.0, 2)
+    eval_domains["x"] = (1.0, 0.0)
+    assert json.dumps(cfg.to_json()) == before
+    assert cfg.dataset.domains["x"] == (0.0, 1.0) and cfg.eval.domains["x"] == (0.0, 1.0)
+    assert list(cfg.input_universes) == ["x"]
 
 
 def test_replace_checks_the_derived_config():

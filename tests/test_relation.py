@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossfuzzy.crossbar import Crossbar
-from crossfuzzy.device import DEFAULT_PARAMS, beta
+from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
 from crossfuzzy.harness import default_config, generate_dataset
-from crossfuzzy.relation import Relation, implication_f, relation_from_sets
+from crossfuzzy.relation import Relation, implication_f
+from crossfuzzy.system import Block, model_from_json, model_to_json
 
 R_OFF = DEFAULT_PARAMS.r_off
 R_ON = DEFAULT_PARAMS.r_on
@@ -61,11 +62,18 @@ def test_implication_saturates_at_full_swing():
     assert implication_f(2.0, DEFAULT_PARAMS, 1.0) == R_OFF - R_ON
 
 
+def written_once(a: FuzzyNumber, b: FuzzyNumber, mode: str = "hardware") -> Relation:
+    """A relation written by a single pulse pairing fuzzy sets a (input) and b (output)."""
+    rel = Relation(a.universe, b.universe, mode=mode)
+    rel.accumulate(a.grades, b.grades, T0)
+    return rel
+
+
 def test_relation_from_zero_sets_is_zero():
     u = Universe(0.0, 1.0, 8)
     a = FuzzyNumber(u, np.zeros(8))
     b = FuzzyNumber(u, np.zeros(8))
-    rel = relation_from_sets(a, b, DEFAULT_PARAMS, T0)
+    rel = written_once(a, b)
     assert np.all(rel.mu == 0.0)
 
 
@@ -76,7 +84,7 @@ def test_relation_from_one_hot_sets_is_a_cross():
     a[2] = 1.0
     b = np.zeros(5)
     b[3] = 1.0
-    rel = relation_from_sets(FuzzyNumber(ui, a), FuzzyNumber(uo, b), DEFAULT_PARAMS, T0)
+    rel = written_once(FuzzyNumber(ui, a), FuzzyNumber(uo, b))
     f1 = implication_f(1.0, DEFAULT_PARAMS, T0)
     expected = np.zeros((5, 6))
     expected[3, :] = f1
@@ -90,7 +98,7 @@ def test_relation_from_sets_equals_pristine_write():
     uo = Universe(0.0, 1.0, 7)
     a = fuzzify_gaussian(0.4, 0.1, ui)
     b = fuzzify_gaussian(0.6, 0.1, uo)
-    rel = relation_from_sets(a, b, DEFAULT_PARAMS, T0)
+    rel = written_once(a, b)
     xb = Crossbar(7, 10, DEFAULT_PARAMS)
     xb.write_pulse(a.grades, b.grades, T0)
     assert np.allclose(rel.mu, xb.snapshot_delta(), rtol=1e-12, atol=0.0)
@@ -101,8 +109,8 @@ def test_accumulate_first_pulse_mode_independent():
     uo = Universe(0.0, 1.0, 9)
     a = fuzzify_gaussian(0.3, 0.08, ui)
     b = fuzzify_gaussian(0.7, 0.08, uo)
-    add = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="additive")
-    hw = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="hardware")
+    add = written_once(a, b, mode="additive")
+    hw = written_once(a, b, mode="hardware")
     assert np.allclose(add.mu, hw.mu, rtol=1e-12, atol=0.0)
 
 
@@ -110,10 +118,10 @@ def test_accumulate_two_identical_pulses_modes_diverge():
     u = Universe(0.0, 1.0, 2)
     a = FuzzyNumber(u, np.array([1.0, 0.0]))
     b = FuzzyNumber(u, np.array([0.0, 0.0]))
-    add = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="additive")
-    add.accumulate(a, b, DEFAULT_PARAMS, T0)
-    hw = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode="hardware")
-    hw.accumulate(a, b, DEFAULT_PARAMS, T0)
+    add = written_once(a, b, mode="additive")
+    add.accumulate(a.grades, b.grades, T0)
+    hw = written_once(a, b, mode="hardware")
+    hw.accumulate(a.grades, b.grades, T0)
     # summed grade 1 twice: additive stacks f(1) + f(1), hardware lands on f(2)
     assert add.mu[0, 0] == pytest.approx(TWO_F_OF_1, rel=1e-12)
     assert hw.mu[0, 0] == pytest.approx(F_OF_2, rel=1e-12)
@@ -124,11 +132,11 @@ def test_accumulate_zero_grades_is_identity():
     u = Universe(0.0, 1.0, 5)
     a = fuzzify_gaussian(0.5, 0.1, u)
     b = fuzzify_gaussian(0.5, 0.1, u)
-    zero = FuzzyNumber(u, np.zeros(5))
+    zero = np.zeros(5)
     for mode in ("additive", "hardware"):
-        rel = relation_from_sets(a, b, DEFAULT_PARAMS, T0, mode=mode)
+        rel = written_once(a, b, mode=mode)
         before = rel.mu.copy()
-        rel.accumulate(zero, zero, DEFAULT_PARAMS, T0)
+        rel.accumulate(zero, zero, T0)
         assert np.array_equal(rel.mu, before)
 
 
@@ -138,9 +146,9 @@ def test_mu_is_read_only(mode):
     turn negative after the constructor checked them."""
     u = Universe(0.0, 1.0, 4)
     rel = Relation(u, u, mode=mode, mu=np.full((4, 4), 2.0))
-    for step in (lambda: None, lambda: rel.accumulate(fuzzify_gaussian(0.5, 0.2, u),
-                                                      fuzzify_gaussian(0.5, 0.2, u),
-                                                      DEFAULT_PARAMS, T0)):
+    for step in (lambda: None, lambda: rel.accumulate(fuzzify_gaussian(0.5, 0.2, u).grades,
+                                                      fuzzify_gaussian(0.5, 0.2, u).grades,
+                                                      T0)):
         step()
         before = rel.mu.copy()
         with pytest.raises(AttributeError):
@@ -148,17 +156,21 @@ def test_mu_is_read_only(mode):
         with pytest.raises(ValueError):
             rel.mu[0, 0] = -3.0
         assert np.array_equal(rel.mu, before)
-    assert rel.infer(fuzzify_gaussian(0.5, 0.2, u)).grades.min() > 0.0
+    assert rel.infer(fuzzify_gaussian(0.5, 0.2, u).grades).min() > 0.0
 
 
 def test_universe_mismatch_rejected():
+    """Rows laid out on a universe of another count than the relation's are
+    refused, in writes and reads."""
     rel = Relation(Universe(0.0, 1.0, 5), Universe(0.0, 1.0, 4))
-    wrong = FuzzyNumber(Universe(0.0, 2.0, 5), np.zeros(5))
-    ok_b = FuzzyNumber(Universe(0.0, 1.0, 4), np.zeros(4))
-    with pytest.raises(ValueError):
-        rel.accumulate(wrong, ok_b, DEFAULT_PARAMS, T0)
-    with pytest.raises(ValueError):
-        rel.infer(wrong)
+    for col, row in ((np.zeros(4), np.zeros(4)), (np.zeros(5), np.zeros(5)),
+                     (np.zeros(5), np.zeros((1, 4))), (np.zeros(4), np.zeros(5))):
+        with pytest.raises(ValueError, match="shape"):
+            rel.accumulate(col, row, T0)
+    for x in (np.zeros(4), np.zeros(6), np.zeros((1, 5)), 0.0):
+        with pytest.raises(ValueError, match="shape"):
+            rel.infer(x)
+    assert not rel.mu.any()
 
 
 def test_infer_extracts_columns_and_is_linear():
@@ -168,25 +180,39 @@ def test_infer_extracts_columns_and_is_linear():
     rel = Relation(ui, uo, mu=rng.uniform(0, 30, (6, 8)))
     one_hot = np.zeros(8)
     one_hot[5] = 0.6
-    out = rel.infer(FuzzyNumber(ui, one_hot))
-    assert np.allclose(out.grades, 0.6 * rel.mu[:, 5], rtol=1e-12, atol=0.0)
+    out = rel.infer(one_hot)
+    assert np.allclose(out, 0.6 * rel.mu[:, 5], rtol=1e-12, atol=0.0)
     # two-sample input: weighted sum of two columns
     two = np.zeros(8)
     two[1], two[4] = 0.3, 0.9
-    out2 = rel.infer(FuzzyNumber(ui, two))
+    out2 = rel.infer(two)
     assert np.allclose(
-        out2.grades, 0.3 * rel.mu[:, 1] + 0.9 * rel.mu[:, 4], rtol=1e-12, atol=1e-15
+        out2, 0.3 * rel.mu[:, 1] + 0.9 * rel.mu[:, 4], rtol=1e-12, atol=1e-15
     )
-    assert np.all(rel.infer(FuzzyNumber(ui, np.zeros(8))).grades == 0.0)
+    assert np.all(rel.infer(np.zeros(8)) == 0.0)
+
+
+def test_a_clamped_hardware_relation_stays_in_range_and_reloads():
+    """Rounding in the hardware chain can leave a clamped cell an ulp above
+    r_off - r_on (56.00000000000001 on this 17-73 ohm device); the relation
+    holds it at that top, so its state loads again from model JSON."""
+    params = MemristorParams(mu_v=1e-14, d=1e-8, r_on=17.0, r_off=73.0)
+    u = Universe(0.0, 1.0, 2)
+    rel = Relation(u, u, mu=np.full((2, 2), 6.40028136653607), params=params)
+    rel.accumulate(np.ones(2), np.ones(2), 100.0)  # clamps every cell at r_on
+    assert np.array_equal(rel.mu, np.full((2, 2), 56.0))
+    back = model_from_json(model_to_json(Block(rel, [("x", u)], u))).backend
+    assert np.array_equal(back.mu, rel.mu) and back.params == params
 
 
 # -- properties ---------------------------------------------------------------
 
 
 def _random_pair(rng, ui, uo):
+    """Input and output grade rows: one random bell on each universe."""
     a = fuzzify_gaussian(rng.uniform(ui.lo, ui.hi), 0.08 * (ui.hi - ui.lo), ui)
     b = fuzzify_gaussian(rng.uniform(uo.lo, uo.hi), 0.08 * (uo.hi - uo.lo), uo)
-    return a, b
+    return a.grades, b.grades
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,8 +226,8 @@ def test_hardware_relation_tracks_crossbar(seed, pulses):
     xb = Crossbar(9, 12, DEFAULT_PARAMS)
     for _ in range(pulses):
         a, b = _random_pair(rng, ui, uo)
-        rel.accumulate(a, b, DEFAULT_PARAMS, t0)
-        xb.write_pulse(a.grades, b.grades, t0)
+        rel.accumulate(a, b, t0)
+        xb.write_pulse(a, b, t0)
     assert np.allclose(rel.mu, xb.snapshot_delta(), rtol=1e-12, atol=1e-12)
 
 
@@ -211,12 +237,12 @@ def test_hardware_relation_equals_its_crossbar_bit_for_bit(v_th):
     cfg = default_config("exp-f1")
     cfg = replace(cfg, device=replace(cfg.device, v_th=v_th))
     ui, uo = cfg.input_universes["x"], cfg.output_universe
-    device, t0 = cfg.device, cfg.resolved_t0()
-    rel = Relation(ui, uo, mode="hardware")
+    t0 = cfg.resolved_t0()
+    rel = Relation(ui, uo, mode="hardware", params=cfg.device)
     xb = Crossbar(uo.count, ui.count, cfg.device)
     dataset = generate_dataset(cfg.dataset, cfg.input_universes, uo)
     for drive, output in zip(dataset.drives, dataset.outputs):
-        rel.accumulate(FuzzyNumber(ui, drive), FuzzyNumber(uo, output), device, t0)
+        rel.accumulate(drive, output, t0)
         xb.write_pulse(drive, output, t0)
     assert np.array_equal(rel.mu, xb.snapshot_delta())
     assert rel.mu.max() > 1.0  # ohm: the run wrote something
@@ -230,13 +256,13 @@ def test_mode_gap_is_one_sided_and_small(seed, pulses):
     ui = Universe(0.0, 1.0, 10)
     uo = Universe(0.0, 1.0, 10)
     pairs = [_random_pair(rng, ui, uo) for _ in range(pulses)]
-    total_nu = sum(a.grades[None, :] + b.grades[:, None] for a, b in pairs)
+    total_nu = sum(a[None, :] + b[:, None] for a, b in pairs)
     t0 = 1e-3 * R_OFF**2 / (beta(DEFAULT_PARAMS) * total_nu.max())
     add = Relation(ui, uo, mode="additive")
     hw = Relation(ui, uo, mode="hardware")
     for a, b in pairs:
-        add.accumulate(a, b, DEFAULT_PARAMS, t0)
-        hw.accumulate(a, b, DEFAULT_PARAMS, t0)
+        add.accumulate(a, b, t0)
+        hw.accumulate(a, b, t0)
     assert np.all(hw.mu >= add.mu - 1e-9)
     # Relative agreement is only defined above the float-quantization scale:
     # the r_off^2 subtraction quantizes stored values at ~1e-11 ohm, so cells
@@ -256,8 +282,8 @@ def test_infer_linearity(seed):
     x = rng.uniform(0, 1, 11)
     z = rng.uniform(0, 1, 11)
     a, b = rng.uniform(-3, 3, 2)
-    lhs = rel.infer(FuzzyNumber(ui, a * x + b * z)).grades
-    rhs = a * rel.infer(FuzzyNumber(ui, x)).grades + b * rel.infer(FuzzyNumber(ui, z)).grades
+    lhs = rel.infer(a * x + b * z)
+    rhs = a * rel.infer(x) + b * rel.infer(z)
     assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
 
@@ -272,7 +298,7 @@ def test_monotone_learning(seed, pulses):
         rel = Relation(ui, uo, mode=mode)
         for _ in range(pulses):
             before = rel.mu.copy()
-            rel.accumulate(*_random_pair(rng, ui, uo), DEFAULT_PARAMS, t0)
+            rel.accumulate(*_random_pair(rng, ui, uo), t0)
             assert np.all(rel.mu >= before - 1e-9)
 
 
@@ -288,9 +314,9 @@ def test_read_ideal_bridges_to_infer(seed):
     xb = Crossbar(8, 10, DEFAULT_PARAMS)
     for _ in range(4):
         a, b = _random_pair(rng, ui, uo)
-        rel.accumulate(a, b, DEFAULT_PARAMS, t0)
-        xb.write_pulse(a.grades, b.grades, t0)
-    probe = fuzzify_gaussian(rng.uniform(0, 1), 0.07, ui)
-    lhs = xb.read_ideal(probe.grades)
-    rhs = (-1.0 / R_OFF) * rel.infer(probe).grades
+        rel.accumulate(a, b, t0)
+        xb.write_pulse(a, b, t0)
+    probe = fuzzify_gaussian(rng.uniform(0, 1), 0.07, ui).grades
+    lhs = xb.read_ideal(probe)
+    rhs = (-1.0 / R_OFF) * rel.infer(probe)
     assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-15)

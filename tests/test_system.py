@@ -133,12 +133,20 @@ def test_relation_backed_block_matches_crossbar_sign_bridge():
 
 def test_relation_backend_restrictions():
     rel = Relation(UX, UZ)
-    with pytest.raises(ValueError):
-        Block(rel, [("x", UX)], UZ)  # no device params
+    with pytest.raises(ValueError, match="device_params"):
+        Block(rel, [("x", UX)], UZ, device_params=replace(DEFAULT_PARAMS, r_off=2e5))
+    assert Block(rel, [("x", UX)], UZ).device_params is rel.params
     with pytest.raises(ValueError):
         Block(rel, [("x", UX), ("y", UY)], UZ, device_params=DEFAULT_PARAMS)
     with pytest.raises(ValueError):
         Block(rel, [("x", UY)], UZ, device_params=DEFAULT_PARAMS)
+    # Each of these fits the relation's rows and columns: only its universes refuse it.
+    wide = Universe(0.0, 1.0, UX.count + UY.count)
+    for backend, inputs, out_u in ((Relation(wide, UZ), [("x", UX), ("y", UY)], UZ),
+                                   (rel, [("x", Universe(0.0, 2.0, UX.count))], UZ),
+                                   (rel, [("x", UX)], Universe(0.0, 2.0, UZ.count))):
+        with pytest.raises(ValueError, match="relation"):
+            Block(backend, inputs, out_u)
 
 
 def test_backend_is_read_only():
@@ -287,6 +295,15 @@ def test_block_json_rejects_fault_cells_outside_the_array(cells):
     obj["fault_cells"] = cells
     with pytest.raises(ValueError, match="fault_cells"):
         model_from_json(obj)
+
+
+@pytest.mark.parametrize("count", [-5, 2.7, "3", True, None])
+def test_block_json_rejects_a_saturation_count_that_is_not_a_count(count):
+    obj = dict(model_to_json(two_input_block()), saturation_count=count)
+    with pytest.raises(ValueError, match="saturation_count"):
+        model_from_json(obj)
+    obj["saturation_count"] = 7
+    assert model_from_json(obj).saturation_count == 7
 
 
 def test_block_json_keeps_fault_cells_at_both_ends():
