@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the crossbar, fuzzy, dataset, evaluation and persistence layers; write the medians to JSON.
 
-    python3 scripts/bench.py --out BENCH_15.json
+    python3 scripts/bench.py --out BENCH_16.json
     python3 scripts/bench.py --tiny --out /tmp/bench.json   # seconds-long smoke run
 
 Layers timed, each over the size's repeats (median and interquartile range
@@ -40,6 +40,11 @@ per call, in seconds):
   peak RSS of this process and of its largest child so far
   (``RUSAGE_CHILDREN``), in MB: memory that moved out of the measured
   process is stated, not hidden.
+- JSON reads: ``ExperimentConfig.from_json`` of the exp-2input config's
+  ``to_json()`` (``config_json.exp-2input``) and ``model_from_json`` of the
+  trained exp-2input model's JSON (``config_json.model.exp-2input``), per
+  call: what the strict codec (``crossfuzzy.jsonio``) costs where files are
+  read.
 
 The record also holds the git commit (``-dirty`` if the tree has
 uncommitted changes), the numpy and Python versions and the core count.
@@ -328,6 +333,24 @@ def time_evaluate(lattice: int, pipe_probes: int, n_train: int | None, repeats: 
     return out
 
 
+def time_config_json(n_train: int | None, calls: int, repeats: int) -> dict:
+    """Per-call time of reading the exp-2input config and its trained model from JSON."""
+    blob = cf.default_config("exp-2input").to_json()
+    obj = cf.model_to_json(_trained("exp-2input", n_train)[1])
+    out = {}
+    for tag, read, count in (
+            ("config_json.exp-2input", lambda: cf.ExperimentConfig.from_json(blob), calls),
+            ("config_json.model.exp-2input", lambda: cf.model_from_json(obj), calls // 10)):
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(count):
+                read()
+            samples.append((time.perf_counter() - start) / count)
+        out[tag] = _stats(samples)
+    return out
+
+
 def _git_sha() -> str | None:
     """The checked-out commit; ``-dirty`` marks uncommitted changes."""
     try:
@@ -363,6 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     for rows, cols in size["arrays"]:
         layers.update(time_persist(rows, cols, size["repeats"], rng))
     layers.update(time_run_persist(size["n_train"], size["scaled"], size["evaluate_repeats"]))
+    layers.update(time_config_json(size["n_train"], size["calls"], size["repeats"]))
     record = {
         "git_sha": _git_sha(),
         "numpy": np.__version__,

@@ -52,9 +52,11 @@ largest stored value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import jsonio
 
 __all__ = [
     "MemristorParams",
@@ -77,10 +79,14 @@ HOLD_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class MemristorParams:
-    """Device constants, SI units throughout."""
+    """Device constants, SI units throughout.
+
+    Written and read by ``jsonio``: the film thickness goes under ``"D"``, and
+    JSON without ``"v_th"`` predates the threshold and loads threshold-free.
+    """
 
     mu_v: float  # ion mobility, m^2 s^-1 V^-1
-    d: float  # film thickness, m
+    d: float = field(metadata={"json": "D"})  # film thickness, m
     r_on: float  # minimum memristance, ohm
     r_off: float  # maximum memristance, ohm
     v_th: float = 0.0  # write threshold, V: drive below it moves no flux
@@ -103,26 +109,8 @@ class MemristorParams:
         if not ok:
             raise ValueError(f"beta must be positive and finite for {self}")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MemristorParams":
-        # JSON uses the capitalized film-thickness key "D"; files written
-        # before the threshold existed have no "v_th" and load threshold-free.
-        return cls(
-            mu_v=obj["mu_v"],
-            d=obj["D"],
-            r_on=obj["r_on"],
-            r_off=obj["r_off"],
-            v_th=obj.get("v_th", 0.0),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "mu_v": self.mu_v,
-            "D": self.d,
-            "r_on": self.r_on,
-            "r_off": self.r_off,
-            "v_th": self.v_th,
-        }
+    from_json = classmethod(jsonio.from_json)
+    to_json = jsonio.to_json
 
 
 def beta(params: MemristorParams) -> float:

@@ -11,6 +11,9 @@ which is fine because centroid defuzzification is scale- and sign-invariant.
 grade matrices, one fuzzy number per row (the last axis holds the grades, so
 a single grade vector is one row); ``defuzzify_centroid``,
 ``normalize_peak`` and ``regrid`` are their one-row case.
+
+A universe is written and read as JSON by ``jsonio`` (keys ``lo``, ``hi`` and
+``count``); a fuzzy number's JSON holds its ``universe`` and its ``grades``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from . import jsonio
 
 __all__ = [
     "EmptyOutputError",
@@ -66,12 +71,8 @@ class Universe:
         v.setflags(write=False)
         return v
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Universe":
-        return cls(lo=obj["lo"], hi=obj["hi"], count=obj["count"])
-
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "count": self.count}
+    from_json = classmethod(jsonio.from_json)
+    to_json = jsonio.to_json
 
 
 @dataclass
@@ -100,7 +101,7 @@ class FuzzyNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FuzzyNumber":
-        return cls(Universe.from_json(obj["universe"]), np.asarray(obj["grades"], float))
+        return cls(Universe.from_json(obj["universe"], "universe"), obj["grades"])
 
     def to_json(self) -> dict:
         return {"universe": self.universe.to_json(), "grades": self.grades.tolist()}

@@ -39,7 +39,13 @@ specs hold, and checked once, when it is built: its variables agree, every
 target it names resolves through ``target_function`` and its pulse duration
 keeps within the write budget below. A changed config is derived with
 ``dataclasses.replace``, which checks it again, so a bad config fails where
-it is read and ``run_experiment`` trains only valid ones.
+it is read and ``run_experiment`` trains only valid ones. Configs and their
+specs are written and read as JSON by ``jsonio``: an unknown key, a value of
+the wrong JSON type and a domain that is not two numbers fail as
+``ValueError`` naming their JSON path (``device.vth: unknown key``), and a
+missing key takes its field's default. ``ExperimentConfig``'s JSON nests the
+fault fields under ``"fault"`` and adds ``resolved_t0``; that key and the
+legacy ``r_c`` are read past.
 
 The write-pulse duration is auto-scaled unless pinned: with n samples the
 worst case is every pulse hitting one cell at the full summed grade of 2,
@@ -58,12 +64,13 @@ import os
 import time
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
+from . import jsonio
 from .crossbar import save_delta_csv
 from .device import DEFAULT_PARAMS, MemristorParams, beta
 from .fuzzy import EmptyOutputError, Universe, centroid_rows, fuzzify_gaussian
@@ -190,26 +197,8 @@ class DatasetSpec:
     def variables(self) -> tuple[str, ...]:
         return tuple(self.domains)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DatasetSpec":
-        return cls(
-            target=obj["target"],
-            domains={k: (v[0], v[1]) for k, v in obj["domains"].items()},
-            n=obj["n"],
-            input_sigmas=dict(obj["input_sigmas"]),
-            output_sigma=obj["output_sigma"],
-            seed=obj["seed"],
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "domains": {k: list(v) for k, v in self.domains.items()},
-            "n": self.n,
-            "input_sigmas": dict(self.input_sigmas),
-            "output_sigma": self.output_sigma,
-            "seed": self.seed,
-        }
+    from_json = classmethod(jsonio.from_json)
+    to_json = jsonio.to_json
 
 
 def _pairs(domains) -> dict[str, tuple[float, float]]:
@@ -333,24 +322,8 @@ class EvalSpec:
         else:
             raise ValueError(f"unknown evaluation kind {self.kind!r}")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "EvalSpec":
-        return cls(
-            kind=obj["kind"],
-            domains={k: (v[0], v[1]) for k, v in obj["domains"].items()},
-            n=obj.get("n", 0),
-            shape=tuple(obj.get("shape", ())),
-            seed=obj.get("seed"),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "domains": {k: list(v) for k, v in self.domains.items()},
-            "n": self.n,
-            "shape": list(self.shape),
-            "seed": self.seed,
-        }
+    from_json = classmethod(jsonio.from_json)
+    to_json = jsonio.to_json
 
 
 def eval_points(spec: EvalSpec) -> np.ndarray:
@@ -508,74 +481,53 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        fault = obj.get("fault", {})
-        stages = obj.get("pipeline_targets")
-        if stages and not isinstance(stages, list):
-            raise ValueError(f"pipeline_targets must be a list of targets, got {stages!r}")
-        return cls(
-            name=obj["name"],
-            device=MemristorParams.from_json(obj["device"]),
-            dataset=DatasetSpec.from_json(obj["dataset"]),
-            input_universes={
-                k: Universe.from_json(v) for k, v in obj["input_universes"].items()
-            },
-            output_universe=Universe.from_json(obj["output_universe"]),
-            eval=EvalSpec.from_json(obj["eval"]),
-            t0=obj.get("t0"),
-            read_mode=obj.get("read_mode", "exact"),
-            pipeline_targets=tuple(stages) if stages else None,
-            fault_fraction=fault.get("fraction", 0.0),
-            fault_seed=fault.get("seed", 0),
-            eval_target=obj.get("eval_target"),
-            output_dir=obj.get("output_dir", "results"),
-        )
+        """Read by ``jsonio``, the fault fields from ``"fault"``; ``resolved_t0``
+        (which ``to_json`` writes) and a legacy ``r_c`` are read past."""
+        if type(obj) is not dict:
+            raise ValueError(f"a config must be a JSON object, got {obj!r} (malformed JSON)")
+        fault = jsonio.from_json(_Fault, obj.get("fault", {}), "fault")
+        rest = {k: v for k, v in obj.items() if k not in ("fault", "resolved_t0", "r_c")}
+        return jsonio.from_json(cls, rest, fault_fraction=fault.fraction, fault_seed=fault.seed)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "device": self.device.to_json(),
-            "dataset": self.dataset.to_json(),
-            "input_universes": {k: u.to_json() for k, u in self.input_universes.items()},
-            "output_universe": self.output_universe.to_json(),
-            "eval": self.eval.to_json(),
-            "t0": self.t0,
-            "resolved_t0": self.resolved_t0(),
-            "read_mode": self.read_mode,
-            "pipeline_targets": list(self.pipeline_targets) if self.pipeline_targets else None,
-            "fault": {"fraction": self.fault_fraction, "seed": self.fault_seed},
-            "eval_target": self.eval_target,
-            "output_dir": self.output_dir,
-        }
+        """``jsonio``'s layout with the fault fields nested as ``"fault"`` and
+        ``resolved_t0`` after ``t0``."""
+        obj = {}
+        for key, value in jsonio.to_json(self).items():
+            if key == "fault_fraction":
+                key, value = "fault", jsonio.to_json(_Fault(value, self.fault_seed))
+            if key != "fault_seed":
+                obj[key] = value
+            if key == "t0":
+                obj["resolved_t0"] = self.resolved_t0()
+        return obj
+
+
+@dataclass(frozen=True)
+class _Fault:
+    """The ``"fault"`` object of a config's JSON."""
+
+    fraction: float = 0.0
+    seed: int = 0
 
 
 @dataclass
 class ExperimentResult:
-    name: str
+    """One run's outcome; its fields in ``result.json``'s order (``jsonio``)."""
+
     mse: float
     n_train: int
     saturation_count: int
+    config: dict
     runtime_s: float
     phase_s: dict[str, float]
+    name: str
     per_point_errors: list[float]
     flagged_points: list[int]
-    surface_paths: list[str]
-    model_path: str | None
-    config: dict
+    surface_paths: list[str] = field(metadata={"json": "surfaces"})
+    model_path: str | None = field(metadata={"json": "model"})
 
-    def to_json(self) -> dict:
-        return {
-            "mse": self.mse,
-            "n_train": self.n_train,
-            "saturation_count": self.saturation_count,
-            "config": self.config,
-            "runtime_s": self.runtime_s,
-            "phase_s": self.phase_s,
-            "name": self.name,
-            "per_point_errors": self.per_point_errors,
-            "flagged_points": self.flagged_points,
-            "surfaces": self.surface_paths,
-            "model": self.model_path,
-        }
+    to_json = jsonio.to_json
 
 
 def default_config(name: str, output_dir: str | None = None) -> ExperimentConfig:

@@ -36,6 +36,14 @@ class later still sees every call. A block pickles and deep-copies through
 its model JSON, which settles any deferred writes; the copy shares nothing
 with the original.
 
+Model JSON is read strictly: a block's JSON may hold only the keys
+``block_to_json`` writes for its backend (and ``r_c``, which old files
+hold), a pipeline's only ``kind`` and ``blocks``; ``backend`` must be
+``"crossbar"`` or ``"relation"``; the device and universes are read by
+``jsonio``; and ``memristance`` and ``mu`` must be 2-D arrays of numbers, not
+of ``true`` or ``false``. Each refusal is a ``ValueError`` that names the
+JSON path, such as ``blocks[1].device.vth: unknown key``.
+
 ``Block.infer_rows`` and ``Pipeline.infer_rows`` infer a matrix of column
 drives, one probe per row, with one backend read per row and stage; between
 stages, ``pipeline_rows`` conditions the rows as arrays and reads only the
@@ -50,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .crossbar import Crossbar
 from .device import MemristorParams
 from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, normalize_peak_rows, regrid_rows
@@ -338,12 +347,24 @@ def pipeline_infer(pipe: Pipeline, inputs) -> FuzzyNumber:
 # -- model serialization -------------------------------------------------
 
 
+# The keys of a block's JSON, those of its backend's and, in old files, "r_c".
+_BLOCK_KEYS = {"kind", "inputs", "output_universe", "read_mode", "device", "backend", "r_c"}
+_BACKEND_KEYS = {"crossbar": {"memristance", "fault_cells", "saturation_count"},
+                 "relation": {"mode", "mu"}}
+
+
+@dataclass(frozen=True)
+class _Input:
+    """One entry of a block's ``"inputs"`` JSON list."""
+
+    name: str
+    universe: Universe
+
+
 def block_to_json(block: Block) -> dict:
     obj = {
         "kind": "block",
-        "inputs": [
-            {"name": sec.name, "universe": sec.universe.to_json()} for sec in block.sections
-        ],
+        "inputs": [jsonio.to_json(_Input(sec.name, sec.universe)) for sec in block.sections],
         "output_universe": block.output_universe.to_json(),
         "read_mode": block.read_mode,
         "device": block.device_params.to_json(),
@@ -358,29 +379,45 @@ def block_to_json(block: Block) -> dict:
     return obj
 
 
-def block_from_json(obj: dict) -> Block:
-    inputs = [(e["name"], Universe.from_json(e["universe"])) for e in obj["inputs"]]
-    output_universe = Universe.from_json(obj["output_universe"])
-    read_mode = obj.get("read_mode", "exact")  # an old "r_c" key is ignored
-    params = MemristorParams.from_json(obj["device"])
-    if obj["backend"] == "crossbar":
-        memristance = np.asarray(obj["memristance"], dtype=float)
-        if memristance.ndim != 2:
-            raise ValueError(f"memristance must be a 2-D array, got {memristance.ndim}-D")
+def _matrix(obj: dict, key: str, at: str) -> np.ndarray:
+    """``obj[key]`` as a 2-D float array; JSON true and false are refused, not read as 1 and 0."""
+    matrix = np.asarray(obj[key], dtype=float)
+    if matrix.ndim != 2 or bool in set(map(type, itertools.chain.from_iterable(obj[key]))):
+        raise ValueError(f"{at}{key} must be a 2-D array of numbers")
+    return matrix
+
+
+def block_from_json(obj: dict, path: str = "") -> Block:
+    """Read a block's JSON; ``path`` locates it in the file, for the messages.
+
+    Only the keys ``block_to_json`` writes for the block's backend are read,
+    and ``"r_c"``, which old files hold; any other key is refused.
+    """
+    at = f"{path}." if path else ""
+    backend = obj.get("backend")
+    if backend not in ("crossbar", "relation"):
+        raise ValueError(f"{at}backend must be 'crossbar' or 'relation', got {backend!r}")
+    jsonio.check_keys(obj, _BLOCK_KEYS | _BACKEND_KEYS[backend], path)
+    entries = jsonio.from_json(tuple[_Input, ...], obj["inputs"], f"{at}inputs")
+    inputs = [(e.name, e.universe) for e in entries]
+    output_universe = Universe.from_json(obj["output_universe"], f"{at}output_universe")
+    read_mode = obj.get("read_mode", "exact")
+    params = MemristorParams.from_json(obj["device"], f"{at}device")
+    if backend == "crossbar":
+        memristance = _matrix(obj, "memristance", at)
         cells = obj.get("fault_cells", [])
-        if not all(type(c) is int and 0 <= c < memristance.size for c in cells):
-            raise ValueError(
-                f"fault_cells must be integer cell indices in [0, {memristance.size})"
-            )
+        if not (type(cells) is list
+                and all(type(c) is int and 0 <= c < memristance.size for c in cells)):
+            raise ValueError(f"{at}fault_cells must be integer indices in [0, {memristance.size})")
         mask = np.zeros(memristance.shape, dtype=bool)
         mask.flat[cells] = True
         xbar = Crossbar(*memristance.shape, params, memristance=memristance, fault_mask=mask)
         count = obj.get("saturation_count", 0)
         if not (type(count) is int and count >= 0):
-            raise ValueError(f"saturation_count must be a non-negative integer, got {count!r}")
+            raise ValueError(f"{at}saturation_count must be a non-negative integer, got {count!r}")
         xbar.saturation_count = count
         return Block(xbar, inputs, output_universe, read_mode=read_mode)
-    rel = Relation(inputs[0][1], output_universe, mode=obj["mode"], mu=np.asarray(obj["mu"]),
+    rel = Relation(inputs[0][1], output_universe, mode=obj["mode"], mu=_matrix(obj, "mu", at),
                    params=params)
     return Block(rel, inputs, output_universe, read_mode=read_mode)
 
@@ -390,7 +427,8 @@ def pipeline_to_json(pipe: Pipeline) -> dict:
 
 
 def pipeline_from_json(obj: dict) -> Pipeline:
-    return Pipeline([block_from_json(b) for b in obj["blocks"]])
+    jsonio.check_keys(obj, ("kind", "blocks"))
+    return Pipeline([block_from_json(b, f"blocks[{i}]") for i, b in enumerate(obj["blocks"])])
 
 
 def model_to_json(model: Block | Pipeline) -> dict:

@@ -34,6 +34,7 @@ def test_bench_script_writes_every_layer(tmp_path):
     assert {"generate_dataset.exp-f1.n40", "generate_dataset.exp-2input.n40"} <= names
     assert {"train_block.exp-f1.n40", "train_block.exp-2input.n40",
             "train_block.relation-hardware.16x16.n20"} <= names
+    assert {"config_json.exp-2input", "config_json.model.exp-2input"} <= names
     for run in ("exp-2input", "train-scaled.16x16"):
         persist = record["layers"][f"persist.{run}"]
         assert persist["parent_maxrss_mb"] > 0 and persist["child_maxrss_mb"] > 0

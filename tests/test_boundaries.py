@@ -6,6 +6,7 @@ put a single value out of range, so no check is exercised only by its
 hand-picked cases.
 """
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -19,8 +20,8 @@ from crossfuzzy import cli
 from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
-from crossfuzzy.harness import (DatasetSpec, EvalSpec, ExperimentConfig, default_config,
-                                eval_points)
+from crossfuzzy.harness import (EXPERIMENT_NAMES, DatasetSpec, EvalSpec, ExperimentConfig,
+                                default_config, eval_points)
 from crossfuzzy.relation import Relation
 from crossfuzzy.system import Block, model_from_json, model_to_json
 
@@ -434,3 +435,168 @@ def test_configs_fail_only_as_value_errors(change):
         cli._from_json(ExperimentConfig.from_json, blob, "config")
     except ValueError:
         pass
+
+
+# -- JSON layout: keys, arities and JSON types, with the path named -----------------
+
+# A config's or model's JSON with one edit, the loader that reads it back, and
+# where the error must point. The arrays of a model are values, not places:
+# ``memristance``, ``mu`` and ``fault_cells`` are edited whole.
+ARRAYS = {"memristance", "mu", "fault_cells"}
+# Objects keyed by variable name: their keys are data, not layout.
+VARIABLES = {"domains", "input_sigmas", "input_universes"}
+EXTRAS = {"r_c", "resolved_t0"}  # read past where they stand, so never drawn as a new key
+
+
+def small_models() -> dict:
+    """A crossbar, a relation and a pipeline model, as JSON read back from text."""
+    from crossfuzzy.system import Pipeline
+
+    params = replace(DEFAULT_PARAMS, v_th=0.5)
+    xbar = Block.pristine([("x", U3), ("y", U4)], U3, params)
+    xbar.backend.write_pulse(np.linspace(0.0, 1.0, 7), np.ones(3), 1e-6)
+    xbar.backend.inject_faults(0.3, 1)
+    rel = Block(Relation(U3, U4, mode="additive", mu=np.full((4, 3), 2.0)), [("x", U3)], U4)
+    pipe = Pipeline([Block.pristine([("x", U3)], U4, DEFAULT_PARAMS),
+                     Block(Relation(U4, U3), [("z", U4)], U3, read_mode="ideal")])
+    return {name: json.loads(json.dumps(model_to_json(model)))
+            for name, model in (("crossbar", xbar), ("relation", rel), ("pipeline", pipe))}
+
+
+SOURCES = {**{name: default_config(name).to_json() for name in EXPERIMENT_NAMES},
+           **small_models()}
+
+
+def load(source: str):
+    return ExperimentConfig.from_json if source in EXPERIMENT_NAMES else model_from_json
+
+
+def places(obj, path=()):
+    """(path, value) of every place in a JSON document, inside a model's arrays excepted."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield (*path, key), value
+        if isinstance(value, (dict, list)) and key not in ARRAYS:
+            yield from places(value, (*path, key))
+
+
+def path_text(path) -> str:
+    """A path as the loaders write it: ``blocks[1].device.v_th``."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def edit_sites(source: str) -> list:
+    """Every edit of the property below that ``source`` offers: (source, kind, path)."""
+    blob, sites = SOURCES[source], [(source, "add", ())]
+    for path, value in places(blob):
+        if isinstance(path[-1], str):
+            sites.append((source, "rename", path))
+        if isinstance(value, dict):
+            sites.append((source, "add", path))
+        if len(path) > 1 and path[-2] == "domains":
+            sites.append((source, "arity", path))
+        if type(value) in (int, float) and path != ("resolved_t0",):
+            sites.append((source, "bool", path))
+    return sites
+
+
+SITES = [site for source in ("exp-2input-faulty", "exp-compose", "crossbar", "relation",
+                             "pipeline") for site in edit_sites(source)]
+JSON_KEY = st.text(min_size=1, max_size=4)
+
+
+def node_at(blob, path):
+    for key in path:
+        blob = blob[key]
+    return blob
+
+
+def edited(source: str, kind: str, path: tuple, detail):
+    """A copy of ``source``'s JSON with the edit made, and the paths the error may name.
+
+    ``add`` puts ``detail``, a key and a value, into the object at ``path``;
+    ``rename`` gives the key at ``path`` the name ``detail``; any other kind
+    puts ``detail`` at ``path``.
+    """
+    blob = json.loads(json.dumps(SOURCES[source]))
+    if kind in ("add", "rename"):
+        parent, key = (path, detail[0]) if kind == "add" else (path[:-1], detail)
+        node = node_at(blob, parent)
+        node[key] = detail[1] if kind == "add" else node.pop(path[-1])
+        return blob, [(*parent, key), *([path] if kind == "rename" else [])]
+    node_at(blob, path[:-1])[path[-1]] = detail
+    return blob, [path]
+
+
+def refused_with_its_path(source, kind, path, detail):
+    blob, named = edited(source, kind, path, detail)
+    with pytest.raises(ValueError) as refused:
+        load(source)(blob)
+    parent = path if kind == "add" else path[:-1]
+    if kind in ("add", "rename") and parent[-1:] and parent[-1] in VARIABLES:
+        return  # a new variable name fails as variables that disagree, without a path
+    assert any(path_text(p) in str(refused.value) for p in named), (named, refused.value)
+
+
+@st.composite
+def json_edits(draw):
+    """A site and the detail of its edit: a new key (and value), a list of another
+    length than 2, or a bool."""
+    source, kind, path = draw(st.sampled_from(SITES))
+    parent = node_at(SOURCES[source], path if kind == "add" else path[:-1])
+    fresh = JSON_KEY.filter(lambda k: k not in parent and k not in EXTRAS)
+    detail = {"add": st.tuples(fresh, JSON),
+              "rename": fresh,
+              "arity": st.lists(FINITE, max_size=4).filter(lambda v: len(v) != 2),
+              "bool": st.booleans()}[kind]
+    return source, kind, path, draw(detail)
+
+
+@examples
+@example(case=("exp-f1", "add", ("device",), ("vth", 1.0)))
+@example(case=("exp-f1", "add", (), ("fault_fracton", 0.5)))
+@example(case=("exp-f1", "add", ("dataset",), ("sedd", 3)))
+@example(case=("exp-f1", "arity", ("eval", "domains", "x"), [0, 1, 7]))
+@example(case=("exp-f1", "bool", ("device", "v_th"), True))
+@example(case=("exp-f1", "set", ("name",), 7))
+@example(case=("exp-f1", "set", ("output_dir",), 5))
+@example(case=("exp-f1", "add", (), ("fault_fraction", 0.5)))  # a field, but under "fault"
+@given(case=json_edits())
+def test_json_refuses_a_bad_key_arity_or_bool_and_names_its_path(case):
+    """In the configs of exp-2input-faulty and exp-compose and in a crossbar, a
+    relation and a pipeline model: a misspelt or added key, a domain that is
+    not two values and true or false where a number goes fail as
+    ``ValueError`` whose message names the path. A misspelt or added variable
+    name is data: it fails as variables that disagree."""
+    refused_with_its_path(*case)
+
+
+def test_every_json_path_refuses_each_edit():
+    """Each site of the property above, once, with a fixed edit."""
+    details = {"add": ("zz", 0), "rename": "zz", "arity": [0.0, 1.0, 2.0], "bool": False}
+    for source, kind, path in SITES:
+        refused_with_its_path(source, kind, path, details[kind])
+
+
+@pytest.mark.parametrize("source, path", [
+    ("exp-compose", ("device", "mu_v")), ("exp-compose", ("dataset", "n")),
+    ("exp-compose", ("eval", "domains", "x", 0)), ("exp-compose", ("fault", "seed")),
+    ("exp-compose", ("name",)), ("crossbar", ("inputs", 0, "universe", "count")),
+])
+def test_json_refuses_null_where_the_type_admits_no_none(source, path):
+    """``null`` loads only into a field that may be ``None``, such as ``t0`` or
+    an evaluation ``seed``; anywhere else it is refused with its path."""
+    refused_with_its_path(source, "set", path, None)
+
+
+def test_json_extras_written_or_once_written_are_read_past():
+    """``resolved_t0`` (any value) and a legacy ``r_c`` load at a config's top
+    and a block model's; in a pipeline, ``r_c`` loads on each block."""
+    cfg = dict(SOURCES["exp-compose"], resolved_t0=True, r_c=None)
+    assert ExperimentConfig.from_json(cfg) == default_config("exp-compose")
+    for name in ("crossbar", "relation"):
+        model_from_json(dict(SOURCES[name], r_c=None))
+    pipe = SOURCES["pipeline"]
+    model_from_json(dict(pipe, blocks=[dict(b, r_c=None) for b in pipe["blocks"]]))

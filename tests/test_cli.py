@@ -140,6 +140,21 @@ BAD_TARGET_IDS = ["eval-target-int", "eval-target-list", "eval-target-syntax",
                   "eval-target-unknown", "dataset-target-syntax", "stages-text", "stages-int"]
 
 
+# Overrides a config once read past without a word: (JSON override, the error's start).
+UNREAD_OVERRIDES = [
+    ({"device": {"vth": 1.0}}, "error: device.vth: unknown key"),
+    ({"fault_fracton": 0.5}, "error: fault_fracton: unknown key"),
+    ({"dataset": {"sedd": 3}}, "error: dataset.sedd: unknown key"),
+    ({"eval": {"domains": {"x": [0, 1, 7]}}},
+     "error: eval.domains.x must be a list of 2 values, got [0, 1, 7]"),
+    ({"device": {"v_th": True}}, "error: device.v_th must be a number, got True"),
+    ({"name": 7}, "error: name must be a string, got 7"),
+    ({"output_dir": 5}, "error: output_dir must be a string, got 5"),
+]
+UNREAD_OVERRIDE_IDS = ["vth", "fault-fracton", "sedd", "three-ends", "v_th-true", "name-int",
+                       "output-dir-int"]
+
+
 def run_failing(capsys, *argv) -> str:
     """Run a command that must fail as ``error: …`` with exit 2; return the message."""
     code = main(list(argv))
@@ -184,11 +199,13 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, monkeypatch, config,
     ("exp-f1", '{"eval": {"domains": {"x": [0, 1e309]}}}', "invalid domain"),
     ("exp-f1", '{"eval": {"domains": {"z": [0, 1]}}}', "eval domains"),
     ("exp-f1", '{"dataset": {"domains": {"x": [0]}}}', "malformed JSON"),
-    ("exp-f1", '{"fault": {"fraction": 0.5, "seed": 1.5}}', "fault seed must be an integer"),
+    ("exp-f1", '{"fault": {"fraction": 0.5, "seed": 1.5}}', "fault.seed must be an integer"),
     *(("exp-f1", json.dumps(override), named) for override, named in BAD_TARGETS),
+    *(("exp-f1", json.dumps(override), named) for override, named in UNREAD_OVERRIDES),
 ], ids=["list", "t0-text", "fraction-text", "dataset-n-float", "eval-n-float",
         "eval-seed-float", "shape-float", "dataset-domain-inf", "eval-domain-inf",
-        "eval-variable", "domain-one-end", "fault-seed-float", *BAD_TARGET_IDS])
+        "eval-variable", "domain-one-end", "fault-seed-float", *BAD_TARGET_IDS,
+        *UNREAD_OVERRIDE_IDS])
 def test_experiment_rejects_a_malformed_override(tmp_path, capsys, monkeypatch, name,
                                                  override, named):
     """Each bad override fails where it is read, before anything is trained."""
@@ -330,6 +347,45 @@ def test_infer_rejects_memristance_that_is_not_2d(tmp_path, capsys, memristance)
     assert captured.err.startswith("error: memristance must be a 2-D array")
 
 
+def small_model_json() -> dict:
+    from crossfuzzy.device import DEFAULT_PARAMS
+    from crossfuzzy.system import Block, model_to_json
+
+    u = Universe(0.0, 1.0, 3)
+    return json.loads(json.dumps(model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS))))
+
+
+def with_count(obj: dict, value) -> dict:
+    obj["inputs"][0]["universe"]["count"] = value
+    return obj
+
+
+def with_true_cell(obj: dict) -> dict:
+    obj["memristance"][1][2] = True
+    return obj
+
+
+# Model JSON edits and the start of the error each gives.
+@pytest.mark.parametrize("edit, named", [
+    (lambda obj: dict(obj, backend="crosbar"),
+     "error: backend must be 'crossbar' or 'relation', got 'crosbar'"),
+    (lambda obj: dict(obj, device=dict(obj["device"], vth=1.0)), "error: device.vth: unknown key"),
+    (lambda obj: dict(obj, extra=1), "error: extra: unknown key"),
+    (lambda obj: dict(obj, mu=obj["memristance"]), "error: mu: unknown key"),
+    (lambda obj: with_count(obj, True), "error: inputs[0].universe.count must be an integer"),
+    (with_true_cell, "error: memristance must be a 2-D array of numbers"),
+], ids=["backend-misspelt", "device-vth", "added-key", "relation-key", "count-true", "cell-true"])
+def test_every_command_rejects_a_malformed_model(tmp_path, capsys, edit, named):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(small_model_json())))
+    model = str(path)
+    for argv in (["infer", "--model", model, "--input", "0.5"],
+                 ["export", "--model", model, "--surface", str(tmp_path / "s.csv")],
+                 ["compose", "--blocks", model, model, "--output", str(tmp_path / "p.json")]):
+        assert run_failing(capsys, *argv).startswith(named)
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "p.json").exists()
+
+
 def test_bad_arguments_exit_2(tmp_path, capsys):
     code = main(["infer", "--model", str(tmp_path / "missing.json"), "--input", "0.5"])
     capsys.readouterr()
@@ -372,7 +428,7 @@ def test_export_block_index_within_the_stages(tmp_path, capsys):
     ('{"x": {"grades": [1, 2]}}', "missing key 'universe'"),
     ('{"x": {"universe": {"lo": 0, "hi": 1}, "grades": [1, 2]}}', "missing key 'count'"),
     ('{"x": 3}', "input 'x' must be a JSON object"),
-    ('{"x": {"universe": 3, "grades": [1, 2]}}', "input 'x': malformed JSON"),
+    ('{"x": {"universe": 3, "grades": [1, 2]}}', "universe must be a JSON object, got 3"),
 ])
 def test_infer_rejects_malformed_json_input(tmp_path, capsys, raw, named):
     model = trained_model_path(tmp_path, capsys)

@@ -29,7 +29,8 @@ from crossfuzzy.harness import (
     train_block,
 )
 from crossfuzzy.relation import Relation
-from crossfuzzy.system import Block, Section, block_infer, model_from_json, section_layout
+from crossfuzzy.system import (Block, Section, block_infer, model_from_json, model_to_json,
+                               section_layout)
 from oracles import per_sample_training
 
 
@@ -442,6 +443,17 @@ def tiny_config(tmp_path, name="exp-f1", **dataset_overrides) -> ExperimentConfi
     else:
         ev = EvalSpec(kind="lattice", domains=cfg.eval.domains, shape=(5, 5))
     return replace(cfg, dataset=DatasetSpec(**ds), eval=ev)
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_named_configs_and_models_round_trip_byte_for_byte(tmp_path, name):
+    """JSON read back and written again is the JSON read, for each named
+    experiment's config and for the ``model.json`` its run writes."""
+    text = json.dumps(default_config(name).to_json())
+    assert json.dumps(ExperimentConfig.from_json(json.loads(text)).to_json()) == text
+    run_experiment(name, tiny_config(tmp_path, name))
+    text = (tmp_path / name / "model.json").read_text()
+    assert json.dumps(model_to_json(model_from_json(json.loads(text)))) == text
 
 
 def test_run_experiment_artifacts_and_determinism(tmp_path):
