@@ -6,6 +6,15 @@ Subcommands:
   compose     chain saved single-input blocks into a pipeline model
   experiment  run one of the named experiments, with optional overrides
   export      dump a model's stored-value surface to CSV
+
+``infer`` reads as evaluation does: it builds the input's one drive row with
+``concat_grades`` (a pipeline's first block's), reads it with the model's
+``infer_rows`` and defuzzifies it with ``centroid_rows``. An input that reads
+out no signal prints one ``{"error": "untrained region: ..."}`` line, naming
+the stage for a pipeline, and exits 1. The one-row ``block_infer`` and
+``pipeline_infer`` are not called here; they stay in ``system`` for the
+benchmark's tracer and the per-probe oracle. Bad input of any command exits
+2 with one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .crossbar import save_delta_csv
-from .fuzzy import EmptyOutputError, FuzzyNumber, defuzzify_centroid, fuzzify_gaussian
+from .fuzzy import FuzzyNumber, centroid_rows, fuzzify_gaussian
 from .harness import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -25,7 +34,7 @@ from .harness import (
     merge_json,
     run_experiment,
 )
-from .system import Block, Pipeline, has_signal, model_from_json, model_to_json
+from .system import Block, Pipeline, model_from_json, model_to_json, pipeline_rows
 
 
 def _from_json(build, obj, what: str):
@@ -84,14 +93,17 @@ def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
 def _cmd_infer(args) -> int:
     model = _load_model(args.model)
     inputs = _parse_input(model, args.input, args.sigma)
-    try:
-        output = model.infer(inputs)
-        if not has_signal(output):
-            raise EmptyOutputError("no stored signal at this input")
-        crisp = defuzzify_centroid(output)
-    except EmptyOutputError as exc:
-        print(json.dumps({"error": f"untrained region: {exc}"}))
+    first = model.blocks[0] if isinstance(model, Pipeline) else model
+    drive = first.concat_grades(inputs)[None]
+    rows, live = model.infer_rows(drive)
+    if not live[0]:
+        cause = "no stored signal at this input"
+        if isinstance(model, Pipeline):  # name the stage, as pipeline_rows counts them
+            cause = f"stage {pipeline_rows(model, drive)[1][0]} read out no signal"
+        print(json.dumps({"error": f"untrained region: {cause}"}))
         return 1
+    output = FuzzyNumber(model.output_universe, rows[0])
+    crisp = float(centroid_rows(output.universe, output.grades))
     print(json.dumps({"centroid": crisp, "output": output.to_json()}))
     return 0
 

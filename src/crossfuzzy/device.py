@@ -139,10 +139,7 @@ def drift(m, flux, params: MemristorParams):
     # place: callers keep the result, so the only temporary besides the
     # mask is the caller's flux, freed once the caller returns.
     with np.errstate(over="ignore"):  # a drop past the float range clamps like any other
-        if isinstance(flux, np.ndarray):
-            flux *= beta(params)
-        else:
-            flux = beta(params) * flux
+        flux *= beta(params)  # in place for an array; a scalar is rebound
     m_sq = np.multiply(m, m, out=np.empty_like(flux))
     m_sq -= flux
     clamped = m_sq < floor

@@ -13,7 +13,9 @@ a single grade vector is one row); ``defuzzify_centroid``,
 ``normalize_peak`` and ``regrid`` are their one-row case.
 
 A universe is written and read as JSON by ``jsonio`` (keys ``lo``, ``hi`` and
-``count``); a fuzzy number's JSON holds its ``universe`` and its ``grades``.
+``count``); a fuzzy number's JSON holds its ``universe`` and its ``grades``,
+which must be JSON numbers (``jsonio.all_numbers``): ``true``, ``false`` and
+strings are refused, not read as 1, 0 and the number they spell.
 """
 
 from __future__ import annotations
@@ -101,7 +103,11 @@ class FuzzyNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FuzzyNumber":
-        return cls(Universe.from_json(obj["universe"], "universe"), obj["grades"])
+        """Read a fuzzy number's JSON; its grades must be JSON numbers."""
+        fn = cls(Universe.from_json(obj["universe"], "universe"), obj["grades"])
+        if not jsonio.all_numbers(obj["grades"]):
+            raise ValueError("grades must be a list of numbers")
+        return fn
 
     def to_json(self) -> dict:
         return {"universe": self.universe.to_json(), "grades": self.grades.tolist()}

@@ -104,6 +104,10 @@ MAX_DELTA_FRACTION = 1e-3
 # read-out matrices (at 180 and 100 grades per probe, ~1.2 MB) stay small.
 _CHUNK = 512
 
+# The most points a dataset or a random probe set may draw: the longest array
+# numpy can index.
+_MAX_N = int(np.iinfo(np.intp).max)
+
 
 # -- targets --------------------------------------------------------------
 
@@ -226,10 +230,12 @@ def _check_domains(domains: dict[str, tuple[float, float]]) -> None:
 
 
 def _check_draw(what: str, domains: dict[str, tuple[float, float]], n, seed) -> None:
-    """Valid domains, and an integer count n >= 1 of points drawn from an integer seed."""
+    """Valid domains, and an integer count 1 <= n <= ``_MAX_N`` of points drawn
+    from an integer seed; a count no array can hold is refused here, not by
+    ``auto_t0`` or numpy."""
     _check_domains(domains)
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"{what} needs an integer n >= 1, got n={n!r}")
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= _MAX_N):
+        raise ValueError(f"{what} needs an integer n from 1 to {_MAX_N}, got n={n!r}")
     if not isinstance(seed, numbers.Integral):
         raise ValueError(f"{what} needs an integer seed, got {seed!r}")
 

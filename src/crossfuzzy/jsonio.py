@@ -35,7 +35,7 @@ import typing
 from collections.abc import Mapping
 from functools import cache
 
-__all__ = ["to_json", "from_json", "check_keys"]
+__all__ = ["to_json", "from_json", "check_keys", "all_numbers"]
 
 
 def to_json(obj) -> dict:
@@ -67,6 +67,16 @@ def check_keys(obj: dict, keys, path: str = "") -> None:
     for key in obj:
         if key not in keys:
             raise ValueError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+
+
+def all_numbers(values) -> bool:
+    """Whether every item of ``values`` is a JSON number: not true, false, a string or null.
+
+    For the number arrays that classes read themselves with numpy, which
+    would read ``true`` as 1.0 and ``"0.5"`` as 0.5: a fuzzy number's grades
+    and the rows of a model's ``memristance`` and ``mu``.
+    """
+    return set(map(type, values)) <= {int, float}
 
 
 def _checked(value, types_: tuple, expected: str, path: str, length: int | None = None):

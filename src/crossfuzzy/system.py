@@ -40,15 +40,19 @@ Model JSON is read strictly: a block's JSON may hold only the keys
 ``block_to_json`` writes for its backend (and ``r_c``, which old files
 hold), a pipeline's only ``kind`` and ``blocks``; ``backend`` must be
 ``"crossbar"`` or ``"relation"``; the device and universes are read by
-``jsonio``; and ``memristance`` and ``mu`` must be 2-D arrays of numbers, not
-of ``true`` or ``false``. Each refusal is a ``ValueError`` that names the
-JSON path, such as ``blocks[1].device.vth: unknown key``.
+``jsonio``; and ``memristance`` and ``mu`` must be 2-D arrays of JSON
+numbers, not of ``true``, ``false`` or strings (``jsonio.all_numbers``). Each
+refusal is a ``ValueError`` that names the JSON path, such as
+``blocks[1].device.vth: unknown key``.
 
-``Block.infer_rows`` and ``Pipeline.infer_rows`` infer a matrix of column
-drives, one probe per row, with one backend read per row and stage; between
-stages, ``pipeline_rows`` conditions the rows as arrays and reads only the
-rows that still carry signal. ``has_signal`` and ``pipeline_infer`` are the
-one-row case of ``signal_rows`` and ``pipeline_rows``.
+``Block.infer_rows`` and ``Pipeline.infer_rows`` are the one inference path:
+they infer a matrix of column drives, one probe per row, with one backend
+read per row and stage, and say which rows carry signal; between stages,
+``pipeline_rows`` conditions the rows as arrays and reads only the rows that
+still carry signal. Evaluation and the CLI's ``infer`` both read through
+them. ``block_infer`` and ``pipeline_infer`` are their one-row case, kept
+as the names the benchmark's tracer wraps and as the per-probe oracle's
+reads (``tests/oracles.py``) until that tracer stops looking them up.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ __all__ = [
     "Block",
     "Pipeline",
     "signal_rows",
-    "has_signal",
     "block_train",
     "block_infer",
     "pipeline_rows",
@@ -97,11 +100,6 @@ SIGNAL_FLOOR = 1e-12
 def signal_rows(rows: np.ndarray) -> np.ndarray:
     """Per row of a read-out matrix: whether any grade exceeds ``SIGNAL_FLOOR`` in magnitude."""
     return (np.abs(rows) > SIGNAL_FLOOR).any(axis=-1)
-
-
-def has_signal(fn: FuzzyNumber) -> bool:
-    """``signal_rows`` of one fuzzy number."""
-    return bool(signal_rows(fn.grades))
 
 
 @dataclass(frozen=True)
@@ -185,17 +183,8 @@ class Block:
         return self._backend
 
     @property
-    def input_universe(self) -> Universe:
-        if len(self.sections) != 1:
-            raise ValueError("block has multiple input sections")
-        return self.sections[0].universe
-
-    @property
     def saturation_count(self) -> int:
         return self.backend.saturation_count
-
-    def infer(self, inputs) -> FuzzyNumber:
-        return block_infer(self, inputs)
 
     def infer_rows(self, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One read per row of full column drives, and which read-out rows carry signal.
@@ -273,7 +262,7 @@ class Pipeline:
             if len(blk.sections) != 1:
                 raise ValueError("pipelines chain single-input blocks only")
         for up, down in zip(blocks, blocks[1:]):
-            out_u, in_u = up.output_universe, down.input_universe
+            out_u, in_u = up.output_universe, down.sections[0].universe
             if out_u.hi <= in_u.lo or in_u.hi <= out_u.lo:
                 raise ValueError(
                     f"stage domains do not overlap: [{out_u.lo}, {out_u.hi}] then "
@@ -292,9 +281,6 @@ class Pipeline:
     @property
     def saturation_count(self) -> int:
         return sum(blk.saturation_count for blk in self.blocks)
-
-    def infer(self, inputs) -> FuzzyNumber:
-        return pipeline_infer(self, inputs)
 
     def infer_rows(self, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``pipeline_rows`` of first-stage drives, and which rows came through every stage."""
@@ -325,7 +311,8 @@ def pipeline_rows(pipe: Pipeline, drives: np.ndarray) -> tuple[np.ndarray, np.nd
         alive = alive[ok]
         signal = normalize_peak_rows(out[ok])
         if i + 1 < n_stages:
-            signal = regrid_rows(signal, blk.output_universe, pipe.blocks[i + 1].input_universe)
+            signal = regrid_rows(signal, blk.output_universe,
+                                 pipe.blocks[i + 1].sections[0].universe)
     result = np.zeros((len(drives), pipe.output_universe.count))
     result[alive] = signal
     return result, died
@@ -380,9 +367,9 @@ def block_to_json(block: Block) -> dict:
 
 
 def _matrix(obj: dict, key: str, at: str) -> np.ndarray:
-    """``obj[key]`` as a 2-D float array; JSON true and false are refused, not read as 1 and 0."""
+    """``obj[key]`` as a 2-D float array of JSON numbers (``jsonio.all_numbers``)."""
     matrix = np.asarray(obj[key], dtype=float)
-    if matrix.ndim != 2 or bool in set(map(type, itertools.chain.from_iterable(obj[key]))):
+    if matrix.ndim != 2 or not jsonio.all_numbers(itertools.chain.from_iterable(obj[key])):
         raise ValueError(f"{at}{key} must be a 2-D array of numbers")
     return matrix
 

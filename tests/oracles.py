@@ -9,10 +9,11 @@ it until its next write; the arithmetic is the same, so reads must agree
 bit for bit. ``sequential_writes`` applies write pulses one at a time,
 where crossbars and relations defer threshold-free pulses and settle their
 summed flux once; the two agree to float rounding. ``per_probe_mse``
-evaluates one probe at a time through ``model.infer``, where
-``evaluate_mse`` reads a chunk of probes and conditions and defuzzifies
-them as arrays. ``gaussian_grades`` is the bell as first written, before
-``fuzzify_gaussian`` reordered its arithmetic; the two must agree bit for bit.
+evaluates one probe at a time through ``block_infer`` or ``pipeline_infer``
+and its own signal test, where ``evaluate_mse`` reads a chunk of probes
+through ``infer_rows`` and conditions and defuzzifies them as arrays.
+``gaussian_grades`` is the bell as first written, before ``fuzzify_gaussian``
+reordered its arithmetic; the two must agree bit for bit.
 ``per_sample_training`` trains one sample at a time through ``block_train``,
 with per-variable fuzzy numbers and a scalar target call per sample, where
 ``train_block`` writes the rows of a ``Dataset`` built as arrays; the two
@@ -27,7 +28,7 @@ import numpy as np
 
 from crossfuzzy.fuzzy import EmptyOutputError, defuzzify_centroid, fuzzify_gaussian
 from crossfuzzy.harness import target_function
-from crossfuzzy.system import block_train, has_signal
+from crossfuzzy.system import SIGNAL_FLOOR, Pipeline, block_infer, block_train, pipeline_infer
 
 
 def rk4_memristance(m0: float, v: float, t: float, params, steps: int = 20000) -> float:
@@ -132,8 +133,10 @@ def triangle(x: float, left: float, peak: float, right: float) -> float:
 
 
 def per_probe_mse(model, target_fn, points, input_sigmas):
-    """``evaluate_mse`` one probe at a time: fuzzify, ``model.infer``,
-    ``has_signal``, ``defuzzify_centroid``, squared error as Python floats."""
+    """``evaluate_mse`` one probe at a time: fuzzify, ``block_infer`` or
+    ``pipeline_infer``, a grade above ``SIGNAL_FLOOR`` in magnitude,
+    ``defuzzify_centroid``, squared error as Python floats."""
+    infer = pipeline_infer if isinstance(model, Pipeline) else block_infer
     out_u = model.output_universe
     midpoint = 0.5 * (out_u.lo + out_u.hi)
     per_point, flagged = [], []
@@ -144,8 +147,8 @@ def per_probe_mse(model, target_fn, points, input_sigmas):
             for sec in model.sections
         }
         try:
-            out = model.infer(fz)
-            if not has_signal(out):
+            out = infer(model, fz)
+            if not any(abs(g) > SIGNAL_FLOOR for g in out.grades.tolist()):
                 raise EmptyOutputError("read out no signal")
             prediction = defuzzify_centroid(out)
         except EmptyOutputError:

@@ -193,6 +193,8 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, monkeypatch, config,
     ("exp-f1", '{"fault": {"fraction": "x"}}', "malformed JSON"),
     ("exp-f1", '{"dataset": {"n": 2.5}}', "integer"),
     ("exp-f1", '{"eval": {"n": 2.5}}', "integer"),
+    ("exp-f1", '{"dataset": {"n": 1%s}}' % ("0" * 400), "needs an integer n from 1 to"),
+    ("exp-f1", '{"eval": {"n": 1%s}}' % ("0" * 400), "needs an integer n from 1 to"),
     ("exp-f1", '{"eval": {"seed": 1.5}}', "integer"),
     ("exp-2input", '{"eval": {"shape": [2.5, 3]}}', "integer"),
     ("exp-f1", '{"dataset": {"domains": {"x": [0, 1e309]}}}', "invalid domain"),
@@ -203,9 +205,9 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, monkeypatch, config,
     *(("exp-f1", json.dumps(override), named) for override, named in BAD_TARGETS),
     *(("exp-f1", json.dumps(override), named) for override, named in UNREAD_OVERRIDES),
 ], ids=["list", "t0-text", "fraction-text", "dataset-n-float", "eval-n-float",
-        "eval-seed-float", "shape-float", "dataset-domain-inf", "eval-domain-inf",
-        "eval-variable", "domain-one-end", "fault-seed-float", *BAD_TARGET_IDS,
-        *UNREAD_OVERRIDE_IDS])
+        "dataset-n-beyond-arrays", "eval-n-beyond-arrays", "eval-seed-float", "shape-float",
+        "dataset-domain-inf", "eval-domain-inf", "eval-variable", "domain-one-end",
+        "fault-seed-float", *BAD_TARGET_IDS, *UNREAD_OVERRIDE_IDS])
 def test_experiment_rejects_a_malformed_override(tmp_path, capsys, monkeypatch, name,
                                                  override, named):
     """Each bad override fails where it is read, before anything is trained."""
@@ -300,6 +302,23 @@ def test_infer_untrained_model_reports_error(tmp_path, capsys):
     assert "untrained" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("kind, error", [
+    ("block", "untrained region: no stored signal at this input"),
+    ("pipeline", "untrained region: stage 0 read out no signal"),
+])
+def test_infer_untrained_region_is_named_once(tmp_path, capsys, kind, error):
+    """An all-zero input reads out no signal: one ``untrained region`` line, exit 1."""
+    model = (two_stage_pipeline(tmp_path, capsys) if kind == "pipeline"
+             else trained_model_path(tmp_path, capsys))
+    obj = json.loads(Path(model).read_text())
+    universe = (obj["blocks"][0] if kind == "pipeline" else obj)["inputs"][0]["universe"]
+    zero = json.dumps({"universe": universe, "grades": [0.0] * universe["count"]})
+    code = main(["infer", "--model", model, "--input", zero])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out == json.dumps({"error": error}) + "\n"
+
+
 @pytest.mark.parametrize("cells", [[-1], [1.7], [99]])
 def test_infer_rejects_bad_fault_cells(tmp_path, capsys, cells):
     from crossfuzzy.device import DEFAULT_PARAMS
@@ -365,6 +384,11 @@ def with_true_cell(obj: dict) -> dict:
     return obj
 
 
+def with_text_cell(obj: dict) -> dict:
+    obj["memristance"][1][2] = "1e5"
+    return obj
+
+
 # Model JSON edits and the start of the error each gives.
 @pytest.mark.parametrize("edit, named", [
     (lambda obj: dict(obj, backend="crosbar"),
@@ -374,7 +398,9 @@ def with_true_cell(obj: dict) -> dict:
     (lambda obj: dict(obj, mu=obj["memristance"]), "error: mu: unknown key"),
     (lambda obj: with_count(obj, True), "error: inputs[0].universe.count must be an integer"),
     (with_true_cell, "error: memristance must be a 2-D array of numbers"),
-], ids=["backend-misspelt", "device-vth", "added-key", "relation-key", "count-true", "cell-true"])
+    (with_text_cell, "error: memristance must be a 2-D array of numbers"),
+], ids=["backend-misspelt", "device-vth", "added-key", "relation-key", "count-true", "cell-true",
+        "cell-text"])
 def test_every_command_rejects_a_malformed_model(tmp_path, capsys, edit, named):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(edit(small_model_json())))
@@ -424,11 +450,19 @@ def test_export_block_index_within_the_stages(tmp_path, capsys):
         assert captured.err.startswith(f"error: --block {block} is out of range")
 
 
+# Grades on exp-f1's input universe, which the parser would read as numbers.
+F1_INPUT = {"lo": 0.0, "hi": 1.0, "count": 100}
+BOOL_GRADES = json.dumps({"universe": F1_INPUT, "grades": [True] + [False] * 99})
+TEXT_GRADES = json.dumps({"x": {"universe": F1_INPUT, "grades": ["0.5"] * 100}})
+
+
 @pytest.mark.parametrize("raw, named", [
     ('{"x": {"grades": [1, 2]}}', "missing key 'universe'"),
     ('{"x": {"universe": {"lo": 0, "hi": 1}, "grades": [1, 2]}}', "missing key 'count'"),
     ('{"x": 3}', "input 'x' must be a JSON object"),
     ('{"x": {"universe": 3, "grades": [1, 2]}}', "universe must be a JSON object, got 3"),
+    pytest.param(BOOL_GRADES, "grades must be a list of numbers", id="grades-true-false"),
+    pytest.param(TEXT_GRADES, "grades must be a list of numbers", id="grades-text"),
 ])
 def test_infer_rejects_malformed_json_input(tmp_path, capsys, raw, named):
     model = trained_model_path(tmp_path, capsys)

@@ -297,8 +297,8 @@ def test_read_config_dispatch():
     xb = Crossbar(2, 2, DEFAULT_PARAMS)
     xb.write_pulse([1.0, 0.3], [0.8, 0.0], 1e-4)
     x = FuzzyNumber(u, [0.5, 0.25])
-    exact = Block(xb, [("x", u)], u).infer(x).grades
-    ideal = Block(xb, [("x", u)], u, read_mode="ideal").infer(x).grades
+    (exact,), _ = Block(xb, [("x", u)], u).infer_rows(x.grades[None])
+    (ideal,), _ = Block(xb, [("x", u)], u, read_mode="ideal").infer_rows(x.grades[None])
     assert np.array_equal(exact, xb.read_exact(x.grades))
     assert np.array_equal(ideal, xb.read_ideal(x.grades))
     assert not np.array_equal(exact, ideal)
@@ -309,7 +309,7 @@ def test_read_config_dispatch():
     blk = Block(xb, [("x", u)], u, read_mode="ideal")
     with pytest.raises(AttributeError):
         blk.read_mode = "exact"  # the mode is fixed when the block is built
-    assert np.array_equal(blk.infer(x).grades, ideal)
+    assert np.array_equal(blk.infer_rows(x.grades[None])[0][0], ideal)
 
 
 def test_fault_mask_is_changed_only_by_inject_faults():

@@ -38,10 +38,8 @@ from crossfuzzy.relation import Relation
 from crossfuzzy.system import (
     Block,
     Pipeline,
-    Section,
     model_from_json,
     pipeline_rows,
-    signal_rows,
 )
 from oracles import per_probe_mse
 
@@ -214,22 +212,16 @@ def test_sign_cancelling_output_raises():
     row = np.zeros(U.count)
     row[[10, 20]] = [1.0, -1.0]
 
-    class Cancelling:
-        """A one-section model whose every read-out sums to zero."""
+    class Cancelling(Crossbar):
+        """A crossbar whose every read-out sums to zero."""
 
-        sections = [Section("x", U, 0, U.count)]
-        output_universe = U
+        def read_exact(self, x):
+            return row.copy()
 
-        def infer(self, inputs):
-            return FuzzyNumber(U, row)
-
-        def infer_rows(self, drives):
-            rows = np.tile(row, (len(drives), 1))
-            return rows, signal_rows(rows)
-
+    blk = Block(Cancelling(U.count, U.count, DEFAULT_PARAMS), [("x", U)], U)
     for evaluate in (evaluate_mse, per_probe_mse):
         with pytest.raises(ValueError, match="sum to zero"):
-            evaluate(Cancelling(), target_function("f1", ("x",)), probes(5), SIGMAS)
+            evaluate(blk, target_function("f1", ("x",)), probes(5), SIGMAS)
 
 
 def test_crossbar_block_reads_each_probe_once():

@@ -394,7 +394,7 @@ def test_blocks_call_methods_wrapped_after_they_are_built(monkeypatch):
     for blk in (rel_blk, xb_blk):
         block_train(blk, a, b, T0)
         block_infer(blk, a)
-        blk.infer(a)
+        blk.infer_rows(a.grades[None])
     assert calls == ["accumulate", "infer", "infer", "write_pulse", "read_exact", "read_exact"]
     assert rel_blk.snapshot_delta().any() and xb_blk.snapshot_delta().any()
 
