@@ -30,8 +30,10 @@ per call, in seconds):
   that workload's second half does (each block is built outside the timed
   region), including the settle that the first observation of the array
   pays.
-- Persistence at 100x180 and 500x500: ``save_delta_csv`` of one surface and
-  ``json.dumps(model_to_json(block))`` of a crossbar block holding it; and
+- Persistence at 100x180 and 500x500: ``save_delta_csv`` of one surface,
+  ``json.dumps(model_to_json(block))`` of a crossbar block holding it
+  (``model_json``) and ``model_from_json`` of that JSON, parsed
+  (``model_from_json``); and
   the ``persist`` phase, from ``phase_s``, of an exp-2input
   ``run_experiment`` (``surface.csv``, its two section files and
   ``model.json``) and of the benchmark's train-scaled run (one 500x500
@@ -233,11 +235,13 @@ def time_train_block(n_train: int | None, scaled: tuple[int, int, int], repeats:
 
 
 def time_persist(rows: int, cols: int, repeats: int, rng) -> dict:
-    """Per-call time of writing one surface CSV and of serializing a block holding it."""
+    """Per-call time of writing one surface CSV, of serializing a block holding it
+    and of reading that block back from its parsed JSON."""
     delta = rng.uniform(0.0, 100.0, (rows, cols))
     xb = cf.Crossbar.from_delta(delta, cf.DEFAULT_PARAMS)
     block = cf.Block(xb, [("x", cf.Universe(0.0, 1.0, cols))], cf.Universe(0.0, 1.0, rows))
-    csv, model = [], []
+    obj = json.loads(json.dumps(cf.model_to_json(block)))
+    csv, model, back = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "surface.csv"
         for _ in range(repeats):
@@ -247,8 +251,12 @@ def time_persist(rows: int, cols: int, repeats: int, rng) -> dict:
             start = time.perf_counter()
             json.dumps(cf.model_to_json(block))
             model.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            cf.model_from_json(obj)
+            back.append(time.perf_counter() - start)
     return {f"save_delta_csv.{rows}x{cols}": _stats(csv),
-            f"model_json.{rows}x{cols}": _stats(model)}
+            f"model_json.{rows}x{cols}": _stats(model),
+            f"model_from_json.{rows}x{cols}": _stats(back)}
 
 
 def _train_scaled_config(grid: int, n: int, probes: int) -> cf.ExperimentConfig:

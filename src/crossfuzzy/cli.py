@@ -13,8 +13,17 @@ Subcommands:
 out no signal prints one ``{"error": "untrained region: ..."}`` line, naming
 the stage for a pipeline, and exits 1. The one-row ``block_infer`` and
 ``pipeline_infer`` are not called here; they stay in ``system`` for the
-benchmark's tracer and the per-probe oracle. Bad input of any command exits
-2 with one ``error: ...`` line on stderr.
+benchmark's tracer and the per-probe oracle.
+
+Config, model and ``--input`` JSON are read by the package's one strict
+codec (``crossfuzzy.jsonio``): ``ExperimentConfig.from_json``,
+``model_from_json`` and ``FuzzyNumber.from_json``. ``--input`` JSON is one
+fuzzy number if it has a ``universe`` or ``grades`` key, else an object of
+them keyed by input variable, under the path ``input``. Bad input of any
+command exits 2 with one ``error: ...`` line on stderr, which names the
+JSON path of a bad value and, for a model file, the file. A warning, such
+as a crisp input outside its universe, is one ``warning: ...`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -22,9 +31,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
 
+from . import jsonio
 from .crossbar import save_delta_csv
 from .fuzzy import FuzzyNumber, centroid_rows, fuzzify_gaussian
 from .harness import (
@@ -37,20 +49,11 @@ from .harness import (
 from .system import Block, Pipeline, model_from_json, model_to_json, pipeline_rows
 
 
-def _from_json(build, obj, what: str):
-    """``build(obj)``, where a JSON layout ``build`` cannot read fails as ``ValueError``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    try:
-        return build(obj)
-    except KeyError as exc:
-        raise ValueError(f"{what}: missing key {exc}") from None
-    except (TypeError, AttributeError, IndexError) as exc:
-        raise ValueError(f"{what}: malformed JSON ({exc})") from None
-
-
 def _load_model(path: str) -> Block | Pipeline:
-    return _from_json(model_from_json, json.loads(Path(path).read_text()), path)
+    try:
+        return model_from_json(json.loads(Path(path).read_text()))
+    except ValueError as exc:  # a refusal of the file's JSON names the file
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _with_flags(cfg: ExperimentConfig, **flags) -> ExperimentConfig:
@@ -59,8 +62,7 @@ def _with_flags(cfg: ExperimentConfig, **flags) -> ExperimentConfig:
 
 
 def _cmd_train(args) -> int:
-    cfg = _from_json(ExperimentConfig.from_json, json.loads(Path(args.config).read_text()),
-                     args.config)
+    cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     cfg = _with_flags(cfg, output_dir=args.output_dir)
     result = run_experiment(cfg.name, cfg)
     print(json.dumps({"mse": result.mse, "model": result.model_path,
@@ -75,10 +77,8 @@ def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
         text = Path(raw).read_text()
     if text.lstrip().startswith("{"):
         obj = json.loads(text)
-        if "grades" in obj:
-            return _from_json(FuzzyNumber.from_json, obj, "input")
-        return {name: _from_json(FuzzyNumber.from_json, sub, f"input {name!r}")
-                for name, sub in obj.items()}
+        one = "universe" in obj or "grades" in obj
+        return jsonio.from_json(FuzzyNumber if one else Mapping[str, FuzzyNumber], obj, "input")
     values = [float(v) for v in raw.split(",")]
     sections = model.sections
     if len(values) != len(sections):
@@ -123,9 +123,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_experiment(args) -> int:
     override = json.loads(Path(args.config).read_text()) if args.config else {}
-    defaults = default_config(args.name).to_json()
-    cfg = _from_json(lambda obj: ExperimentConfig.from_json(merge_json(defaults, obj)),
-                     override, args.config or args.name)
+    cfg = ExperimentConfig.from_json(merge_json(default_config(args.name).to_json(), override))
     cfg = _with_flags(cfg, fault_fraction=args.fault_fraction, fault_seed=args.seed,
                       output_dir=args.output_dir)
     result = run_experiment(args.name, cfg)
@@ -207,11 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # a warning is one plain line, as an error is
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args)
+        except (ValueError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ grade matrices, one fuzzy number per row (the last axis holds the grades, so
 a single grade vector is one row); ``defuzzify_centroid``,
 ``normalize_peak`` and ``regrid`` are their one-row case.
 
-A universe is written and read as JSON by ``jsonio`` (keys ``lo``, ``hi`` and
-``count``); a fuzzy number's JSON holds its ``universe`` and its ``grades``,
-which must be JSON numbers (``jsonio.all_numbers``): ``true``, ``false`` and
-strings are refused, not read as 1, 0 and the number they spell.
+Universes and fuzzy numbers are written and read as JSON by ``jsonio``: a
+universe's keys are ``lo``, ``hi`` and ``count``, a fuzzy number's its
+``universe`` and its ``grades``, a ``jsonio.Array[1]`` of JSON numbers
+(``true``, ``false`` and strings are refused, not read as 1, 0 and the
+number they spell).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Universe:
 @dataclass
 class FuzzyNumber:
     universe: Universe
-    grades: np.ndarray = field(repr=False)
+    grades: jsonio.Array[1] = field(repr=False)  # a float array once built
 
     def __post_init__(self) -> None:
         g = np.asarray(self.grades, dtype=float)
@@ -101,16 +102,8 @@ class FuzzyNumber:
         fn.grades = grades
         return fn
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "FuzzyNumber":
-        """Read a fuzzy number's JSON; its grades must be JSON numbers."""
-        fn = cls(Universe.from_json(obj["universe"], "universe"), obj["grades"])
-        if not jsonio.all_numbers(obj["grades"]):
-            raise ValueError("grades must be a list of numbers")
-        return fn
-
-    def to_json(self) -> dict:
-        return {"universe": self.universe.to_json(), "grades": self.grades.tolist()}
+    from_json = classmethod(jsonio.from_json)
+    to_json = jsonio.to_json
 
 
 def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber:

@@ -489,8 +489,7 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """Read by ``jsonio``, the fault fields from ``"fault"``; ``resolved_t0``
         (which ``to_json`` writes) and a legacy ``r_c`` are read past."""
-        if type(obj) is not dict:
-            raise ValueError(f"a config must be a JSON object, got {obj!r} (malformed JSON)")
+        obj = jsonio.from_json(dict, obj)  # a JSON object, or refused
         fault = jsonio.from_json(_Fault, obj.get("fault", {}), "fault")
         rest = {k: v for k, v in obj.items() if k not in ("fault", "resolved_t0", "r_c")}
         return jsonio.from_json(cls, rest, fault_fraction=fault.fraction, fault_seed=fault.seed)
@@ -592,15 +591,12 @@ def default_config(name: str, output_dir: str | None = None) -> ExperimentConfig
     raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
 
 
-def merge_json(base: dict, override: dict) -> dict:
-    """Recursive dict merge used for config overrides."""
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = merge_json(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
+def merge_json(base, override):
+    """Recursive merge of JSON objects used for config overrides; an override
+    that is not an object replaces ``base``."""
+    if not (isinstance(base, dict) and isinstance(override, dict)):
+        return override
+    return {**base, **{key: merge_json(base.get(key), value) for key, value in override.items()}}
 
 
 @contextmanager

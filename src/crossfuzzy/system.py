@@ -36,14 +36,18 @@ class later still sees every call. A block pickles and deep-copies through
 its model JSON, which settles any deferred writes; the copy shares nothing
 with the original.
 
-Model JSON is read strictly: a block's JSON may hold only the keys
-``block_to_json`` writes for its backend (and ``r_c``, which old files
-hold), a pipeline's only ``kind`` and ``blocks``; ``backend`` must be
-``"crossbar"`` or ``"relation"``; the device and universes are read by
-``jsonio``; and ``memristance`` and ``mu`` must be 2-D arrays of JSON
-numbers, not of ``true``, ``false`` or strings (``jsonio.all_numbers``). Each
-refusal is a ``ValueError`` that names the JSON path, such as
-``blocks[1].device.vth: unknown key``.
+Model JSON has one layout per kind, declared once as ``jsonio`` dataclasses
+and both written and read through them: ``_BlockJSON`` holds the fields
+every block has, ``_CrossbarJSON`` and ``_RelationJSON`` add their
+backend's, and ``_PipelineJSON`` holds ``kind`` and ``blocks``. A block is
+read by the layout its ``backend`` names (``"crossbar"`` or
+``"relation"``); ``r_c``, which old files hold, is read past. ``jsonio``
+refuses any other key, a missing one and a value of the wrong JSON type,
+``memristance`` and ``mu`` included (2-D arrays of JSON numbers, never
+``true`` or a string); what the values must be is checked here and by the
+backends. Each refusal is one ``ValueError`` that names the JSON path, such
+as ``blocks[1].device.vth: unknown key`` or ``memristance must be a 2-D
+array of numbers``.
 
 ``Block.infer_rows`` and ``Pipeline.infer_rows`` are the one inference path:
 they infer a matrix of column drives, one probe per row, with one backend
@@ -82,8 +86,6 @@ __all__ = [
     "pipeline_infer",
     "block_to_json",
     "block_from_json",
-    "pipeline_to_json",
-    "pipeline_from_json",
     "model_to_json",
     "model_from_json",
 ]
@@ -334,12 +336,6 @@ def pipeline_infer(pipe: Pipeline, inputs) -> FuzzyNumber:
 # -- model serialization -------------------------------------------------
 
 
-# The keys of a block's JSON, those of its backend's and, in old files, "r_c".
-_BLOCK_KEYS = {"kind", "inputs", "output_universe", "read_mode", "device", "backend", "r_c"}
-_BACKEND_KEYS = {"crossbar": {"memristance", "fault_cells", "saturation_count"},
-                 "relation": {"mode", "mu"}}
-
-
 @dataclass(frozen=True)
 class _Input:
     """One entry of a block's ``"inputs"`` JSON list."""
@@ -348,84 +344,87 @@ class _Input:
     universe: Universe
 
 
+@dataclass(frozen=True, kw_only=True)
+class _BlockJSON:
+    """The keys of a block's JSON that both backends write, in file order."""
+
+    kind: str = "block"
+    inputs: tuple[_Input, ...]
+    output_universe: Universe
+    read_mode: str = "exact"
+    device: MemristorParams
+    backend: str
+
+
+@dataclass(frozen=True, kw_only=True)
+class _CrossbarJSON(_BlockJSON):
+    backend: str = "crossbar"
+    memristance: jsonio.Array[2]
+    fault_cells: tuple[int, ...] = ()  # flat indices of the stuck cells
+    saturation_count: int = 0
+
+
+@dataclass(frozen=True, kw_only=True)
+class _RelationJSON(_BlockJSON):
+    backend: str = "relation"
+    mode: str
+    mu: jsonio.Array[2]
+
+
+_LAYOUTS = {"crossbar": _CrossbarJSON, "relation": _RelationJSON}
+
+
+@dataclass(frozen=True, kw_only=True)
+class _PipelineJSON:
+    kind: str = "pipeline"
+    blocks: tuple[dict, ...]  # each a block's JSON, read by block_from_json
+
+
 def block_to_json(block: Block) -> dict:
-    obj = {
-        "kind": "block",
-        "inputs": [jsonio.to_json(_Input(sec.name, sec.universe)) for sec in block.sections],
-        "output_universe": block.output_universe.to_json(),
-        "read_mode": block.read_mode,
-        "device": block.device_params.to_json(),
-    }
     b = block.backend
+    shared = dict(inputs=tuple(_Input(sec.name, sec.universe) for sec in block.sections),
+                  output_universe=block.output_universe, read_mode=block.read_mode,
+                  device=block.device_params)
     if isinstance(b, Crossbar):
-        fault_cells = np.flatnonzero(b.fault_mask).tolist()
-        obj.update(backend="crossbar", memristance=b.memristance.tolist(),
-                   fault_cells=fault_cells, saturation_count=b.saturation_count)
-    else:
-        obj.update(backend="relation", mode=b.mode, mu=b.mu.tolist())
-    return obj
-
-
-def _matrix(obj: dict, key: str, at: str) -> np.ndarray:
-    """``obj[key]`` as a 2-D float array of JSON numbers (``jsonio.all_numbers``)."""
-    matrix = np.asarray(obj[key], dtype=float)
-    if matrix.ndim != 2 or not jsonio.all_numbers(itertools.chain.from_iterable(obj[key])):
-        raise ValueError(f"{at}{key} must be a 2-D array of numbers")
-    return matrix
+        return jsonio.to_json(_CrossbarJSON(**shared, memristance=b.memristance,
+                                            fault_cells=np.flatnonzero(b.fault_mask),
+                                            saturation_count=b.saturation_count))
+    return jsonio.to_json(_RelationJSON(**shared, mode=b.mode, mu=b.mu))
 
 
 def block_from_json(obj: dict, path: str = "") -> Block:
-    """Read a block's JSON; ``path`` locates it in the file, for the messages.
-
-    Only the keys ``block_to_json`` writes for the block's backend are read,
-    and ``"r_c"``, which old files hold; any other key is refused.
-    """
+    """Read a block's JSON by the layout its backend names; ``path`` locates it in the file."""
     at = f"{path}." if path else ""
-    backend = obj.get("backend")
-    if backend not in ("crossbar", "relation"):
+    backend = jsonio.from_json(dict, obj, path).get("backend")
+    if backend not in _LAYOUTS:
         raise ValueError(f"{at}backend must be 'crossbar' or 'relation', got {backend!r}")
-    jsonio.check_keys(obj, _BLOCK_KEYS | _BACKEND_KEYS[backend], path)
-    entries = jsonio.from_json(tuple[_Input, ...], obj["inputs"], f"{at}inputs")
-    inputs = [(e.name, e.universe) for e in entries]
-    output_universe = Universe.from_json(obj["output_universe"], f"{at}output_universe")
-    read_mode = obj.get("read_mode", "exact")
-    params = MemristorParams.from_json(obj["device"], f"{at}device")
-    if backend == "crossbar":
-        memristance = _matrix(obj, "memristance", at)
-        cells = obj.get("fault_cells", [])
-        if not (type(cells) is list
-                and all(type(c) is int and 0 <= c < memristance.size for c in cells)):
-            raise ValueError(f"{at}fault_cells must be integer indices in [0, {memristance.size})")
+    j = jsonio.from_json(_LAYOUTS[backend], {k: v for k, v in obj.items() if k != "r_c"}, path)
+    inputs = [(e.name, e.universe) for e in j.inputs]
+    if backend == "relation":
+        store = Relation(inputs[0][1], j.output_universe, mode=j.mode, mu=j.mu, params=j.device)
+    else:
+        memristance = np.array(j.memristance, dtype=float)
+        if j.fault_cells and not 0 <= min(j.fault_cells) <= max(j.fault_cells) < memristance.size:
+            raise ValueError(f"{at}fault_cells must be indices in [0, {memristance.size})")
+        if j.saturation_count < 0:
+            raise ValueError(f"{at}saturation_count must be >= 0, got {j.saturation_count}")
         mask = np.zeros(memristance.shape, dtype=bool)
-        mask.flat[cells] = True
-        xbar = Crossbar(*memristance.shape, params, memristance=memristance, fault_mask=mask)
-        count = obj.get("saturation_count", 0)
-        if not (type(count) is int and count >= 0):
-            raise ValueError(f"{at}saturation_count must be a non-negative integer, got {count!r}")
-        xbar.saturation_count = count
-        return Block(xbar, inputs, output_universe, read_mode=read_mode)
-    rel = Relation(inputs[0][1], output_universe, mode=obj["mode"], mu=_matrix(obj, "mu", at),
-                   params=params)
-    return Block(rel, inputs, output_universe, read_mode=read_mode)
-
-
-def pipeline_to_json(pipe: Pipeline) -> dict:
-    return {"kind": "pipeline", "blocks": [block_to_json(b) for b in pipe.blocks]}
-
-
-def pipeline_from_json(obj: dict) -> Pipeline:
-    jsonio.check_keys(obj, ("kind", "blocks"))
-    return Pipeline([block_from_json(b, f"blocks[{i}]") for i, b in enumerate(obj["blocks"])])
+        mask.flat[list(j.fault_cells)] = True
+        store = Crossbar(*memristance.shape, j.device, memristance=memristance, fault_mask=mask)
+        store.saturation_count = j.saturation_count
+    return Block(store, inputs, j.output_universe, read_mode=j.read_mode)
 
 
 def model_to_json(model: Block | Pipeline) -> dict:
-    return block_to_json(model) if isinstance(model, Block) else pipeline_to_json(model)
+    return block_to_json(model) if isinstance(model, Block) else jsonio.to_json(
+        _PipelineJSON(blocks=tuple(map(block_to_json, model.blocks))))
 
 
 def model_from_json(obj: dict) -> Block | Pipeline:
-    kind = obj.get("kind")
+    kind = jsonio.from_json(dict, obj).get("kind")
     if kind == "block":
         return block_from_json(obj)
-    if kind == "pipeline":
-        return pipeline_from_json(obj)
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind != "pipeline":
+        raise ValueError(f"unknown model kind {kind!r}")
+    blocks = jsonio.from_json(_PipelineJSON, obj).blocks
+    return Pipeline([block_from_json(b, f"blocks[{i}]") for i, b in enumerate(blocks)])

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossfuzzy import cli
 from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
@@ -432,7 +431,7 @@ def test_configs_fail_only_as_value_errors(change):
     else:
         node[key] = value
     try:
-        cli._from_json(ExperimentConfig.from_json, blob, "config")
+        ExperimentConfig.from_json(blob)
     except ValueError:
         pass
 
@@ -578,6 +577,23 @@ def test_every_json_path_refuses_each_edit():
     details = {"add": ("zz", 0), "rename": "zz", "arity": [0.0, 1.0, 2.0], "bool": False}
     for source, kind, path in SITES:
         refused_with_its_path(source, kind, path, details[kind])
+
+
+@pytest.mark.parametrize("source, path, value", [
+    ("crossbar", ("memristance",), [[1e5] * 7, [1e5] * 6, [1e5] * 7]),
+    ("relation", ("mu",), [[2.0] * 3, [2.0] * 3, [2.0] * 2, [2.0] * 3]),
+    ("pipeline", ("blocks", 1, "mu"), [[0.0] * 4, [0.0] * 4, [0.0] * 3]),
+    ("crossbar", ("memristance",), "abc"),
+    ("relation", ("mu",), "abc"),
+    ("crossbar", ("memristance",), [[10**400] * 7] * 3),
+    ("pipeline", ("blocks",), 5),
+    ("pipeline", ("blocks", 0), [1]),
+], ids=["ragged-memristance", "ragged-mu", "ragged-stage-mu", "text-memristance", "text-mu",
+        "int-past-float", "blocks-int", "block-list"])
+def test_json_refuses_a_malformed_array_or_block_list(source, path, value):
+    """A ragged or non-numeric ``memristance`` or ``mu``, and a ``blocks`` that is
+    not a list of objects, fail as ``ValueError`` whose message names the path."""
+    refused_with_its_path(source, "set", path, value)
 
 
 @pytest.mark.parametrize("source, path", [

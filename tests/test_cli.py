@@ -166,7 +166,7 @@ def run_failing(capsys, *argv) -> str:
 
 @pytest.mark.parametrize("config, named", [
     ('{"name": "x"}', "missing key 'device'"),
-    ("[1]", "must be a JSON object, got list"),
+    ("[1]", "must be a JSON object, got [1]"),
     ({"t0": "abc"}, "malformed JSON"),
     ({"fault": {"fraction": "x"}}, "malformed JSON"),
     ({"fault": "x"}, "malformed JSON"),
@@ -188,7 +188,7 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, monkeypatch, config,
 
 
 @pytest.mark.parametrize("name, override, named", [
-    ("exp-f1", "[1]", "must be a JSON object, got list"),
+    ("exp-f1", "[1]", "must be a JSON object, got [1]"),
     ("exp-f1", '{"t0": "abc"}', "malformed JSON"),
     ("exp-f1", '{"fault": {"fraction": "x"}}', "malformed JSON"),
     ("exp-f1", '{"dataset": {"n": 2.5}}', "integer"),
@@ -232,6 +232,16 @@ def test_infer_crisp_input(tmp_path, capsys):
     assert code == 0
     assert 0.0 <= out["centroid"] <= 1.0
     assert len(out["output"]["grades"]) == 100
+
+
+def test_infer_warns_in_one_plain_line(tmp_path, capsys):
+    """A crisp value outside the universe still infers, with one ``warning:`` line on stderr."""
+    model = trained_model_path(tmp_path, capsys)
+    for _ in range(2):  # every run warns, not only the first in a process
+        code = main(["infer", "--model", model, "--input", "1.02"])
+        captured = capsys.readouterr()
+        assert code == 0 and "centroid" in json.loads(captured.out)
+        assert captured.err == "warning: crisp value 1.02 lies outside universe [0.0, 1.0]\n"
 
 
 def test_infer_fuzzy_json_input(tmp_path, capsys):
@@ -331,7 +341,7 @@ def test_infer_rejects_bad_fault_cells(tmp_path, capsys, cells):
     code = main(["infer", "--model", str(path), "--input", "0.5"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: fault_cells")
+    assert captured.err.startswith(f"error: {path}: fault_cells")
 
 
 @pytest.mark.parametrize("count", [-5, 2.7, "3", True])
@@ -347,7 +357,7 @@ def test_infer_rejects_a_bad_saturation_count(tmp_path, capsys, count):
     code = main(["infer", "--model", str(path), "--input", "0.5"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: saturation_count")
+    assert captured.err.startswith(f"error: {path}: saturation_count")
 
 
 @pytest.mark.parametrize("memristance", [[1e5, 1e5, 1e5], 1e5, [[[1e5]]]], ids=["1d", "0d", "3d"])
@@ -363,7 +373,7 @@ def test_infer_rejects_memristance_that_is_not_2d(tmp_path, capsys, memristance)
     code = main(["infer", "--model", str(path), "--input", "0.5"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: memristance must be a 2-D array")
+    assert captured.err.startswith(f"error: {path}: memristance must be a 2-D array")
 
 
 def small_model_json() -> dict:
@@ -389,16 +399,16 @@ def with_text_cell(obj: dict) -> dict:
     return obj
 
 
-# Model JSON edits and the start of the error each gives.
+# Model JSON edits and the start of the error each gives, after the file's name.
 @pytest.mark.parametrize("edit, named", [
     (lambda obj: dict(obj, backend="crosbar"),
-     "error: backend must be 'crossbar' or 'relation', got 'crosbar'"),
-    (lambda obj: dict(obj, device=dict(obj["device"], vth=1.0)), "error: device.vth: unknown key"),
-    (lambda obj: dict(obj, extra=1), "error: extra: unknown key"),
-    (lambda obj: dict(obj, mu=obj["memristance"]), "error: mu: unknown key"),
-    (lambda obj: with_count(obj, True), "error: inputs[0].universe.count must be an integer"),
-    (with_true_cell, "error: memristance must be a 2-D array of numbers"),
-    (with_text_cell, "error: memristance must be a 2-D array of numbers"),
+     "backend must be 'crossbar' or 'relation', got 'crosbar'"),
+    (lambda obj: dict(obj, device=dict(obj["device"], vth=1.0)), "device.vth: unknown key"),
+    (lambda obj: dict(obj, extra=1), "extra: unknown key"),
+    (lambda obj: dict(obj, mu=obj["memristance"]), "mu: unknown key"),
+    (lambda obj: with_count(obj, True), "inputs[0].universe.count must be an integer"),
+    (with_true_cell, "memristance must be a 2-D array of numbers"),
+    (with_text_cell, "memristance must be a 2-D array of numbers"),
 ], ids=["backend-misspelt", "device-vth", "added-key", "relation-key", "count-true", "cell-true",
         "cell-text"])
 def test_every_command_rejects_a_malformed_model(tmp_path, capsys, edit, named):
@@ -408,7 +418,7 @@ def test_every_command_rejects_a_malformed_model(tmp_path, capsys, edit, named):
     for argv in (["infer", "--model", model, "--input", "0.5"],
                  ["export", "--model", model, "--surface", str(tmp_path / "s.csv")],
                  ["compose", "--blocks", model, model, "--output", str(tmp_path / "p.json")]):
-        assert run_failing(capsys, *argv).startswith(named)
+        assert run_failing(capsys, *argv).startswith(f"error: {model}: {named}")
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "p.json").exists()
 
 
@@ -459,10 +469,13 @@ TEXT_GRADES = json.dumps({"x": {"universe": F1_INPUT, "grades": ["0.5"] * 100}})
 @pytest.mark.parametrize("raw, named", [
     ('{"x": {"grades": [1, 2]}}', "missing key 'universe'"),
     ('{"x": {"universe": {"lo": 0, "hi": 1}, "grades": [1, 2]}}', "missing key 'count'"),
-    ('{"x": 3}', "input 'x' must be a JSON object"),
+    pytest.param('{"x": 3}', "input.x must be a JSON object, got 3", id="x-not-an-object"),
     ('{"x": {"universe": 3, "grades": [1, 2]}}', "universe must be a JSON object, got 3"),
-    pytest.param(BOOL_GRADES, "grades must be a list of numbers", id="grades-true-false"),
-    pytest.param(TEXT_GRADES, "grades must be a list of numbers", id="grades-text"),
+    pytest.param(BOOL_GRADES, "input.grades must be a 1-D array of numbers",
+                 id="grades-true-false"),
+    pytest.param(TEXT_GRADES, "input.x.grades must be a 1-D array of numbers", id="grades-text"),
+    pytest.param(json.dumps({"universe": F1_INPUT}), "error: input: missing key 'grades'",
+                 id="universe-without-grades"),
 ])
 def test_infer_rejects_malformed_json_input(tmp_path, capsys, raw, named):
     model = trained_model_path(tmp_path, capsys)
