@@ -71,7 +71,7 @@ def _cmd_train(args) -> int:
 
 
 def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
-    """Interpret --input: comma-separated crisp values, inline JSON, or a JSON file."""
+    """Interpret --input: comma-separated crisp values, inline JSON, or a file holding either."""
     text = raw
     if not raw.lstrip().startswith("{") and Path(raw).is_file():
         text = Path(raw).read_text()
@@ -79,7 +79,7 @@ def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
         obj = json.loads(text)
         one = "universe" in obj or "grades" in obj
         return jsonio.from_json(FuzzyNumber if one else Mapping[str, FuzzyNumber], obj, "input")
-    values = [float(v) for v in raw.split(",")]
+    values = [float(v) for v in text.split(",")]
     sections = model.sections
     if len(values) != len(sections):
         raise ValueError(f"model expects {len(sections)} input value(s), got {len(values)}")
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--input",
         required=True,
-        help="comma-separated crisp value(s), inline JSON fuzzy number, or JSON file",
+        help="comma-separated crisp value(s), inline JSON fuzzy number, or a file holding either",
     )
     p.add_argument("--sigma", type=float, help="fuzzification width for crisp inputs")
     p.set_defaults(fn=_cmd_infer)

@@ -7,16 +7,16 @@ device's write threshold becomes flux (``device.pulse_flux``), which the
 cell integrates per the device closed form (``device.drift``). Stuck cells
 (fault mask) ignore writes and always hold ``r_off``.
 
-M lives in a ``device.StoredArray``, which decides whether a checked pulse
-is written now or, on the default threshold-free device, held as two line
-sums and settled when M is next observed: by the ``memristance`` property
-(and so ``snapshot_delta`` and serialization), by building a read matrix
-and by ``inject_faults``. The crossbar gives the store, once, its device
-and its eager write ``_step``: ``drift``, stuck cells kept at ``r_off``, and
-the clamp count. Writes and reads check their inputs with
-``device.check_lines`` and ``device.check_read``, as a ``Relation``'s do.
-``saturation_count`` and ``fault_mask`` are exact without a settle, so
-reading them never settles.
+A crossbar is a ``device.StoredArray`` over M, as a ``Relation`` is over
+its ``mu``. The base class decides whether a checked pulse is written now
+or, on the default threshold-free device, held as two line sums and settled
+when M is next observed: by the ``memristance`` property (and so
+``snapshot_delta`` and serialization), by building a read matrix and by
+``inject_faults``. The crossbar defines the eager write ``_step``:
+``drift``, stuck cells kept at ``r_off``, and the clamp count. Writes and
+reads check their inputs with ``device.check_lines`` and
+``device.check_read``, as a ``Relation``'s do. ``saturation_count`` and
+``fault_mask`` are exact without a settle, so reading them never settles.
 
 Reads: the row amplifiers sum cell currents against an ``r_off`` feedback
 resistor, and a compensation row cancels the raw input sum, leaving
@@ -33,13 +33,13 @@ product with the stored-value matrix. Reads never disturb the stored state.
 arrays, with no setter: M changes only through the constructor,
 ``write_pulse`` and ``inject_faults``, the mask only through the
 constructor and ``inject_faults``. Each read mode builds its matrix
-(``r_off / M`` or ``r_off - M``) on its first read after M changed, so a
-read costs one matrix-vector product.
+(``r_off / M`` or ``r_off - M``) on its first read after M changed, and the
+base class drops it when M changes, so a read costs one matrix-vector
+product.
 """
 
 from __future__ import annotations
 
-import weakref
 from contextlib import ExitStack
 
 import numpy as np
@@ -49,7 +49,7 @@ from .device import MemristorParams, StoredArray, check_lines, check_read, drift
 __all__ = ["Crossbar", "save_delta_csv", "load_delta_csv"]
 
 
-class Crossbar:
+class Crossbar(StoredArray):
     """An m x n grid of memristors plus a stuck-at-r_off fault mask."""
 
     inverts = True  # the row amplifiers negate every read
@@ -64,9 +64,6 @@ class Crossbar:
     ):
         if rows < 1 or cols < 1:
             raise ValueError(f"crossbar needs positive dimensions, got {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self.params = params
         if memristance is None:
             memristance = np.full((rows, cols), float(params.r_off))
         else:
@@ -84,23 +81,16 @@ class Crossbar:
             memristance[fault_mask] = params.r_off
         fault_mask.setflags(write=False)  # replaced only by inject_faults
         self._fault_mask = fault_mask
-        # The store reaches the eager write through a weak reference: a bound
-        # method would tie the crossbar into a cycle only the collector frees.
-        owner = weakref.ref(self)
-        self._store = StoredArray(memristance, params,
-                                  lambda m, flux: owner()._step(m, flux), np.min)
-        self._gain = None  # r_off / M, built by the first exact read
-        self._stored = None  # r_off - M, built by the first ideal read
-        # Largest |x| a read takes. As r_off / M <= r_off / r_on and r_off - M
-        # < r_off, every sum either mode forms stays below half the float range.
+        # Largest |x| a read takes, whatever M holds: as r_off / M <= r_off / r_on
+        # and r_off - M < r_off, every sum either mode forms stays below half the
+        # float range.
         r_off = params.r_off
-        self._read_bound = np.finfo(float).max / (2.0 * cols * (r_off / params.r_on + r_off))
+        self._max_input = np.finfo(float).max / (2.0 * cols * (r_off / params.r_on + r_off))
         self.saturation_count = 0
+        super().__init__(memristance, params)
 
-    @property
-    def memristance(self) -> np.ndarray:
-        """The memristance matrix M (ohm), settled; read-only."""
-        return self._store.state()
+    #: The memristance matrix M (ohm), with every held pulse settled; read-only.
+    memristance = property(StoredArray._settled)
 
     @property
     def fault_mask(self) -> np.ndarray:
@@ -126,8 +116,7 @@ class Crossbar:
         The write is deferred when the headroom rule allows (module docstring).
         """
         col, row = check_lines(col_grades, row_grades, self.cols, self.rows, t0)
-        self._store.pulse(col, row, t0)
-        self._gain = self._stored = None
+        self._pulse(col, row, t0)
 
     def _step(self, m: np.ndarray, flux: np.ndarray) -> np.ndarray:
         # One eager write of ``flux`` onto M. A settle of held pulses is one
@@ -153,25 +142,22 @@ class Crossbar:
         mask.flat[rng.choice(mask.size, size=n_faults, replace=False)] = True
         mask.setflags(write=False)
         self._fault_mask = mask
-        self._store.replace(np.where(mask, self.params.r_off, m))
-        self._gain = self._stored = None
+        self._replace(np.where(mask, self.params.r_off, m))
 
     # -- reads (side-effect free) ----------------------------------------
 
     def read_exact(self, x) -> np.ndarray:
         """Full amplifier algebra, using the true memristance of every cell."""
-        x = check_read(x, self.cols, self._read_bound)
-        if self._gain is None:
-            self._gain = self.params.r_off / self.memristance
-        return x.sum() - self._gain @ x  # -(gain @ x - sum x), one ufunc fewer
+        x = check_read(x, self.cols, self._max_input)
+        gain = self._derive("gain", lambda m: self.params.r_off / m)
+        return x.sum() - gain @ x  # -(gain @ x - sum x), one ufunc fewer
 
     def read_ideal(self, x) -> np.ndarray:
         """First-order read-out: -(1/r_off) times stored-value matrix times x."""
-        x = check_read(x, self.cols, self._read_bound)
-        if self._stored is None:
-            self._stored = self.params.r_off - self.memristance
+        x = check_read(x, self.cols, self._max_input)
+        stored = self._derive("stored", lambda m: self.params.r_off - m)
         alpha = -1.0 / self.params.r_off
-        return alpha * (self._stored @ x)
+        return alpha * (stored @ x)
 
     def snapshot_delta(self) -> np.ndarray:
         """Stored-value matrix r_off - M (ohm); zero at stuck cells."""

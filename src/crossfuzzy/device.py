@@ -31,12 +31,12 @@ length, and a magnitude bound that keeps the read finite).
 Deferred writes. At ``v_th = 0`` a pulse moves flux ``t0 * (row[i] + col[j])``
 into cell (i, j): a row term plus a column term. Flux adds up, so a run of
 pulses that never clamps equals one write of ``np.add.outer(row_sum,
-col_sum)``. ``StoredArray`` owns a backend's stored array; it gets the
-backend's device and eager write once and decides, pulse by pulse, whether
-to hold a pulse as the two line sums (O(rows + cols) work) or to write it
-now; held pulses are written as one flux when the array is next
-observed (the settle). A pulse is held only when the headroom rule proves
-that no cell on the way could clamp:
+col_sum)``. ``StoredArray`` is the base class of both backends: it owns the
+device, the stored array and every value built from it, and decides, pulse
+by pulse, whether to hold a pulse as the two line sums (O(rows + cols) work)
+or to write it now with the backend's eager write; held pulses are written
+as one flux when the array is next observed (the settle). A pulse is held
+only when the headroom rule proves that no cell on the way could clamp:
 
     max(row_sum) + max(col_sum) < (min(M)**2 * (1 - HOLD_MARGIN) - r_on**2) / beta
 
@@ -210,42 +210,57 @@ def pulse_flux(col, row, t0: float, params: MemristorParams):
 
 
 class StoredArray:
-    """A stored array and the threshold-free pulses held on it (module docstring).
+    """The base class of both backends: a stored array on one device.
 
-    Its owner gives it, once, the device ``params``, its eager write
-    ``step(state, flux)``, which returns the new array, and
-    ``lowest(state)``, the smallest memristance of a state. Neither callable
-    may refer to the owner, so a backend and its arrays are freed without
-    the cycle collector.
+    It owns the device ``params``, ``rows`` and ``cols`` (the shape of the
+    state), the settled state, the threshold-free pulses held on it as two
+    line sums (module docstring), and ``_derived``: every value built from
+    the settled state, such as a read matrix, each built at most once per
+    state by ``_derive``. ``_replace`` and a held pulse empty ``_derived``,
+    and nothing else does, so no read uses a value of an older state.
+
+    A subclass defines its eager write ``_step(state, flux)``, which returns
+    the new state, and may override ``_lowest(state)``, the smallest
+    memristance a state holds (by default its smallest entry).
     """
 
-    def __init__(self, state: np.ndarray, params: MemristorParams, step, lowest):
-        self._params = params
-        self._step = step
-        self._lowest = lowest
-        self.replace(state)
+    def __init__(self, state: np.ndarray, params: MemristorParams):
+        self.params = params
+        self.rows, self.cols = state.shape
+        self._replace(state)
 
-    def replace(self, state: np.ndarray) -> None:
-        """Take ``state`` as the stored array, read-only, and drop what is held."""
+    def _replace(self, state: np.ndarray) -> None:
+        """Take ``state`` as the stored array, read-only, and drop what is held or derived."""
         state.setflags(write=False)
         self._state = state
         self._row = self._col = 0.0  # summed t0 * drive per row and per column (V s)
         self._held = False
         self._headroom = None  # flux the line sums may reach; None until measured
+        self._derived = {}
 
-    def state(self) -> np.ndarray:
-        """The stored array, with every held pulse settled by one ``step``."""
+    def _settled(self) -> np.ndarray:
+        """The stored array, with every held pulse settled by one ``_step``."""
         if self._held:
-            self.replace(self._step(self._state, np.add.outer(self._row, self._col)))
+            self._replace(self._step(self._state, np.add.outer(self._row, self._col)))
         return self._state
 
-    def pulse(self, col, row, t0: float) -> None:
+    def _derive(self, key: str, build):
+        """``build(state)`` of the settled state, built at most once per state."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build(self._settled())
+        return value
+
+    def _lowest(self, state: np.ndarray) -> float:
+        return state.min()
+
+    def _pulse(self, col, row, t0: float) -> None:
         """Hold one pulse checked by ``check_lines``, or settle and write it now.
 
         A pulse is held only on a threshold-free device and while the
         headroom rule holds.
         """
-        params = self._params
+        params = self.params
         if params.v_th == 0:
             if self._headroom is None:
                 lo = float(self._lowest(self._state))
@@ -256,8 +271,9 @@ class StoredArray:
             col_sum += self._col
             if row_sum.max() < self._headroom - col_sum.max():  # cannot overflow
                 self._row, self._col, self._held = row_sum, col_sum, True
+                self._derived = {}
                 return
-        self.replace(self._step(self.state(), pulse_flux(col, row, t0, params)))
+        self._replace(self._step(self._settled(), pulse_flux(col, row, t0, params)))
 
 
 def apply_flux(m: float, params: MemristorParams, flux: float) -> tuple[float, bool]:

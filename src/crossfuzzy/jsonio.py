@@ -31,8 +31,10 @@ of the bad value: ``device.vth: unknown key``, ``dataset: missing key
 'seed'``, ``eval.domains.x must be a list of 2 values, got [0, 1, 7]
 (malformed JSON)``, ``memristance must be a 2-D array of numbers``. The
 codec checks layout and JSON types only; the values are checked by the
-classes it builds, when they are built. Field types are resolved once per
-class. The module uses the standard library only.
+classes it builds, when they are built, and a class's refusal is prefixed
+with the path of the object it was built from (``input.x: grades shape
+...``), unless that object is the whole document. Field types are resolved
+once per class. The module uses the standard library only.
 """
 
 from __future__ import annotations
@@ -126,7 +128,10 @@ def _read_fields(cls, obj, path: str, given: dict):
             given[name] = _reader(tp)(obj[key], f"{path}.{key}" if path else key)
         elif required and name not in given:
             raise ValueError(f"{path}: missing key {key!r}" if path else f"missing key {key!r}")
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ValueError as exc:  # the class refused a value: name where it sits
+        raise ValueError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 _SCALARS = {float: "a number", int: "an integer", str: "a string", dict: "a JSON object"}

@@ -30,21 +30,23 @@ refuses ``mu`` outside its mode's range. f is convex, so hardware
 accumulation runs slightly ahead of additive; the two agree to first order
 while stored values stay far below r_off.
 
-``mu`` lives in a ``device.StoredArray``, as a crossbar's M does, so
-hardware accumulation defers its pulses exactly as a crossbar does: on a
-threshold-free device each pulse adds to two line-flux sums, settled by one
-``_chain`` the first time the read-only ``mu`` property is read, which
-``infer``, ``snapshot_delta`` and serialization do. A relation and a
-crossbar given the same pulses hold the same sums, so a relation trained
-from zero still holds exactly ``r_off - M`` of its crossbar when both
-settle at one point.
+A relation is a ``device.StoredArray`` over ``mu``, as a crossbar is over
+its M, so hardware accumulation defers its pulses exactly as a crossbar
+does: on a threshold-free device each pulse adds to two line-flux sums,
+settled by one eager write ``_step`` the first time the read-only ``mu``
+property is read, which ``infer``, ``snapshot_delta`` and serialization do.
+A relation and a crossbar given the same pulses hold the same sums, so a
+relation trained from zero still holds exactly ``r_off - M`` of its
+crossbar when both settle at one point. Its smallest memristance
+(``_lowest``, for the headroom rule) is ``r_off - mu.max()``.
 
 Inference is a plain matrix-vector product: output grades = mu @ input
 grades. No normalization is applied; centroid defuzzification ignores
 scale anyway. Like a crossbar's reads, ``infer`` refuses inputs beyond a
 magnitude bound that keeps the product finite (``device.check_read``); the
 bound follows from the largest stored value, so it is measured on the
-first read after a write and kept until the next one.
+first read after ``mu`` changed, and the base class drops it when ``mu``
+changes again.
 """
 
 from __future__ import annotations
@@ -74,22 +76,7 @@ def implication_f(nu, device: MemristorParams, t0: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _chain(mu: np.ndarray, flux: np.ndarray, device: MemristorParams) -> np.ndarray:
-    # The hardware rule's eager write: continue the device state's flux
-    # integration from m = r_off - mu and add the drop m - m_new. Cells
-    # without flux add exactly 0, so they keep mu bit-identical. The flux is
-    # the crossbar's, and while M stays above r_off / 2 every step is exact,
-    # so a relation trained from zero holds exactly r_off - M of the
-    # crossbar it mirrors. Rounding can leave a cell near the clamp an ulp
-    # above r_off - r_on; it is held at that top, which the constructor takes.
-    m = device.r_off - mu
-    m_new, _ = drift(m, flux, device)
-    np.subtract(m, m_new, out=m_new)
-    m_new += mu
-    return np.minimum(m_new, device.r_off - device.r_on, out=m_new)
-
-
-class Relation:
+class Relation(StoredArray):
     """A software relation on its own device: the crossbar's backend contract.
 
     ``rows`` x ``cols`` is ``output_universe.count`` x
@@ -114,8 +101,7 @@ class Relation:
         self.input_universe = input_universe
         self.output_universe = output_universe
         self.mode = mode
-        self.params = params
-        self.rows, self.cols = shape = (output_universe.count, input_universe.count)
+        shape = (output_universe.count, input_universe.count)
         if mu is None:
             mu = np.zeros(shape)
         else:
@@ -125,14 +111,28 @@ class Relation:
             top = params.r_off - params.r_on if mode == "hardware" else np.finfo(float).max
             if not (mu.min() >= 0 and mu.max() <= top):  # NaN fails the first test
                 raise ValueError(f"{mode} relation needs every mu finite and in [0, {top:.6g}]")
-        self._store = StoredArray(mu, params, lambda mu, flux: _chain(mu, flux, params),
-                                  lambda mu: params.r_off - mu.max())
-        self._read_bound = None  # largest |x| infer takes; None until measured
+        super().__init__(mu, params)
 
-    @property
-    def mu(self) -> np.ndarray:
-        """The stored-value matrix (ohm), with every deferred pulse settled; read-only."""
-        return self._store.state()
+    #: The stored-value matrix (ohm), with every held pulse settled; read-only.
+    mu = property(StoredArray._settled)
+
+    def _step(self, mu: np.ndarray, flux: np.ndarray) -> np.ndarray:
+        # The hardware rule's eager write: continue the device state's flux
+        # integration from m = r_off - mu and add the drop m - m_new. Cells
+        # without flux add exactly 0, so they keep mu bit-identical. The flux is
+        # the crossbar's, and while M stays above r_off / 2 every step is exact,
+        # so a relation trained from zero holds exactly r_off - M of the
+        # crossbar it mirrors. Rounding can leave a cell near the clamp an ulp
+        # above r_off - r_on; it is held at that top, which the constructor takes.
+        device = self.params
+        m = device.r_off - mu
+        m_new, _ = drift(m, flux, device)
+        np.subtract(m, m_new, out=m_new)
+        m_new += mu
+        return np.minimum(m_new, device.r_off - device.r_on, out=m_new)
+
+    def _lowest(self, mu: np.ndarray) -> float:
+        return self.params.r_off - mu.max()
 
     def accumulate(self, col, row, t0: float) -> None:
         """Fold one training pair into the relation: input grades ``col``, output grades ``row``.
@@ -144,11 +144,10 @@ class Relation:
         the headroom rule allows.
         """
         col, row = check_lines(col, row, self.cols, self.rows, t0)
-        self._read_bound = None
         if self.mode == "additive":
-            self._store.replace(self.mu + implication_f(np.add.outer(row, col), self.params, t0))
+            self._replace(self.mu + implication_f(np.add.outer(row, col), self.params, t0))
             return
-        self._store.pulse(col, row, t0)
+        self._pulse(col, row, t0)
 
     def snapshot_delta(self) -> np.ndarray:
         """A copy of the stored-value matrix mu (ohm)."""
@@ -161,8 +160,7 @@ class Relation:
         largest float, ``n`` the input count) raise ``ValueError``: within
         it every sum in ``mu @ x`` stays below half the float range.
         """
-        mu = self.mu
-        if self._read_bound is None:
-            self._read_bound = np.finfo(float).max / (2.0 * self.cols) / max(1.0, float(mu.max()))
+        bound = self._derive("max_input", lambda mu: np.finfo(float).max / (2.0 * self.cols)
+                             / max(1.0, float(mu.max())))
         # Within the bound every sum is finite, so the product needs no check.
-        return mu @ check_read(x, self.cols, self._read_bound)
+        return self.mu @ check_read(x, self.cols, bound)

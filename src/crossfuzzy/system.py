@@ -47,7 +47,9 @@ refuses any other key, a missing one and a value of the wrong JSON type,
 ``true`` or a string); what the values must be is checked here and by the
 backends. Each refusal is one ``ValueError`` that names the JSON path, such
 as ``blocks[1].device.vth: unknown key`` or ``memristance must be a 2-D
-array of numbers``.
+array of numbers``; a backend's or a block's own refusal is prefixed with
+the block's path (``blocks[1]: memristance outside [r_on, r_off]``). A
+pipeline's every stage has ``kind`` ``"block"``.
 
 ``Block.infer_rows`` and ``Pipeline.infer_rows`` are the one inference path:
 they infer a matrix of column drives, one probe per row, with one backend
@@ -399,10 +401,10 @@ def block_from_json(obj: dict, path: str = "") -> Block:
     if backend not in _LAYOUTS:
         raise ValueError(f"{at}backend must be 'crossbar' or 'relation', got {backend!r}")
     j = jsonio.from_json(_LAYOUTS[backend], {k: v for k, v in obj.items() if k != "r_c"}, path)
+    if j.kind != "block":
+        raise ValueError(f"{at}kind must be 'block', got {j.kind!r}")
     inputs = [(e.name, e.universe) for e in j.inputs]
-    if backend == "relation":
-        store = Relation(inputs[0][1], j.output_universe, mode=j.mode, mu=j.mu, params=j.device)
-    else:
+    if backend == "crossbar":
         memristance = np.array(j.memristance, dtype=float)
         if j.fault_cells and not 0 <= min(j.fault_cells) <= max(j.fault_cells) < memristance.size:
             raise ValueError(f"{at}fault_cells must be indices in [0, {memristance.size})")
@@ -410,9 +412,15 @@ def block_from_json(obj: dict, path: str = "") -> Block:
             raise ValueError(f"{at}saturation_count must be >= 0, got {j.saturation_count}")
         mask = np.zeros(memristance.shape, dtype=bool)
         mask.flat[list(j.fault_cells)] = True
-        store = Crossbar(*memristance.shape, j.device, memristance=memristance, fault_mask=mask)
-        store.saturation_count = j.saturation_count
-    return Block(store, inputs, j.output_universe, read_mode=j.read_mode)
+    try:
+        if backend == "relation":
+            store = Relation(inputs[0][1], j.output_universe, mode=j.mode, mu=j.mu, params=j.device)
+        else:
+            store = Crossbar(*memristance.shape, j.device, memristance=memristance, fault_mask=mask)
+            store.saturation_count = j.saturation_count
+        return Block(store, inputs, j.output_universe, read_mode=j.read_mode)
+    except ValueError as exc:  # a backend or the block refused a value: name the block
+        raise ValueError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def model_to_json(model: Block | Pipeline) -> dict:

@@ -596,6 +596,26 @@ def test_json_refuses_a_malformed_array_or_block_list(source, path, value):
     refused_with_its_path(source, "set", path, value)
 
 
+@pytest.mark.parametrize("path, value, refusal", [
+    (("blocks", 0, "memristance"), [[1e9] * 3] * 4, "blocks[0]: memristance outside [r_on, r_off]"),
+    (("blocks", 1, "mu"), [[-1.0] * 4] * 3, "blocks[1]: hardware relation needs every mu"),
+    (("blocks", 1, "read_mode"), "fast", "blocks[1]: read mode must be one of"),
+    (("blocks", 0, "inputs", 0, "universe", "count"), 1,
+     "blocks[0].inputs[0].universe: universe needs an integer count"),
+    (("blocks", 1, "kind"), "pipeline", "blocks[1].kind must be 'block', got 'pipeline'"),
+    (("blocks", 0, "kind"), "banana", "blocks[0].kind must be 'block', got 'banana'"),
+], ids=["stage-memristance", "stage-mu", "stage-read-mode", "stage-universe", "stage-pipeline",
+        "stage-banana"])
+def test_a_stage_refusal_names_its_stage_once(path, value, refusal):
+    """A value a pipeline stage's backend, block or universe refuses, and a stage
+    whose ``kind`` is not ``"block"``, fail as ``ValueError`` whose message
+    starts with the stage's path, named once."""
+    blob, _ = edited("pipeline", "set", path, value)
+    with pytest.raises(ValueError) as refused:
+        model_from_json(blob)
+    assert str(refused.value).startswith(refusal), refused.value
+
+
 @pytest.mark.parametrize("source, path", [
     ("exp-compose", ("device", "mu_v")), ("exp-compose", ("dataset", "n")),
     ("exp-compose", ("eval", "domains", "x", 0)), ("exp-compose", ("fault", "seed")),

@@ -232,6 +232,9 @@ def test_infer_crisp_input(tmp_path, capsys):
     assert code == 0
     assert 0.0 <= out["centroid"] <= 1.0
     assert len(out["output"]["grades"]) == 100
+    crisp = tmp_path / "crisp.txt"  # a file holding the value reads as the value
+    crisp.write_text("0.5\n")
+    assert run_cli(capsys, "infer", "--model", model, "--input", str(crisp)) == (code, out)
 
 
 def test_infer_warns_in_one_plain_line(tmp_path, capsys):
@@ -476,6 +479,10 @@ TEXT_GRADES = json.dumps({"x": {"universe": F1_INPUT, "grades": ["0.5"] * 100}})
     pytest.param(TEXT_GRADES, "input.x.grades must be a 1-D array of numbers", id="grades-text"),
     pytest.param(json.dumps({"universe": F1_INPUT}), "error: input: missing key 'grades'",
                  id="universe-without-grades"),
+    pytest.param(json.dumps({"x": {"universe": F1_INPUT, "grades": [1, 2]}}),
+                 "error: input.x: grades shape (2,)", id="grades-too-few"),
+    pytest.param(json.dumps({"x": {"universe": dict(F1_INPUT, count=1), "grades": [1]}}),
+                 "error: input.x.universe: universe needs an integer count", id="count-1"),
 ])
 def test_infer_rejects_malformed_json_input(tmp_path, capsys, raw, named):
     model = trained_model_path(tmp_path, capsys)

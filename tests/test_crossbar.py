@@ -467,55 +467,93 @@ def test_fault_mask_determinism(seed, fraction):
 OBSERVERS = ["exact", "ideal", "fault", "delta", "section", "json"]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=600, deadline=None)  # about 100 per backend and device
 @given(
+    backend=st.sampled_from(["crossbar", "hardware", "additive"]),
+    v_th=st.sampled_from([0.0, 1.0]),
     seed=st.integers(min_value=0, max_value=2**31),
     steps=st.lists(st.sampled_from(["write", "write", *OBSERVERS]), max_size=12),
 )
-def test_cached_reads_match_the_uncached_formula(seed, steps):
-    """Every read equals the read matrix rebuilt from M, bit for bit, after
-    any interleaving of writes, fault injection and reads in either mode.
-    Writes are deferred, and every observer that follows them (a read,
-    ``inject_faults``, ``snapshot_delta``, ``section_delta``, model JSON)
-    sees the settled state: the sequential writer's, within 1e-9 of its
-    largest stored value."""
+def test_cached_reads_match_the_uncached_formula(backend, v_th, seed, steps):
+    """Every read equals the read matrix rebuilt from the stored state, bit for
+    bit, after any interleaving of writes, fault injection and reads in either
+    mode: on a crossbar and on a hardware and an additive relation (whose one
+    read is ``infer``, which must equal ``mu @ x``), on the threshold-free
+    device, where writes are held, and on the 1 V one, where every write is
+    eager. Every observer that follows a write (a read, ``inject_faults``,
+    ``snapshot_delta``, ``section_delta``, model JSON) sees the settled
+    state: the sequential writer's, within 1e-9 of its largest stored value.
+    A relation has no fault mask; its ``fault`` step only observes."""
+    params = replace(DEFAULT_PARAMS, v_th=v_th)
     rng = np.random.default_rng(seed)
     u = Universe(0.0, 1.0, int(rng.integers(2, 7)))
     v = Universe(0.0, 1.0, int(rng.integers(2, 7)))
-    block = Block.pristine([("x", u)], v, DEFAULT_PARAMS)
-    xb = block.backend
-    want = np.full((xb.rows, xb.cols), R_OFF)  # the sequential writer's state
+    if backend == "crossbar":
+        block = Block.pristine([("x", u)], v, params)
+    else:
+        block = Block(Relation(u, v, mode=backend, params=params), [("x", u)], v)
+    b = block.backend
+    key = "memristance" if backend == "crossbar" else "mu"
+    # The sequential writer's stored values, r_off - M. M stays above r_off / 2,
+    # so r_off - M and back are exact.
+    want = np.zeros((b.rows, b.cols))
 
-    def assert_sequential(m):
-        assert np.abs(m - want).max() <= 1e-9 * (R_OFF - want).max()
+    def stored(model):
+        return R_OFF - model.memristance if backend == "crossbar" else model.mu
+
+    def assert_sequential(delta):
+        assert np.abs(delta - want).max() <= 1e-9 * want.max()
+
+    def read(model, step, x):
+        if backend == "crossbar":
+            return getattr(model, f"read_{step}")(x)
+        return model.infer(x)
+
+    def assert_fresh_read(model, step, x):
+        # A read of a stale matrix would differ from one rebuilt from the
+        # stored state that the getter settles.
+        if backend == "crossbar":
+            oracle = read_exact if step == "exact" else read_ideal
+            assert np.array_equal(read(model, step, x), oracle(model.memristance, x, R_OFF))
+        else:
+            assert np.array_equal(read(model, step, x), model.mu @ x)
+            # Past the bound of the current mu; a bound measured on an older,
+            # smaller mu would let it through.
+            bound = np.finfo(float).max / (2 * model.cols) / max(1.0, model.mu.max())
+            with pytest.raises(ValueError, match="within"):
+                model.infer(np.full(model.cols, 1.5 * bound))
 
     for step in steps + ["exact", "ideal"]:
         if step == "write":
-            pulse = (rng.uniform(0, 1, xb.cols), rng.uniform(0, 1, xb.rows), 1e-3)
-            xb.write_pulse(*pulse)
-            want = sequential_writes(want, [pulse], DEFAULT_PARAMS, xb.fault_mask)[0]
+            pulse = (rng.uniform(0, 1, b.cols), rng.uniform(0, 1, b.rows), 1e-3)
+            if backend == "crossbar":
+                b.write_pulse(*pulse)
+            else:
+                b.accumulate(*pulse)
+            if backend == "additive":  # one pristine device's increment per pulse, summed
+                want = want + R_OFF - sequential_writes(np.full(want.shape, R_OFF), [pulse],
+                                                        params)[0]
+            else:
+                mask = b.fault_mask if backend == "crossbar" else None
+                want = R_OFF - sequential_writes(R_OFF - want, [pulse], params, mask)[0]
         elif step == "fault":
-            xb.inject_faults(float(rng.uniform(0, 0.5)), int(rng.integers(1000)))
-            want = np.where(xb.fault_mask, R_OFF, want)
-            assert_sequential(xb.memristance)
+            if backend == "crossbar":
+                b.inject_faults(float(rng.uniform(0, 0.5)), int(rng.integers(1000)))
+                want = np.where(b.fault_mask, 0.0, want)
+            assert_sequential(stored(b))
         elif step == "delta":
-            assert_sequential(R_OFF - block.snapshot_delta())
+            assert_sequential(block.snapshot_delta())
         elif step == "section":
-            assert_sequential(R_OFF - block.section_delta("x"))
+            assert_sequential(block.section_delta("x"))
         elif step == "json":
-            assert_sequential(np.array(model_to_json(block)["memristance"]))
+            saved = np.array(model_to_json(block)[key])
+            assert_sequential(R_OFF - saved if backend == "crossbar" else saved)
         else:
-            x = rng.uniform(0, 1, xb.cols)
-            oracle = read_exact if step == "exact" else read_ideal
-            got = getattr(xb, f"read_{step}")(x)
-            # A read of an unsettled M would differ from a read of the M
-            # that the getter settles.
-            assert np.array_equal(got, oracle(xb.memristance, x, R_OFF))
-            assert_sequential(xb.memristance)
-    x = rng.uniform(0, 1, xb.cols)
+            assert_fresh_read(b, step, rng.uniform(0, 1, b.cols))
+            assert_sequential(stored(b))
+    x = rng.uniform(0, 1, b.cols)
     back = model_from_json(model_to_json(block)).backend
-    assert np.array_equal(back.memristance, xb.memristance)
-    for mode, oracle in (("exact", read_exact), ("ideal", read_ideal)):
-        got = getattr(back, f"read_{mode}")(x)
-        assert np.array_equal(got, oracle(xb.memristance, x, R_OFF))
-        assert np.array_equal(got, getattr(xb, f"read_{mode}")(x))
+    assert np.array_equal(stored(back), stored(b))
+    for mode in ("exact", "ideal"):
+        assert_fresh_read(back, mode, x)
+        assert np.array_equal(read(back, mode, x), read(b, mode, x))
