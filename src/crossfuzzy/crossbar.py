@@ -40,6 +40,8 @@ product.
 
 from __future__ import annotations
 
+import math
+import re
 from contextlib import ExitStack
 
 import numpy as np
@@ -146,16 +148,22 @@ class Crossbar(StoredArray):
 
     # -- reads (side-effect free) ----------------------------------------
 
+    def _gain(self, m: np.ndarray) -> np.ndarray:
+        return self.params.r_off / m
+
+    def _stored(self, m: np.ndarray) -> np.ndarray:
+        return self.params.r_off - m
+
     def read_exact(self, x) -> np.ndarray:
         """Full amplifier algebra, using the true memristance of every cell."""
         x = check_read(x, self.cols, self._max_input)
-        gain = self._derive("gain", lambda m: self.params.r_off / m)
-        return x.sum() - gain @ x  # -(gain @ x - sum x), one ufunc fewer
+        gain = self._derive(Crossbar._gain)
+        return np.add.reduce(x) - gain @ x  # -(gain @ x - sum x), one ufunc fewer
 
     def read_ideal(self, x) -> np.ndarray:
         """First-order read-out: -(1/r_off) times stored-value matrix times x."""
         x = check_read(x, self.cols, self._max_input)
-        stored = self._derive("stored", lambda m: self.params.r_off - m)
+        stored = self._derive(Crossbar._stored)
         alpha = -1.0 / self.params.r_off
         return alpha * (stored @ x)
 
@@ -186,14 +194,35 @@ def save_delta_csv(path, delta: np.ndarray, r_off: float, sections=None) -> None
 
 
 def load_delta_csv(path) -> tuple[np.ndarray, float]:
-    """Inverse of :func:`save_delta_csv`; returns (matrix, r_off)."""
+    """Inverse of :func:`save_delta_csv`; returns (matrix, r_off).
+
+    Refuses what ``save_delta_csv`` of a surface cannot have written, with
+    one ``ValueError`` that names the file: a header other than ``# rows=R
+    cols=C r_off=X`` with positive integer counts and a finite, positive
+    ``r_off``; cells that do not parse, do not match the counts, or are not
+    finite and non-negative.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing header line")
-        fields = dict(kv.split("=") for kv in header.lstrip("# ").split())
-        rows, cols, r_off = int(fields["rows"]), int(fields["cols"]), float(fields["r_off"])
-        delta = np.loadtxt(fh, delimiter=",", ndmin=2)
+        match = re.fullmatch(r"# rows=([1-9]\d*) cols=([1-9]\d*) r_off=(\S+)", header)
+        if match is None:
+            raise ValueError(f"{path}: header must be '# rows=R cols=C r_off=X' with positive "
+                             f"integer counts, got {header!r}")
+        rows, cols = int(match[1]), int(match[2])
+        try:
+            r_off = float(match[3])
+        except ValueError:
+            r_off = math.nan  # refused below
+        if not 0 < r_off < math.inf:
+            raise ValueError(f"{path}: r_off must be finite and positive, got {match[3]!r}")
+        try:
+            delta = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if delta.shape != (rows, cols):
         raise ValueError(f"{path}: data shape {delta.shape} does not match header")
+    if not (delta.min() >= 0 and delta.max() < math.inf):  # NaN fails the first test
+        raise ValueError(f"{path}: cells must be finite and non-negative")
     return delta, r_off

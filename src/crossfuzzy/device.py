@@ -35,18 +35,22 @@ col_sum)``. ``StoredArray`` is the base class of both backends: it owns the
 device, the stored array and every value built from it, and decides, pulse
 by pulse, whether to hold a pulse as the two line sums (O(rows + cols) work)
 or to write it now with the backend's eager write; held pulses are written
-as one flux when the array is next observed (the settle). A pulse is held
-only when the headroom rule proves that no cell on the way could clamp:
+as one flux when the array is next observed (the settle). ``check_lines``
+bounds every grade by 1, so one pulse adds at most ``2 * t0`` to the flux
+of any cell, and a pulse is held only when this headroom rule proves that
+no cell on the way could clamp:
 
-    max(row_sum) + max(col_sum) < (min(M)**2 * (1 - HOLD_MARGIN) - r_on**2) / beta
+    2·Σt0 < (min(M)² · (1 − HOLD_MARGIN) − r_on²) / β
 
-with the smallest M of the state the held pulses started from. Stuck cells
-hold ``r_off``, the largest value, so the smallest M is a live cell's
-whenever one is left. Otherwise, and always at ``v_th > 0``, the pulse is
-settled and written eagerly, so clamp events are counted exactly as a
-pulse-by-pulse writer counts them. A settled state differs from the
-pulse-by-pulse one only by float rounding; the tests hold it to 1e-9 of the
-largest stored value.
+where Σt0 sums the held pulses and this one, and min(M) is the smallest M
+of the state the held pulses started from. The rule is decided on that one
+scalar before any array is built; a batch of N pulses of ``t0`` each adds
+at most ``2 * t0 * N``. Stuck cells hold ``r_off``, the largest value, so
+the smallest M is a live cell's whenever one is left. Otherwise, and always
+at ``v_th > 0``, the pulse is settled and written eagerly, so clamp events
+are counted exactly as a pulse-by-pulse writer counts them. A settled state
+differs from the pulse-by-pulse one only by float rounding; the tests hold
+it to 1e-9 of the largest stored value.
 """
 
 from __future__ import annotations
@@ -155,8 +159,8 @@ def check_pulse(t0: float, *drives) -> None:
     """
     if not (0 < t0 < math.inf):
         raise ValueError(f"t0 must be positive and finite, got {t0}")
-    for drive in drives:
-        if not drive.min() >= 0:
+    for drive in drives:  # axis=None: implication_f passes a matrix of summed grades
+        if not np.minimum.reduce(drive, axis=None) >= 0:
             raise ValueError("drives must be non-negative (write polarity reversal not modeled)")
 
 
@@ -174,7 +178,7 @@ def check_lines(col, row, cols: int, rows: int, t0: float):
     if row.shape != (rows,):
         raise ValueError(f"row grades shape {row.shape} != ({rows},)")
     check_pulse(t0, col, row)
-    if not (col.max() <= 1.0 and row.max() <= 1.0):
+    if not (np.maximum.reduce(col) <= 1.0 and np.maximum.reduce(row) <= 1.0):
         raise ValueError("grades must lie in [0, 1]")
     return col, row
 
@@ -189,7 +193,7 @@ def check_read(x, cols: int, bound: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (cols,):
         raise ValueError(f"input shape {x.shape} != ({cols},)")
-    if not np.abs(x).max() <= bound:
+    if not np.maximum.reduce(np.abs(x)) <= bound:
         raise ValueError(f"read inputs must be finite and within ±{bound:.3g}")
     return x
 
@@ -214,10 +218,12 @@ class StoredArray:
 
     It owns the device ``params``, ``rows`` and ``cols`` (the shape of the
     state), the settled state, the threshold-free pulses held on it as two
-    line sums (module docstring), and ``_derived``: every value built from
-    the settled state, such as a read matrix, each built at most once per
-    state by ``_derive``. ``_replace`` and a held pulse empty ``_derived``,
-    and nothing else does, so no read uses a value of an older state.
+    line sums with ``_spent``, twice their summed ``t0`` (module docstring;
+    0 exactly when nothing is held), and ``_derived``: every value built
+    from the settled state, such as a read matrix, each built at most once
+    per state by ``_derive``. ``_replace`` and a held pulse empty
+    ``_derived``, and nothing else does, so no read uses a value of an older
+    state.
 
     A subclass defines its eager write ``_step(state, flux)``, which returns
     the new state, and may override ``_lowest(state)``, the smallest
@@ -234,21 +240,25 @@ class StoredArray:
         state.setflags(write=False)
         self._state = state
         self._row = self._col = 0.0  # summed t0 * drive per row and per column (V s)
-        self._held = False
-        self._headroom = None  # flux the line sums may reach; None until measured
+        self._spent = 0.0  # flux bound of the held pulses, 2 V * summed t0 (V s)
+        self._headroom = None  # the bound on _spent (V s); None until measured
         self._derived = {}
 
     def _settled(self) -> np.ndarray:
         """The stored array, with every held pulse settled by one ``_step``."""
-        if self._held:
+        if self._spent:
             self._replace(self._step(self._state, np.add.outer(self._row, self._col)))
         return self._state
 
-    def _derive(self, key: str, build):
-        """``build(state)`` of the settled state, built at most once per state."""
-        value = self._derived.get(key)
+    def _derive(self, build):
+        """``build(self, state)`` of the settled state, built at most once per state.
+
+        ``build`` is a method of the class, taken from the class (not bound),
+        and keys the value.
+        """
+        value = self._derived.get(build)
         if value is None:
-            value = self._derived[key] = build(self._settled())
+            value = self._derived[build] = build(self, self._settled())
         return value
 
     def _lowest(self, state: np.ndarray) -> float:
@@ -258,19 +268,18 @@ class StoredArray:
         """Hold one pulse checked by ``check_lines``, or settle and write it now.
 
         A pulse is held only on a threshold-free device and while the
-        headroom rule holds.
+        headroom rule holds, which is decided before any array is built.
         """
         params = self.params
         if params.v_th == 0:
             if self._headroom is None:
                 lo = float(self._lowest(self._state))
                 self._headroom = (lo * lo * (1.0 - HOLD_MARGIN) - params.r_on**2) / beta(params)
-            row_sum = t0 * row
-            row_sum += self._row
-            col_sum = t0 * col
-            col_sum += self._col
-            if row_sum.max() < self._headroom - col_sum.max():  # cannot overflow
-                self._row, self._col, self._held = row_sum, col_sum, True
+            spent = self._spent + 2.0 * float(t0)  # a Python float: inf, not an overflow
+            if spent < self._headroom:
+                self._row = t0 * row + self._row
+                self._col = t0 * col + self._col
+                self._spent = spent
                 self._derived = {}
                 return
         self._replace(self._step(self._settled(), pulse_flux(col, row, t0, params)))

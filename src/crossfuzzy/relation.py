@@ -160,7 +160,9 @@ class Relation(StoredArray):
         largest float, ``n`` the input count) raise ``ValueError``: within
         it every sum in ``mu @ x`` stays below half the float range.
         """
-        bound = self._derive("max_input", lambda mu: np.finfo(float).max / (2.0 * self.cols)
-                             / max(1.0, float(mu.max())))
+        bound = self._derive(Relation._max_input)
         # Within the bound every sum is finite, so the product needs no check.
         return self.mu @ check_read(x, self.cols, bound)
+
+    def _max_input(self, mu: np.ndarray) -> float:
+        return np.finfo(float).max / (2.0 * self.cols) / max(1.0, float(mu.max()))

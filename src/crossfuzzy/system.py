@@ -49,7 +49,10 @@ backends. Each refusal is one ``ValueError`` that names the JSON path, such
 as ``blocks[1].device.vth: unknown key`` or ``memristance must be a 2-D
 array of numbers``; a backend's or a block's own refusal is prefixed with
 the block's path (``blocks[1]: memristance outside [r_on, r_off]``). A
-pipeline's every stage has ``kind`` ``"block"``.
+block's ``kind`` is ``"block"``, or absent, as in files that predate it:
+``model_from_json`` reads every object whose ``kind`` is not
+``"pipeline"`` as a block, so a pipeline's every stage and a top-level
+model follow the one rule.
 
 ``Block.infer_rows`` and ``Pipeline.infer_rows`` are the one inference path:
 they infer a matrix of column drives, one probe per row, with one backend
@@ -198,8 +201,9 @@ class Block:
         per-variable checks of ``concat_grades``.
         """
         rows = np.empty((len(drives), self.output_universe.count))
+        read = self._read
         for k, col in enumerate(drives):
-            rows[k] = self._read(col)
+            rows[k] = read(col)
         return rows, signal_rows(rows)
 
     def _as_mapping(self, inputs) -> dict[str, FuzzyNumber]:
@@ -397,12 +401,14 @@ def block_to_json(block: Block) -> dict:
 def block_from_json(obj: dict, path: str = "") -> Block:
     """Read a block's JSON by the layout its backend names; ``path`` locates it in the file."""
     at = f"{path}." if path else ""
-    backend = jsonio.from_json(dict, obj, path).get("backend")
+    obj = jsonio.from_json(dict, obj, path)
+    kind, backend = obj.get("kind", "block"), obj.get("backend")
+    if kind != "block":
+        raise ValueError(f"{at}kind must be 'block', got {kind!r}")
     if backend not in _LAYOUTS:
-        raise ValueError(f"{at}backend must be 'crossbar' or 'relation', got {backend!r}")
+        read_as = "" if "kind" in obj else f" (no {at}kind: read as a block)"
+        raise ValueError(f"{at}backend must be 'crossbar' or 'relation', got {backend!r}{read_as}")
     j = jsonio.from_json(_LAYOUTS[backend], {k: v for k, v in obj.items() if k != "r_c"}, path)
-    if j.kind != "block":
-        raise ValueError(f"{at}kind must be 'block', got {j.kind!r}")
     inputs = [(e.name, e.universe) for e in j.inputs]
     if backend == "crossbar":
         memristance = np.array(j.memristance, dtype=float)
@@ -429,10 +435,8 @@ def model_to_json(model: Block | Pipeline) -> dict:
 
 
 def model_from_json(obj: dict) -> Block | Pipeline:
-    kind = jsonio.from_json(dict, obj).get("kind")
-    if kind == "block":
+    """A pipeline if ``kind`` says so; any other object is read as a block."""
+    if jsonio.from_json(dict, obj).get("kind") != "pipeline":
         return block_from_json(obj)
-    if kind != "pipeline":
-        raise ValueError(f"unknown model kind {kind!r}")
     blocks = jsonio.from_json(_PipelineJSON, obj).blocks
     return Pipeline([block_from_json(b, f"blocks[{i}]") for i, b in enumerate(blocks)])

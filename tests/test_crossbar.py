@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -372,16 +373,55 @@ def test_csv_rows_are_the_per_cell_repr(tmp_path):
         assert body == delta_csv_rows(delta[:, start:stop])
 
 
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    delta = rng.uniform(0, 100.0, (7, 3))
+HEADER = "# rows=7 cols=3 r_off=100000.0"  # as written
+
+
+def written_surface(tmp_path):
+    delta = np.random.default_rng(5).uniform(0, 100.0, (7, 3))
     path = tmp_path / "surface.csv"
     save_delta_csv(path, delta, R_OFF)
+    return path, delta
+
+
+def test_csv_round_trip(tmp_path):
+    path, delta = written_surface(tmp_path)
     loaded, r_off = load_delta_csv(path)
     assert r_off == R_OFF
     assert np.array_equal(loaded, delta)
-    header = path.read_text().splitlines()[0]
-    assert header == f"# rows=7 cols=3 r_off={R_OFF}"
+    assert path.read_text().splitlines()[0] == HEADER
+
+
+@pytest.mark.parametrize("header, cell, refusal", [
+    ("# rows=7 cols=3", None, "header must be"),
+    ("# rows=7 cols=3 r_off", None, "header must be"),
+    ("# rows=7 cols=3 r_off=1e5 r_on=1e3", None, "header must be"),
+    ("# rows=7 cols=3 cols=3", None, "header must be"),
+    ("# rows=7.0 cols=3 r_off=1e5", None, "header must be"),
+    ("# rows=7 cols=three r_off=1e5", None, "header must be"),
+    ("# rows=7 cols=3 r_off=nan", None, "r_off must be finite and positive"),
+    ("# rows=7 cols=3 r_off=inf", None, "r_off must be finite and positive"),
+    ("# rows=7 cols=3 r_off=-1e5", None, "r_off must be finite and positive"),
+    ("# rows=7 cols=3 r_off=ten", None, "r_off must be finite and positive"),
+    (HEADER, "nan", "cells must be finite and non-negative"),
+    (HEADER, "inf", "cells must be finite and non-negative"),
+    (HEADER, "-1.5", "cells must be finite and non-negative"),
+    (HEADER, "abc", "could not convert"),
+    ("# rows=6 cols=3 r_off=1e5", None, "data shape"),
+], ids=["no-r_off", "r_off-no-value", "extra-key", "repeated-key", "float-count",
+        "text-count", "nan-r_off", "inf-r_off", "negative-r_off", "text-r_off", "nan-cell",
+        "inf-cell", "negative-cell", "text-cell", "wrong-count"])
+def test_csv_load_refuses_what_save_cannot_write(tmp_path, header, cell, refusal):
+    """The round-trip surface with its header replaced, or its cell (3, 0): a
+    header or cell that ``save_delta_csv`` cannot have written is refused by
+    one ``ValueError`` that names the file."""
+    path, _ = written_surface(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[0] = header
+    if cell is not None:
+        lines[4] = ",".join([cell, *lines[4].split(",")[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {refusal}"):
+        load_delta_csv(path)
 
 
 # -- properties ---------------------------------------------------------------

@@ -22,7 +22,7 @@ import crossfuzzy.relation
 from crossfuzzy.crossbar import Crossbar
 from crossfuzzy.device import DEFAULT_PARAMS, beta
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
-from crossfuzzy.harness import auto_t0
+from crossfuzzy.harness import auto_t0, default_config, generate_dataset, train_block
 from crossfuzzy.relation import Relation
 from crossfuzzy.system import Block, Pipeline, block_infer, block_train, model_to_json
 from oracles import sequential_writes
@@ -140,7 +140,9 @@ def count_drift_calls(monkeypatch) -> list:
 
 def test_only_observers_pay_for_deferred_writes(monkeypatch):
     """Reading ``saturation_count`` or ``fault_mask`` after every write, as a
-    tracer does, leaves the writes deferred; the first observer settles."""
+    tracer does, leaves the writes deferred; the first observer settles. So
+    does a named experiment's whole auto-``t0`` training run (exp-f1's 500
+    pulses), which the scalar headroom rule holds end to end."""
     calls = count_drift_calls(monkeypatch)
     u = Universe(0.0, 1.0, 7)
     xb_blk = Block.pristine([("x", u)], u, DEFAULT_PARAMS)
@@ -159,6 +161,18 @@ def test_only_observers_pay_for_deferred_writes(monkeypatch):
         assert len(calls) == 1
         assert np.array_equal(blk.snapshot_delta(), first)
         block_infer(blk, fuzzify_gaussian(0.5, 0.1, u))
+        assert len(calls) == 1
+        calls.clear()
+    cfg = default_config("exp-f1")
+    dataset = generate_dataset(cfg.dataset, cfg.input_universes, cfg.output_universe)
+    assert len(dataset.drives) == 500
+    inputs, out = list(cfg.input_universes.items()), cfg.output_universe
+    for blk in (Block.pristine(inputs, out, cfg.device),
+                Block(Relation(inputs[0][1], out, mode="hardware"), inputs, out,
+                      device_params=cfg.device)):
+        train_block(blk, dataset, cfg.resolved_t0())
+        assert blk.saturation_count == 0 and calls == []
+        blk.snapshot_delta()
         assert len(calls) == 1
         calls.clear()
 

@@ -37,6 +37,10 @@ def test_implication_matches_single_device_write():
 def test_implication_rejects_negative():
     with pytest.raises(ValueError):
         implication_f(-0.1, DEFAULT_PARAMS, T0)
+    nu = np.ones((3, 4))
+    nu[2, 1] = -0.1  # off the first row: every entry is checked, not one axis
+    with pytest.raises(ValueError, match="non-negative"):
+        implication_f(nu, DEFAULT_PARAMS, T0)
     with pytest.raises(ValueError):
         implication_f(0.5, DEFAULT_PARAMS, 0.0)
 

@@ -400,8 +400,21 @@ def test_blocks_call_methods_wrapped_after_they_are_built(monkeypatch):
 
 
 def test_model_from_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kind must be 'block', got 'mystery'"):
         model_from_json({"kind": "mystery"})
+    with pytest.raises(ValueError, match=r"backend must be .*, got None \(no kind: read as a block"):
+        model_from_json({"blocks": []})  # a pipeline without its kind
+
+
+def test_a_block_without_kind_loads_at_the_top_and_as_a_stage():
+    """No ``kind`` means a block, in a top-level model as in a pipeline stage."""
+    blk = Block.pristine([("x", UX)], UZ, DEFAULT_PARAMS)
+    blk.backend.write_pulse(np.linspace(0.0, 1.0, UX.count), np.ones(UZ.count), T0)
+    for model, stage in ((blk, None), (Pipeline([blk, Block(Relation(UZ, UZ), [("z", UZ)], UZ)]), 1)):
+        want = model_to_json(model)
+        obj = json.loads(json.dumps(want))
+        del (obj if stage is None else obj["blocks"][stage])["kind"]
+        assert model_to_json(model_from_json(obj)) == want
 
 
 @settings(max_examples=100, deadline=None)
