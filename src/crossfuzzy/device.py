@@ -156,11 +156,17 @@ def check_pulse(t0: float, *drives) -> None:
 
     ``t0`` must be finite and positive, and every drive array (V) must be
     non-negative; NaN fails both tests. Raises ``ValueError``.
+
+    The input checks read an extreme entry by its index, ``a[a.argmin()]``:
+    the value ``a.min()`` gives (NaN where ``a`` holds one, since argmin
+    stops at the first NaN), at about a third of a ufunc reduction's fixed
+    cost on a paper-sized line. argmin flattens, so ``flat`` finds the entry
+    of a matrix, such as the summed grades ``implication_f`` passes.
     """
     if not (0 < t0 < math.inf):
         raise ValueError(f"t0 must be positive and finite, got {t0}")
-    for drive in drives:  # axis=None: implication_f passes a matrix of summed grades
-        if not np.minimum.reduce(drive, axis=None) >= 0:
+    for drive in drives:
+        if not drive.flat[drive.argmin()] >= 0:
             raise ValueError("drives must be non-negative (write polarity reversal not modeled)")
 
 
@@ -178,7 +184,7 @@ def check_lines(col, row, cols: int, rows: int, t0: float):
     if row.shape != (rows,):
         raise ValueError(f"row grades shape {row.shape} != ({rows},)")
     check_pulse(t0, col, row)
-    if not (np.maximum.reduce(col) <= 1.0 and np.maximum.reduce(row) <= 1.0):
+    if not (col[col.argmax()] <= 1.0 and row[row.argmax()] <= 1.0):  # see check_pulse
         raise ValueError("grades must lie in [0, 1]")
     return col, row
 
@@ -193,7 +199,7 @@ def check_read(x, cols: int, bound: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (cols,):
         raise ValueError(f"input shape {x.shape} != ({cols},)")
-    if not np.maximum.reduce(np.abs(x)) <= bound:
+    if not (x[x.argmin()] >= -bound and x[x.argmax()] <= bound):  # see check_pulse
         raise ValueError(f"read inputs must be finite and within ±{bound:.3g}")
     return x
 
