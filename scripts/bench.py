@@ -15,9 +15,10 @@ per call, in seconds):
   keeping the matrix saves per read.
 - ``fuzzify_gaussian`` and ``defuzzify_centroid``, one call each, on grids
   of 100 and 500 points.
-- ``evaluate_mse`` on the exp-2input model over a 100x100 probe lattice, in
-  both read modes, and on the two-stage exp-compose pipeline over 2 000
-  random probes (per pass, with the probe count).
+- ``evaluate_mse`` on the exp-2input model (one stage) over a 100x100 probe
+  lattice, in both read modes, and on the two-stage exp-compose pipeline
+  over 2 000 random probes (per pass, with the probe count). Both read
+  through ``pipeline_rows``.
 - ``write_pulse`` at 100x180 and 500x500 on the threshold-free device
   (``v_th0``, where writes are deferred) and on the 1 V device (``v_th1``,
   where every write rewrites the array); a whole training run of N Gaussian
@@ -31,8 +32,8 @@ per call, in seconds):
   region), including the settle that the first observation of the array
   pays.
 - Persistence at 100x180 and 500x500: ``save_delta_csv`` of one surface,
-  ``json.dumps(model_to_json(block))`` of a crossbar block holding it
-  (``model_json``) and ``model_from_json`` of that JSON, parsed
+  ``json.dumps(model_to_json(model))`` of a one-stage crossbar model holding
+  it (``model_json``) and ``model_from_json`` of that JSON, parsed
   (``model_from_json``); and
   the ``persist`` phase, from ``phase_s``, of an exp-2input
   ``run_experiment`` (``surface.csv``, its two section files and
@@ -235,12 +236,13 @@ def time_train_block(n_train: int | None, scaled: tuple[int, int, int], repeats:
 
 
 def time_persist(rows: int, cols: int, repeats: int, rng) -> dict:
-    """Per-call time of writing one surface CSV, of serializing a block holding it
-    and of reading that block back from its parsed JSON."""
+    """Per-call time of writing one surface CSV, of serializing a one-stage model
+    holding it and of reading that model back from its parsed JSON."""
     delta = rng.uniform(0.0, 100.0, (rows, cols))
     xb = cf.Crossbar.from_delta(delta, cf.DEFAULT_PARAMS)
-    block = cf.Block(xb, [("x", cf.Universe(0.0, 1.0, cols))], cf.Universe(0.0, 1.0, rows))
-    obj = json.loads(json.dumps(cf.model_to_json(block)))
+    one_stage = cf.Pipeline([cf.Block(xb, [("x", cf.Universe(0.0, 1.0, cols))],
+                                      cf.Universe(0.0, 1.0, rows))])
+    obj = json.loads(json.dumps(cf.model_to_json(one_stage)))
     csv, model, back = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "surface.csv"
@@ -249,7 +251,7 @@ def time_persist(rows: int, cols: int, repeats: int, rng) -> dict:
             cf.save_delta_csv(path, delta, cf.DEFAULT_PARAMS.r_off)
             csv.append(time.perf_counter() - start)
             start = time.perf_counter()
-            json.dumps(cf.model_to_json(block))
+            json.dumps(cf.model_to_json(one_stage))
             model.append(time.perf_counter() - start)
             start = time.perf_counter()
             cf.model_from_json(obj)
@@ -323,14 +325,15 @@ def _time_passes(model, target: str, spec, sigmas: dict, repeats: int) -> dict:
 
 def time_evaluate(lattice: int, pipe_probes: int, n_train: int | None, repeats: int) -> dict:
     """Per-pass time of ``evaluate_mse`` on the exp-2input block and the exp-compose pipeline."""
-    cfg, block = _trained("exp-2input", n_train)
-    inputs = [(sec.name, sec.universe) for sec in block.sections]
+    cfg, model = _trained("exp-2input", n_train)
+    inputs = [(sec.name, sec.universe) for sec in model.sections]
     lattice_spec = cf.EvalSpec(kind="lattice", domains=cfg.eval.domains,
                                shape=(lattice, lattice))
     out = {}
     for mode in ("exact", "ideal"):
-        # One block per read mode over the one trained crossbar.
-        reader = cf.Block(block.backend, inputs, cfg.output_universe, read_mode=mode)
+        # One one-stage model per read mode over the one trained crossbar.
+        reader = cf.Pipeline([cf.Block(model.blocks[0].backend, inputs, cfg.output_universe,
+                                       read_mode=mode)])
         out[f"evaluate_mse.{mode}.lattice{lattice}x{lattice}"] = _time_passes(
             reader, cfg.dataset.target, lattice_spec, cfg.dataset.input_sigmas, repeats)
     cfg, pipe = _trained("exp-compose", n_train)

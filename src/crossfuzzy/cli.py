@@ -3,17 +3,20 @@
 Subcommands:
   train       train a model from a full JSON config and save it
   infer       run a saved model on a crisp or fuzzy input
-  compose     chain saved single-input blocks into a pipeline model
+  compose     chain the stages of saved models into one pipeline model
   experiment  run one of the named experiments, with optional overrides
   export      dump a model's stored-value surface to CSV
 
-``infer`` reads as evaluation does: it builds the input's one drive row with
-``concat_grades`` (a pipeline's first block's), reads it with the model's
-``infer_rows`` and defuzzifies it with ``centroid_rows``. An input that reads
-out no signal prints one ``{"error": "untrained region: ..."}`` line, naming
-the stage for a pipeline, and exits 1. The one-row ``block_infer`` and
-``pipeline_infer`` are not called here; they stay in ``system`` for the
-benchmark's tracer and the per-probe oracle.
+Every model file loads as a ``Pipeline``; a block's file is a one-stage
+model. ``infer`` reads as evaluation does: it builds the input's one drive
+row with the first stage's ``concat_grades``, reads it with
+``pipeline_rows`` and defuzzifies it with ``centroid_rows``, so the grades
+it prints are sign-corrected and peak-normalized for every model. An input
+that reads out no signal prints one ``{"error": "untrained region: stage K
+read out no signal"}`` line and exits 1. ``compose`` chains the stages of
+every model file it is given, in order; ``Pipeline`` refuses a chain whose
+later stages take more than one input or whose domains do not overlap.
+``export`` needs ``--block`` when the model has more than one stage.
 
 Config, model and ``--input`` JSON are read by the package's one strict
 codec (``crossfuzzy.jsonio``): ``ExperimentConfig.from_json``,
@@ -46,10 +49,10 @@ from .harness import (
     merge_json,
     run_experiment,
 )
-from .system import Block, Pipeline, model_from_json, model_to_json, pipeline_rows
+from .system import Pipeline, model_from_json, model_to_json, pipeline_rows
 
 
-def _load_model(path: str) -> Block | Pipeline:
+def _load_model(path: str) -> Pipeline:
     try:
         return model_from_json(json.loads(Path(path).read_text()))
     except ValueError as exc:  # a refusal of the file's JSON names the file
@@ -70,7 +73,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
+def _parse_input(model: Pipeline, raw: str, sigma: float | None):
     """Interpret --input: comma-separated crisp values, inline JSON, or a file holding either."""
     text = raw
     if not raw.lstrip().startswith("{") and Path(raw).is_file():
@@ -93,14 +96,9 @@ def _parse_input(model: Block | Pipeline, raw: str, sigma: float | None):
 def _cmd_infer(args) -> int:
     model = _load_model(args.model)
     inputs = _parse_input(model, args.input, args.sigma)
-    first = model.blocks[0] if isinstance(model, Pipeline) else model
-    drive = first.concat_grades(inputs)[None]
-    rows, live = model.infer_rows(drive)
-    if not live[0]:
-        cause = "no stored signal at this input"
-        if isinstance(model, Pipeline):  # name the stage, as pipeline_rows counts them
-            cause = f"stage {pipeline_rows(model, drive)[1][0]} read out no signal"
-        print(json.dumps({"error": f"untrained region: {cause}"}))
+    rows, died = pipeline_rows(model, model.blocks[0].concat_grades(inputs)[None])
+    if died[0] < len(model.blocks):
+        print(json.dumps({"error": f"untrained region: stage {died[0]} read out no signal"}))
         return 1
     output = FuzzyNumber(model.output_universe, rows[0])
     crisp = float(centroid_rows(output.universe, output.grades))
@@ -111,12 +109,8 @@ def _cmd_infer(args) -> int:
 def _cmd_compose(args) -> int:
     blocks = []
     for path in args.blocks:
-        model = _load_model(path)
-        if not isinstance(model, Block):
-            raise ValueError(f"{path} is not a single-block model")
-        blocks.append(model)
-    pipe = Pipeline(blocks)
-    Path(args.output).write_text(json.dumps(model_to_json(pipe)))
+        blocks += _load_model(path).blocks
+    Path(args.output).write_text(json.dumps(model_to_json(Pipeline(blocks))))
     print(json.dumps({"pipeline": args.output, "stages": len(blocks)}))
     return 0
 
@@ -145,16 +139,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    model = _load_model(args.model)
-    stages = model.blocks if isinstance(model, Pipeline) else [model]
-    if args.block is None and isinstance(model, Pipeline):
+    stages = _load_model(args.model).blocks
+    if args.block is None and len(stages) > 1:
         raise ValueError("pipeline model: pick a stage with --block INDEX")
     index = args.block or 0
     if not 0 <= index < len(stages):
         raise ValueError(f"--block {index} is out of range: the model has {len(stages)} stage(s)")
-    model = stages[index]
-    delta = model.section_delta(args.section) if args.section else model.snapshot_delta()
-    save_delta_csv(args.surface, delta, model.device_params.r_off)
+    blk = stages[index]
+    delta = blk.section_delta(args.section) if args.section else blk.snapshot_delta()
+    save_delta_csv(args.surface, delta, blk.device_params.r_off)
     print(json.dumps({"surface": args.surface, "shape": list(delta.shape)}))
     return 0
 
@@ -181,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, help="fuzzification width for crisp inputs")
     p.set_defaults(fn=_cmd_infer)
 
-    p = sub.add_parser("compose", help="chain saved blocks into a pipeline")
+    p = sub.add_parser("compose", help="chain the stages of saved models into a pipeline")
     p.add_argument("--blocks", nargs="+", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_compose)

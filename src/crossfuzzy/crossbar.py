@@ -177,9 +177,20 @@ def save_delta_csv(path, delta: np.ndarray, r_off: float, sections=None) -> None
 
     ``sections`` maps further paths to column ranges ``(start, stop)``; each
     gets the dump of ``delta[:, start:stop]``. A row's values are formatted
-    once for every file, and one row at a time.
+    once for every file, and one row at a time. What ``load_delta_csv``
+    refuses is refused here, before any file is opened, with one
+    ``ValueError`` that names ``path``: an ``r_off`` that is not finite and
+    positive, a ``delta`` that is not a non-empty 2-D array, and cells that
+    are not finite and non-negative.
     """
     delta = np.asarray(delta, dtype=float)
+    if not 0 < r_off < math.inf:
+        raise ValueError(f"{path}: r_off must be finite and positive, got {r_off!r}")
+    if delta.ndim != 2 or delta.size == 0:
+        raise ValueError(f"{path}: a surface must be a non-empty 2-D array, got shape "
+                         f"{delta.shape}")
+    if not (delta.min() >= 0 and delta.max() < math.inf):  # NaN fails the first test
+        raise ValueError(f"{path}: cells must be finite and non-negative")
     rows, cols = delta.shape
     with ExitStack() as stack:
         files = []

@@ -3,11 +3,16 @@
 Every run is a pure function of its configuration: all randomness flows
 through explicit seeds, training applies one write pulse per sample in
 dataset order, and evaluation fuzzifies crisp probe points, reads the
-model, and centroid-defuzzifies. Results land in an output directory as
-``result.json`` plus CSV surface dumps and a reloadable ``model.json``;
-its ``phase_s`` gives the seconds spent on ``dataset``, ``train``, ``eval``
-and ``persist`` (surfaces and ``model.json``). Writes the threshold-free
-device holds settle at the first read, so their cost counts under ``eval``.
+model, and centroid-defuzzifies. Every run trains a ``Pipeline``: one block
+per stage of ``pipeline_targets``, or one block, its one-stage case.
+Results land in an output directory as ``result.json`` plus CSV surface
+dumps and a reloadable ``model.json``. The surfaces are one file per
+stage, ``surface.csv`` for a one-stage model and ``surface_stage{i}.csv``
+otherwise, and one more per section of a multi-input stage.
+``result.json``'s ``phase_s`` gives the seconds spent on ``dataset``,
+``train``, ``eval`` and ``persist`` (surfaces and ``model.json``). Writes
+the threshold-free device holds settle at the first read, so their cost
+counts under ``eval``.
 Where ``os.fork`` exists, ``model.json`` is encoded and written by a forked
 child while this process writes the surfaces, so ``persist`` is the wall
 time of the two side by side; the files are the same either way.
@@ -15,11 +20,12 @@ time of the two side by side; the files are the same either way.
 A probe set is an array with one named float field per variable
 (``eval_points``), evaluated in chunks of ``_CHUNK`` probes. Per probe,
 ``evaluate_mse`` calls only ``fuzzify_gaussian`` once per variable and the
-backend once per live stage (``infer_rows``). A named target is a numpy
-array function and is called once per chunk, on the chunk's columns; any
+backend once per live stage (the model's ``infer_rows``). A named target is
+a numpy array function and is called once per chunk, on its columns; any
 other target, such as an expression, is called once per probe with scalars,
-as it may branch on them. The signal test, the conditioning between stages,
-the centroids, the errors and the flags are array operations on the chunk.
+as it may branch on them. The signal test, the conditioning after each
+stage, the centroids, the errors and the flags are array operations on the
+chunk.
 
 A training set is a ``Dataset`` of arrays, not a list of per-sample
 objects: its crisp points are a random probe set (``eval_points`` with the
@@ -379,7 +385,7 @@ def _target_values(target_fn, chunk: np.ndarray) -> np.ndarray:
 
 
 def evaluate_mse(
-    model: Block | Pipeline,
+    model: Pipeline,
     target_fn,
     points: np.ndarray,
     input_sigmas: dict[str, float],
@@ -607,7 +613,7 @@ def _timed(phase_s: dict[str, float], phase: str):
     phase_s[phase] += time.perf_counter() - start
 
 
-def _build_and_train(cfg: ExperimentConfig, phase_s: dict[str, float]) -> Block | Pipeline:
+def _build_and_train(cfg: ExperimentConfig, phase_s: dict[str, float]) -> Pipeline:
     """Train one block per stage; stage i shifts the dataset and fault seeds by i."""
     t0 = cfg.resolved_t0()
     inputs = list(cfg.input_universes.items())
@@ -623,27 +629,26 @@ def _build_and_train(cfg: ExperimentConfig, phase_s: dict[str, float]) -> Block 
                 blk.backend.inject_faults(cfg.fault_fraction, cfg.fault_seed + i)
             train_block(blk, dataset, t0)
         blocks.append(blk)
-    return Pipeline(blocks) if cfg.pipeline_targets else blocks[0]
+    return Pipeline(blocks)
 
 
-def _export_surfaces(model: Block | Pipeline, out_dir: Path, r_off: float) -> list[str]:
+def _export_surfaces(model: Pipeline, out_dir: Path, r_off: float) -> list[str]:
+    """One surface CSV per stage: ``surface.csv`` for a one-stage model, else
+    ``surface_stage{i}.csv``; a multi-input stage adds one file per section."""
     paths = []
-    if isinstance(model, Pipeline):
-        for i, blk in enumerate(model.blocks):
-            p = out_dir / f"surface_stage{i}.csv"
-            save_delta_csv(p, blk.snapshot_delta(), r_off)
-            paths.append(str(p))
-        return paths
-    p = out_dir / "surface.csv"
-    sections = {}
-    if len(model.sections) > 1:  # one more file per section: its columns of surface.csv
-        sections = {out_dir / f"surface_{sec.name}.csv": (sec.start, sec.stop)
-                    for sec in model.sections}
-    save_delta_csv(p, model.snapshot_delta(), r_off, sections)
-    return [str(p), *map(str, sections)]
+    for i, blk in enumerate(model.blocks):
+        stem = "surface" if len(model.blocks) == 1 else f"surface_stage{i}"
+        sections = {}
+        if len(blk.sections) > 1:  # one more file per section: its columns of the stage
+            sections = {out_dir / f"{stem}_{sec.name}.csv": (sec.start, sec.stop)
+                        for sec in blk.sections}
+        p = out_dir / f"{stem}.csv"
+        save_delta_csv(p, blk.snapshot_delta(), r_off, sections)
+        paths += [str(p), *map(str, sections)]
+    return paths
 
 
-def _write_model_beside(path: Path, model: Block | Pipeline):
+def _write_model_beside(path: Path, model: Pipeline):
     """Start writing ``model``'s JSON to ``path`` in a forked child; return its join.
 
     ``model_to_json`` runs here, before the fork, so it settles any held write
@@ -702,11 +707,10 @@ def run_experiment(
             surface_paths = _export_surfaces(model, out_dir, cfg.device.r_off)
         finally:
             join()
-    n_train = cfg.dataset.n * (len(cfg.pipeline_targets) if cfg.pipeline_targets else 1)
     result = ExperimentResult(
         name=cfg.name,
         mse=mse,
-        n_train=n_train,
+        n_train=cfg.dataset.n * len(model.blocks),
         saturation_count=model.saturation_count,
         runtime_s=runtime,
         phase_s=phase_s,

@@ -1,4 +1,4 @@
-"""Trained blocks and their composition.
+"""Trained blocks and the one model type that chains them.
 
 A ``Block`` is one crossbar (or a software relation standing in for it)
 together with the meaning of its wires: an ordered list of input sections,
@@ -8,11 +8,13 @@ section per variable; training concatenates the per-variable grade vectors
 into a single column drive, and a read over the concatenated input equals
 the sum of the per-section reads by linearity.
 
-A ``Pipeline`` chains single-input blocks. Crossbar reads come out negated
-(the row amplifiers invert), so between stages the signal passes through an
-inverting unity stage, is peak-normalized (reads are tiny fractions of the
-input scale and inference is scale-invariant), and is re-sampled onto the
-next block's input grid when the universes differ.
+A ``Pipeline`` is the one model type: blocks chained output-to-input, of
+which a block model is the one-stage case. Its first stage may take several
+inputs; every later stage takes one. Crossbar reads come out negated (the
+row amplifiers invert), so after every stage the signal passes through an
+inverting unity stage and is peak-normalized (reads are tiny fractions of
+the input scale and inference is scale-invariant); between stages it is
+re-sampled onto the next block's input grid when the universes differ.
 
 A crossbar block reads in one of ``READ_MODES``: ``"exact"`` (the full
 amplifier algebra, ``Crossbar.read_exact``) or ``"ideal"`` (its first-order
@@ -51,17 +53,20 @@ array of numbers``; a backend's or a block's own refusal is prefixed with
 the block's path (``blocks[1]: memristance outside [r_on, r_off]``). A
 block's ``kind`` is ``"block"``, or absent, as in files that predate it:
 ``model_from_json`` reads every object whose ``kind`` is not
-``"pipeline"`` as a block, so a pipeline's every stage and a top-level
-model follow the one rule.
+``"pipeline"`` as a one-stage model, so a pipeline's every stage and a
+top-level block follow the one rule. ``model_to_json`` writes a one-stage
+model as its block's JSON and a longer one as ``_PipelineJSON``; the branch
+is on the stage count.
 
-``Block.infer_rows`` and ``Pipeline.infer_rows`` are the one inference path:
-they infer a matrix of column drives, one probe per row, with one backend
-read per row and stage, and say which rows carry signal; between stages,
-``pipeline_rows`` conditions the rows as arrays and reads only the rows that
-still carry signal. Evaluation and the CLI's ``infer`` both read through
-them. ``block_infer`` and ``pipeline_infer`` are their one-row case, kept
-as the names the benchmark's tracer wraps and as the per-probe oracle's
-reads (``tests/oracles.py``) until that tracer stops looking them up.
+``pipeline_rows`` is the one model read path, and ``Pipeline.infer_rows``
+its view of which rows came through. It infers a matrix of first-stage
+column drives, one probe per row, with one ``Block.infer_rows`` per stage
+(one backend read per row, raw read-outs), and after each stage conditions
+the rows as arrays and reads only the rows that still carry signal at the
+next. Evaluation and the CLI's ``infer`` both read through it.
+``block_infer`` is a stage's one-row read and ``pipeline_infer`` one row of
+``pipeline_rows``; they are kept as names the benchmark's tracer wraps, and
+``block_infer`` as the per-probe oracle's read (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -261,14 +266,13 @@ def block_infer(block: Block, inputs) -> FuzzyNumber:
 
 
 class Pipeline:
-    """Single-input blocks chained output-to-input."""
+    """A model: blocks chained output-to-input, every stage after the first single-input."""
 
     def __init__(self, blocks: list[Block]):
         if not blocks:
             raise ValueError("pipeline needs at least one block")
-        for blk in blocks:
-            if len(blk.sections) != 1:
-                raise ValueError("pipelines chain single-input blocks only")
+        if any(len(blk.sections) != 1 for blk in blocks[1:]):
+            raise ValueError("stages after the first must be single-input blocks")
         for up, down in zip(blocks, blocks[1:]):
             out_u, in_u = up.output_universe, down.sections[0].universe
             if out_u.hi <= in_u.lo or in_u.hi <= out_u.lo:
@@ -429,14 +433,16 @@ def block_from_json(obj: dict, path: str = "") -> Block:
         raise ValueError(f"{path}: {exc}" if path else str(exc)) from None
 
 
-def model_to_json(model: Block | Pipeline) -> dict:
-    return block_to_json(model) if isinstance(model, Block) else jsonio.to_json(
-        _PipelineJSON(blocks=tuple(map(block_to_json, model.blocks))))
+def model_to_json(model: Pipeline) -> dict:
+    """A one-stage model as its block's JSON; a longer one as pipeline JSON."""
+    if len(model.blocks) == 1:
+        return block_to_json(model.blocks[0])
+    return jsonio.to_json(_PipelineJSON(blocks=tuple(map(block_to_json, model.blocks))))
 
 
-def model_from_json(obj: dict) -> Block | Pipeline:
-    """A pipeline if ``kind`` says so; any other object is read as a block."""
+def model_from_json(obj: dict) -> Pipeline:
+    """A pipeline if ``kind`` says so; any other object is read as a one-stage model."""
     if jsonio.from_json(dict, obj).get("kind") != "pipeline":
-        return block_from_json(obj)
+        return Pipeline([block_from_json(obj)])
     blocks = jsonio.from_json(_PipelineJSON, obj).blocks
     return Pipeline([block_from_json(b, f"blocks[{i}]") for i, b in enumerate(blocks)])

@@ -9,9 +9,10 @@ it until its next write; the arithmetic is the same, so reads must agree
 bit for bit. ``sequential_writes`` applies write pulses one at a time,
 where crossbars and relations defer threshold-free pulses and settle their
 summed flux once; the two agree to float rounding. ``per_probe_mse``
-evaluates one probe at a time through ``block_infer`` or ``pipeline_infer``
-and its own signal test, where ``evaluate_mse`` reads a chunk of probes
-through ``infer_rows`` and conditions and defuzzifies them as arrays.
+evaluates one probe at a time: it walks a model's stages itself, with one
+``block_infer`` per stage and its own sign, signal, peak and regrid steps,
+where ``evaluate_mse`` reads a chunk of probes through ``pipeline_rows``
+and conditions and defuzzifies them as arrays.
 ``gaussian_grades`` is the bell as first written, before ``fuzzify_gaussian``
 reordered its arithmetic; the two must agree bit for bit.
 ``per_sample_training`` trains one sample at a time through ``block_train``,
@@ -26,9 +27,9 @@ import math
 
 import numpy as np
 
-from crossfuzzy.fuzzy import EmptyOutputError, defuzzify_centroid, fuzzify_gaussian
+from crossfuzzy.fuzzy import FuzzyNumber, defuzzify_centroid, fuzzify_gaussian
 from crossfuzzy.harness import target_function
-from crossfuzzy.system import SIGNAL_FLOOR, Pipeline, block_infer, block_train, pipeline_infer
+from crossfuzzy.system import SIGNAL_FLOOR, block_infer, block_train
 
 
 def rk4_memristance(m0: float, v: float, t: float, params, steps: int = 20000) -> float:
@@ -133,27 +134,39 @@ def triangle(x: float, left: float, peak: float, right: float) -> float:
 
 
 def per_probe_mse(model, target_fn, points, input_sigmas):
-    """``evaluate_mse`` one probe at a time: fuzzify, ``block_infer`` or
-    ``pipeline_infer``, a grade above ``SIGNAL_FLOOR`` in magnitude,
-    ``defuzzify_centroid``, squared error as Python floats."""
-    infer = pipeline_infer if isinstance(model, Pipeline) else block_infer
-    out_u = model.output_universe
+    """``evaluate_mse`` one probe at a time, walking the model's stages itself.
+
+    Per probe: fuzzify; per stage, ``block_infer`` times the stage's
+    ``read_sign``, a grade above ``SIGNAL_FLOOR`` in magnitude and a positive
+    peak (else the probe is flagged), ``g / g.max()``, and before the next
+    stage ``np.interp`` onto its input grid, which ``regrid_rows`` matches bit
+    for bit; then ``defuzzify_centroid`` and the squared error as Python
+    floats."""
+    stages = model.blocks
+    out_u = stages[-1].output_universe
     midpoint = 0.5 * (out_u.lo + out_u.hi)
     per_point, flagged = [], []
     for idx, values in enumerate(points.tolist()):
         pt = dict(zip(points.dtype.names, values))
-        fz = {
+        inputs = {
             sec.name: fuzzify_gaussian(pt[sec.name], input_sigmas[sec.name], sec.universe)
-            for sec in model.sections
+            for sec in stages[0].sections
         }
-        try:
-            out = infer(model, fz)
-            if not any(abs(g) > SIGNAL_FLOOR for g in out.grades.tolist()):
-                raise EmptyOutputError("read out no signal")
-            prediction = defuzzify_centroid(out)
-        except EmptyOutputError:
-            prediction = midpoint
-            flagged.append(idx)
+        prediction = midpoint
+        for i, blk in enumerate(stages):
+            g = block_infer(blk, inputs).grades * blk.read_sign
+            grades = g.tolist()
+            if not (any(abs(v) > SIGNAL_FLOOR for v in grades) and max(grades) > 0.0):
+                flagged.append(idx)
+                break
+            g = g / g.max()
+            if i + 1 < len(stages):
+                nxt = stages[i + 1].sections[0]
+                g = np.interp(nxt.universe.values, blk.output_universe.values, g,
+                              left=0.0, right=0.0)
+                inputs = {nxt.name: FuzzyNumber(nxt.universe, g)}
+        else:
+            prediction = defuzzify_centroid(FuzzyNumber(out_u, g))
         per_point.append((prediction - float(target_fn(**pt))) ** 2)
     return float(np.mean(per_point)), per_point, flagged
 

@@ -22,7 +22,7 @@ from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import (EXPERIMENT_NAMES, DatasetSpec, EvalSpec, ExperimentConfig,
                                 default_config, eval_points)
 from crossfuzzy.relation import Relation
-from crossfuzzy.system import Block, model_from_json, model_to_json
+from crossfuzzy.system import Block, block_to_json, model_from_json, model_to_json
 
 NAN, INF = math.nan, math.inf
 NON_FINITE = st.sampled_from([NAN, INF, -INF])
@@ -213,7 +213,7 @@ def test_relation_rejects_every_out_of_range_mu(case):
     mode, mu = case
     with pytest.raises(ValueError, match="mu"):
         Relation(U3, U4, mode=mode, mu=mu.reshape(4, 3))
-    obj = model_to_json(Block(Relation(U3, U4, mode=mode), [("x", U3)], U4))
+    obj = block_to_json(Block(Relation(U3, U4, mode=mode), [("x", U3)], U4))
     obj["mu"] = mu.reshape(4, 3).tolist()
     with pytest.raises(ValueError, match="mu"):
         model_from_json(obj)
@@ -459,7 +459,8 @@ def small_models() -> dict:
     pipe = Pipeline([Block.pristine([("x", U3)], U4, DEFAULT_PARAMS),
                      Block(Relation(U4, U3), [("z", U4)], U3, read_mode="ideal")])
     return {name: json.loads(json.dumps(model_to_json(model)))
-            for name, model in (("crossbar", xbar), ("relation", rel), ("pipeline", pipe))}
+            for name, model in (("crossbar", Pipeline([xbar])), ("relation", Pipeline([rel])),
+                                ("pipeline", pipe))}
 
 
 SOURCES = {**{name: default_config(name).to_json() for name in EXPERIMENT_NAMES},

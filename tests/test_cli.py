@@ -231,7 +231,8 @@ def test_infer_crisp_input(tmp_path, capsys):
     code, out = run_cli(capsys, "infer", "--model", model, "--input", "0.5")
     assert code == 0
     assert 0.0 <= out["centroid"] <= 1.0
-    assert len(out["output"]["grades"]) == 100
+    grades = np.array(out["output"]["grades"])  # sign-corrected and peak-normalized
+    assert len(grades) == 100 and grades.min() >= 0.0 and grades.max() == 1.0
     crisp = tmp_path / "crisp.txt"  # a file holding the value reads as the value
     crisp.write_text("0.5\n")
     assert run_cli(capsys, "infer", "--model", model, "--input", str(crisp)) == (code, out)
@@ -278,6 +279,28 @@ def test_compose_and_infer_pipeline(tmp_path, capsys):
     assert 0.0 <= out["centroid"] <= 1.0
 
 
+def test_compose_chains_the_stages_of_every_model_it_is_given(tmp_path, capsys):
+    """A pipeline file composes as its stages; a one-stage result is written as its
+    block's JSON; a two-input model only as the first stage."""
+    pipe = two_stage_pipeline(tmp_path, capsys)
+    single = trained_model_path(tmp_path / "c", capsys)
+    longer = tmp_path / "longer.json"
+    code, out = run_cli(capsys, "compose", "--blocks", single, pipe, "--output", str(longer))
+    assert code == 0 and out["stages"] == 3
+    stages = json.loads(longer.read_text())["blocks"]
+    assert stages[1:] == json.loads(Path(pipe).read_text())["blocks"]
+    alone = tmp_path / "alone.json"
+    assert run_cli(capsys, "compose", "--blocks", single, "--output", str(alone))[0] == 0
+    assert alone.read_text() == Path(single).read_text()
+    override = tiny_override(tmp_path, "exp-2input")
+    run_cli(capsys, "experiment", "exp-2input", "--config", str(override))
+    two = str(tmp_path / "exp-2input" / "model.json")
+    assert run_failing(capsys, "compose", "--blocks", single, two, "--output",
+                       str(tmp_path / "bad.json")) == (
+        "error: stages after the first must be single-input blocks\n")
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_export_surface(tmp_path, capsys):
     model = trained_model_path(tmp_path, capsys)
     surface = tmp_path / "surface.csv"
@@ -303,12 +326,12 @@ def test_export_section_surface(tmp_path, capsys):
 
 def test_infer_untrained_model_reports_error(tmp_path, capsys):
     from crossfuzzy.device import DEFAULT_PARAMS
-    from crossfuzzy.system import Block, model_to_json
+    from crossfuzzy.system import Block, block_to_json
 
     u = Universe(0.0, 1.0, 30)
     blk = Block.pristine([("x", u)], u, DEFAULT_PARAMS)
     path = tmp_path / "pristine.json"
-    path.write_text(json.dumps(model_to_json(blk)))
+    path.write_text(json.dumps(block_to_json(blk)))
     code = main(["infer", "--model", str(path), "--input", "0.5"])
     out = capsys.readouterr().out
     assert code == 1
@@ -316,7 +339,7 @@ def test_infer_untrained_model_reports_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, error", [
-    ("block", "untrained region: no stored signal at this input"),
+    ("block", "untrained region: stage 0 read out no signal"),
     ("pipeline", "untrained region: stage 0 read out no signal"),
 ])
 def test_infer_untrained_region_is_named_once(tmp_path, capsys, kind, error):
@@ -335,10 +358,10 @@ def test_infer_untrained_region_is_named_once(tmp_path, capsys, kind, error):
 @pytest.mark.parametrize("cells", [[-1], [1.7], [99]])
 def test_infer_rejects_bad_fault_cells(tmp_path, capsys, cells):
     from crossfuzzy.device import DEFAULT_PARAMS
-    from crossfuzzy.system import Block, model_to_json
+    from crossfuzzy.system import Block, block_to_json
 
     u = Universe(0.0, 1.0, 3)
-    obj = dict(model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS)), fault_cells=cells)
+    obj = dict(block_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS)), fault_cells=cells)
     path = tmp_path / "faulty.json"
     path.write_text(json.dumps(obj))
     code = main(["infer", "--model", str(path), "--input", "0.5"])
@@ -350,10 +373,10 @@ def test_infer_rejects_bad_fault_cells(tmp_path, capsys, cells):
 @pytest.mark.parametrize("count", [-5, 2.7, "3", True])
 def test_infer_rejects_a_bad_saturation_count(tmp_path, capsys, count):
     from crossfuzzy.device import DEFAULT_PARAMS
-    from crossfuzzy.system import Block, model_to_json
+    from crossfuzzy.system import Block, block_to_json
 
     u = Universe(0.0, 1.0, 3)
-    obj = dict(model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS)),
+    obj = dict(block_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS)),
                saturation_count=count)
     path = tmp_path / "counted.json"
     path.write_text(json.dumps(obj))
@@ -366,10 +389,10 @@ def test_infer_rejects_a_bad_saturation_count(tmp_path, capsys, count):
 @pytest.mark.parametrize("memristance", [[1e5, 1e5, 1e5], 1e5, [[[1e5]]]], ids=["1d", "0d", "3d"])
 def test_infer_rejects_memristance_that_is_not_2d(tmp_path, capsys, memristance):
     from crossfuzzy.device import DEFAULT_PARAMS
-    from crossfuzzy.system import Block, model_to_json
+    from crossfuzzy.system import Block, block_to_json
 
     u = Universe(0.0, 1.0, 3)
-    pristine = model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS))
+    pristine = block_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS))
     obj = dict(pristine, memristance=memristance)
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(obj))
@@ -381,10 +404,10 @@ def test_infer_rejects_memristance_that_is_not_2d(tmp_path, capsys, memristance)
 
 def small_model_json() -> dict:
     from crossfuzzy.device import DEFAULT_PARAMS
-    from crossfuzzy.system import Block, model_to_json
+    from crossfuzzy.system import Block, block_to_json
 
     u = Universe(0.0, 1.0, 3)
-    return json.loads(json.dumps(model_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS))))
+    return json.loads(json.dumps(block_to_json(Block.pristine([("x", u)], u, DEFAULT_PARAMS))))
 
 
 def with_count(obj: dict, value) -> dict:

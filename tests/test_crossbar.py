@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from crossfuzzy.device import DEFAULT_PARAMS, apply_flux
 from crossfuzzy.fuzzy import FuzzyNumber, Universe
 from crossfuzzy.harness import default_config
 from crossfuzzy.relation import Relation, implication_f
-from crossfuzzy.system import Block, model_from_json, model_to_json
+from crossfuzzy.system import Block, block_to_json, model_from_json
 from oracles import (
     closed_form_memristance,
     delta_csv_rows,
@@ -424,6 +425,29 @@ def test_csv_load_refuses_what_save_cannot_write(tmp_path, header, cell, refusal
         load_delta_csv(path)
 
 
+@pytest.mark.parametrize("delta, r_off, refusal", [
+    (np.array([[1.0, -2.0]]), math.nan, "r_off must be finite and positive"),
+    (np.ones((7, 3)), math.inf, "r_off must be finite and positive"),
+    (np.ones((7, 3)), -R_OFF, "r_off must be finite and positive"),
+    (np.ones((7, 3)), 0.0, "r_off must be finite and positive"),
+    (np.ones(3), R_OFF, "a surface must be a non-empty 2-D array"),
+    (np.ones((2, 3, 3)), R_OFF, "a surface must be a non-empty 2-D array"),
+    (np.ones((0, 3)), R_OFF, "a surface must be a non-empty 2-D array"),
+    (np.ones((7, 0)), R_OFF, "a surface must be a non-empty 2-D array"),
+    (np.array([[1.0, math.nan]]), R_OFF, "cells must be finite and non-negative"),
+    (np.array([[1.0, math.inf]]), R_OFF, "cells must be finite and non-negative"),
+    (np.array([[1.0, -2.0]]), R_OFF, "cells must be finite and non-negative"),
+], ids=["nan-r_off", "inf-r_off", "negative-r_off", "zero-r_off", "1-d", "3-d", "no-rows",
+        "no-cols", "nan-cell", "inf-cell", "negative-cell"])
+def test_csv_save_refuses_what_load_refuses(tmp_path, delta, r_off, refusal):
+    """A surface ``load_delta_csv`` would refuse is not written: one
+    ``ValueError`` names the file, and neither it nor a section file exists."""
+    path = tmp_path / "surface.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {refusal}"):
+        save_delta_csv(path, delta, r_off, {tmp_path / "left.csv": (0, 1)})
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -586,13 +610,13 @@ def test_cached_reads_match_the_uncached_formula(backend, v_th, seed, steps):
         elif step == "section":
             assert_sequential(block.section_delta("x"))
         elif step == "json":
-            saved = np.array(model_to_json(block)[key])
+            saved = np.array(block_to_json(block)[key])
             assert_sequential(R_OFF - saved if backend == "crossbar" else saved)
         else:
             assert_fresh_read(b, step, rng.uniform(0, 1, b.cols))
             assert_sequential(stored(b))
     x = rng.uniform(0, 1, b.cols)
-    back = model_from_json(model_to_json(block)).backend
+    back = model_from_json(block_to_json(block)).blocks[0].backend
     assert np.array_equal(stored(back), stored(b))
     for mode in ("exact", "ideal"):
         assert_fresh_read(back, mode, x)

@@ -24,7 +24,7 @@ from crossfuzzy.device import DEFAULT_PARAMS, beta
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import auto_t0, default_config, generate_dataset, train_block
 from crossfuzzy.relation import Relation
-from crossfuzzy.system import Block, Pipeline, block_infer, block_train, model_to_json
+from crossfuzzy.system import Block, Pipeline, block_infer, block_to_json, block_train
 from oracles import sequential_writes
 
 R_OFF = DEFAULT_PARAMS.r_off
@@ -212,7 +212,8 @@ def faulty_two_input_block():
     for x, y, z in ((0.4, 3.1, 0.6), (0.7, 2.5, 0.3)):
         block_train(blk, {"x": fuzzify_gaussian(x, 0.06, UX), "y": fuzzify_gaussian(y, 0.12, UY)},
                     fuzzify_gaussian(z, 0.06, UZ), 1e-6)
-    return blk, {"x": fuzzify_gaussian(0.5, 0.06, UX), "y": fuzzify_gaussian(3.0, 0.12, UY)}
+    return Pipeline([blk]), {"x": fuzzify_gaussian(0.5, 0.06, UX),
+                             "y": fuzzify_gaussian(3.0, 0.12, UY)}
 
 
 def trained_siso(backend, read_mode="exact"):
@@ -226,7 +227,7 @@ def trained_siso(backend, read_mode="exact"):
 
 
 def relation_block():
-    return trained_siso("relation", "ideal"), fuzzify_gaussian(0.4, 0.06, UX)
+    return Pipeline([trained_siso("relation", "ideal")]), fuzzify_gaussian(0.4, 0.06, UX)
 
 
 def pipeline():
@@ -242,18 +243,18 @@ def test_copies_infer_alike_and_share_no_backend(build, copier, monkeypatch):
     """A copy, taken while writes are still deferred, reads as the original
     does, and writes to the copy never reach the original."""
     model, probe = build()
-    blocks = model.blocks if isinstance(model, Pipeline) else [model]
+    blocks = model.blocks
     calls = count_drift_calls(monkeypatch)
     twin = copier(model)
     assert len(calls) == len(blocks)  # every block still held writes, settled by the copy
-    twins = twin.blocks if isinstance(twin, Pipeline) else [twin]
+    twins = twin.blocks
     drive = blocks[0].concat_grades(probe)[None]
     assert np.array_equal(twin.infer_rows(drive)[0], model.infer_rows(drive)[0])
     for blk, other in zip(blocks, twins):
         assert other.backend is not blk.backend
-        assert json.dumps(model_to_json(other)) == json.dumps(model_to_json(blk))
+        assert json.dumps(block_to_json(other)) == json.dumps(block_to_json(blk))
         before = blk.snapshot_delta()
-        inputs = probe if blk is model else fuzzify_gaussian(0.4, 0.06, UX)
+        inputs = probe if blk is blocks[0] else fuzzify_gaussian(0.4, 0.06, UX)
         block_train(other, inputs, fuzzify_gaussian(0.5, 0.06, UZ), 1e-4)
         assert np.array_equal(blk.snapshot_delta(), before)
         assert not np.array_equal(other.snapshot_delta(), before)

@@ -1,11 +1,12 @@
 """Chunked ``evaluate_mse`` against the per-probe evaluator in ``oracles.py``.
 
 The batched evaluator reads a chunk of probes and then tests signal,
-conditions pipeline stages, defuzzifies and scores the whole chunk as
-arrays. The oracle takes one probe at a time through ``model.infer``. Both
-do the same arithmetic per probe, so flags must be equal, MSEs equal to
-1e-12 relative, and per-point errors equal to 1 ulp: the oracle squares a
-Python float, where the batched code squares an array.
+conditions the output of every stage, defuzzifies and scores the whole
+chunk as arrays. The oracle walks one probe at a time through the model's
+stages, one ``block_infer`` each. Both do the same arithmetic per probe, so
+flags must be equal, MSEs equal to 1e-12 relative, and per-point errors
+equal to 1 ulp: the oracle squares a Python float, where the batched code
+squares an array.
 """
 
 import json
@@ -126,7 +127,7 @@ def test_both_read_modes_match_the_oracle(tmp_path):
     target = target_function("eq30", ("x", "y"))
     for mode in ("exact", "ideal"):
         model = model_from_json(dict(blob, read_mode=mode))
-        assert model.read_mode == mode
+        assert model.blocks[0].read_mode == mode
         assert_matches_oracle(model, target, points, cfg.dataset.input_sigmas)
 
 
@@ -134,21 +135,21 @@ def test_both_read_modes_match_the_oracle(tmp_path):
 def test_relation_backed_block_matches_the_oracle(params, monkeypatch):
     """Evaluation validates no grades: its bells and the relation's reads are
     made by the package and wrapped unchecked."""
-    blk = trained_block(params=params, backend=Relation(U, U, params=params))
+    model = Pipeline([trained_block(params=params, backend=Relation(U, U, params=params))])
     target, points = target_function("f1", ("x",)), probes(300)
-    want = assert_matches_oracle(blk, target, points, SIGMAS)
+    want = assert_matches_oracle(model, target, points, SIGMAS)
 
     def refuse(self):
         raise AssertionError("FuzzyNumber.__post_init__ ran during evaluate_mse")
 
     monkeypatch.setattr(FuzzyNumber, "__post_init__", refuse)
-    assert evaluate_mse(blk, target, points, SIGMAS)[2] == want
+    assert evaluate_mse(model, target, points, SIGMAS)[2] == want
 
 
 def test_pristine_block_flags_every_probe():
-    blk = Block.pristine([("x", U)], U, DEFAULT_PARAMS)
-    assert assert_matches_oracle(blk, target_function("f1", ("x",)), probes(40), SIGMAS) == list(
-        range(40))
+    model = Pipeline([Block.pristine([("x", U)], U, DEFAULT_PARAMS)])
+    flagged = assert_matches_oracle(model, target_function("f1", ("x",)), probes(40), SIGMAS)
+    assert flagged == list(range(40))
 
 
 @pytest.mark.parametrize("second", ["untrained", "far"])
@@ -173,8 +174,8 @@ def test_pipeline_probes_die_at_the_stage_the_oracle_names(second):
 
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_probe_counts_around_the_chunk_size(n):
-    blk = trained_block(domain=(0.0, 0.3))  # probes above ~0.7 are flagged
-    flagged = assert_matches_oracle(blk, target_function("f1", ("x",)), probes(n), SIGMAS)
+    model = Pipeline([trained_block(domain=(0.0, 0.3))])  # probes above ~0.7 are flagged
+    flagged = assert_matches_oracle(model, target_function("f1", ("x",)), probes(n), SIGMAS)
     if n > 1:
         assert flagged and flagged[-1] >= n // 2  # flags late in the set keep their index
 
@@ -218,15 +219,35 @@ def test_sign_cancelling_output_raises():
         def read_exact(self, x):
             return row.copy()
 
-    blk = Block(Cancelling(U.count, U.count, DEFAULT_PARAMS), [("x", U)], U)
+    model = Pipeline([Block(Cancelling(U.count, U.count, DEFAULT_PARAMS), [("x", U)], U)])
     for evaluate in (evaluate_mse, per_probe_mse):
         with pytest.raises(ValueError, match="sum to zero"):
-            evaluate(blk, target_function("f1", ("x",)), probes(5), SIGMAS)
+            evaluate(model, target_function("f1", ("x",)), probes(5), SIGMAS)
 
 
 def test_crossbar_block_reads_each_probe_once():
     xbar = Crossbar.from_delta(np.eye(100) * 50.0, DEFAULT_PARAMS)
     reads = count_reads(xbar)
-    blk = Block(xbar, [("x", U)], U)
-    evaluate_mse(blk, target_function("identity", ("x",)), probes(_CHUNK + 3), SIGMAS)
+    model = Pipeline([Block(xbar, [("x", U)], U)])
+    evaluate_mse(model, target_function("identity", ("x",)), probes(_CHUNK + 3), SIGMAS)
     assert len(reads) == _CHUNK + 3
+
+
+def test_a_read_with_no_positive_grade_is_flagged():
+    """A stage read that carries signal but has no positive grade after the
+    stage's sign is an untrained region, flagged and scored at the midpoint."""
+
+    class Upside(Crossbar):
+        """A crossbar whose reads of drives peaking in the upper half come out un-inverted."""
+
+        def read_ideal(self, x):
+            read = super().read_ideal(x)
+            return -read if x.argmax() >= len(x) // 2 else read
+
+    upside = Upside.from_delta(np.eye(100) * 50.0, DEFAULT_PARAMS)
+    model = Pipeline([Block(upside, [("x", U)], U, read_mode="ideal")])
+    points = probes(200)
+    flagged = assert_matches_oracle(model, target_function("identity", ("x",)), points, SIGMAS)
+    upper = np.flatnonzero(np.array([fuzzify_gaussian(x, SIGMAS["x"], U).grades.argmax()
+                                     for x in points["x"]]) >= 50).tolist()
+    assert flagged == upper and 0 < len(upper) < 200

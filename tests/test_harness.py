@@ -29,8 +29,8 @@ from crossfuzzy.harness import (
     train_block,
 )
 from crossfuzzy.relation import Relation
-from crossfuzzy.system import (Block, Section, block_infer, model_from_json, model_to_json,
-                               section_layout)
+from crossfuzzy.system import (Block, Pipeline, Section, block_infer, model_from_json,
+                               model_to_json, section_layout)
 from oracles import per_sample_training
 
 
@@ -373,7 +373,7 @@ def test_evaluate_mse_perfect_lookup_table():
     )
     pts = eval_points(EvalSpec(kind="random", domains={"x": (0.0, 0.99)}, n=50, seed=9))
     mse, per_point, flagged = evaluate_mse(
-        blk, target_function("identity", ("x",)), pts, {"x": u.resolution / 20}
+        Pipeline([blk]), target_function("identity", ("x",)), pts, {"x": u.resolution / 20}
     )
     assert not flagged
     assert len(per_point) == 50
@@ -385,7 +385,7 @@ def test_evaluate_mse_flags_untrained_regions():
     blk = Block.pristine(list(universes.items()), out_u, DEFAULT_PARAMS)
     pts = eval_points(EvalSpec(kind="random", domains={"x": (0.0, 1.0)}, n=8, seed=2))
     mse, per_point, flagged = evaluate_mse(
-        blk, target_function("f1", ("x",)), pts, {"x": 0.05}
+        Pipeline([blk]), target_function("f1", ("x",)), pts, {"x": 0.05}
     )
     assert flagged == list(range(8))  # every point scored against the midpoint
     midpoint = 0.5 * (out_u.lo + out_u.hi)
@@ -474,7 +474,7 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
     assert delta.shape == (100, 100)
     assert r_off == DEFAULT_PARAMS.r_off
     model = model_from_json(json.loads((out / "model.json").read_text()))
-    assert isinstance(model, Block)
+    assert len(model.blocks) == 1
     # a re-run from the same config reproduces the MSE bit for bit
     again = run_experiment("exp-f1", tiny_config(tmp_path))
     assert again.mse == result.mse
@@ -497,7 +497,7 @@ def test_run_experiment_fault_injection_is_seeded(tmp_path):
     cfg = tiny_config(tmp_path, name="exp-2input-faulty")
     a = run_experiment("exp-2input-faulty", cfg)
     model = model_from_json(json.loads((tmp_path / "exp-2input-faulty" / "model.json").read_text()))
-    assert int(model.backend.fault_mask.sum()) == 9000
+    assert int(model.blocks[0].backend.fault_mask.sum()) == 9000
     b = run_experiment("exp-2input-faulty", tiny_config(tmp_path, name="exp-2input-faulty"))
     assert a.mse == b.mse
 

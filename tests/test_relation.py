@@ -9,7 +9,7 @@ from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import FuzzyNumber, Universe, fuzzify_gaussian
 from crossfuzzy.harness import default_config, generate_dataset
 from crossfuzzy.relation import Relation, implication_f
-from crossfuzzy.system import Block, model_from_json, model_to_json
+from crossfuzzy.system import Block, block_to_json, model_from_json
 
 R_OFF = DEFAULT_PARAMS.r_off
 R_ON = DEFAULT_PARAMS.r_on
@@ -205,7 +205,7 @@ def test_a_clamped_hardware_relation_stays_in_range_and_reloads():
     rel = Relation(u, u, mu=np.full((2, 2), 6.40028136653607), params=params)
     rel.accumulate(np.ones(2), np.ones(2), 100.0)  # clamps every cell at r_on
     assert np.array_equal(rel.mu, np.full((2, 2), 56.0))
-    back = model_from_json(model_to_json(Block(rel, [("x", u)], u))).backend
+    back = model_from_json(block_to_json(Block(rel, [("x", u)], u))).blocks[0].backend
     assert np.array_equal(back.mu, rel.mu) and back.params == params
 
 

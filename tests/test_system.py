@@ -20,6 +20,7 @@ from crossfuzzy.system import (
     Block,
     Pipeline,
     block_infer,
+    block_to_json,
     block_train,
     model_from_json,
     model_to_json,
@@ -246,8 +247,9 @@ def test_pipeline_untrained_region_raises():
 def test_pipeline_validation():
     with pytest.raises(ValueError):
         Pipeline([])
-    with pytest.raises(ValueError):
-        Pipeline([two_input_block()])
+    assert Pipeline([two_input_block()]).sections == two_input_block().sections
+    with pytest.raises(ValueError, match="stages after the first must be single-input"):
+        Pipeline([Block.pristine([("z", UZ)], UX, DEFAULT_PARAMS), two_input_block()])
     far = Universe(10.0, 11.0, 10)
     a = Block.pristine([("x", U100)], U100, DEFAULT_PARAMS)
     b = Block.pristine([("x", far)], far, DEFAULT_PARAMS)
@@ -263,9 +265,8 @@ def test_block_json_round_trip():
     inputs = sample_inputs()
     block_train(blk, inputs, fuzzify_gaussian(0.6, 0.06, UZ), T0)
     blk.backend.inject_faults(0.3, seed=5)
-    blob = json.dumps(model_to_json(blk))
-    back = model_from_json(json.loads(blob))
-    assert isinstance(back, Block)
+    blob = json.dumps(block_to_json(blk))
+    back, = model_from_json(json.loads(blob)).blocks
     assert np.array_equal(back.backend.memristance, blk.backend.memristance)
     assert np.array_equal(back.backend.fault_mask, blk.backend.fault_mask)
     assert back.read_mode == blk.read_mode == "exact"
@@ -275,7 +276,7 @@ def test_block_json_round_trip():
     y2 = block_infer(back, inputs).grades
     assert np.array_equal(y1, y2)
     # Older files carry "r_c": null; the key is ignored.
-    old = model_from_json(dict(json.loads(blob), r_c=None))
+    old, = model_from_json(dict(json.loads(blob), r_c=None)).blocks
     assert np.array_equal(old.backend.memristance, blk.backend.memristance)
     assert np.array_equal(block_infer(old, inputs).grades, y1)
     # Files written before the write threshold existed have no "v_th" key
@@ -283,7 +284,7 @@ def test_block_json_round_trip():
     obj = json.loads(blob)
     assert obj["device"]["v_th"] == 0.0
     del obj["device"]["v_th"]
-    pre_threshold = model_from_json(obj)
+    pre_threshold, = model_from_json(obj).blocks
     assert pre_threshold.device_params == DEFAULT_PARAMS
     assert np.array_equal(pre_threshold.backend.memristance, blk.backend.memristance)
     assert np.array_equal(block_infer(pre_threshold, inputs).grades, y1)
@@ -291,7 +292,7 @@ def test_block_json_round_trip():
 
 @pytest.mark.parametrize("cells", [[-1], [1.7], [UZ.count * (UX.count + UY.count)], [True]])
 def test_block_json_rejects_fault_cells_outside_the_array(cells):
-    obj = model_to_json(two_input_block())
+    obj = block_to_json(two_input_block())
     obj["fault_cells"] = cells
     with pytest.raises(ValueError, match="fault_cells"):
         model_from_json(obj)
@@ -299,7 +300,7 @@ def test_block_json_rejects_fault_cells_outside_the_array(cells):
 
 @pytest.mark.parametrize("count", [-5, 2.7, "3", True, None])
 def test_block_json_rejects_a_saturation_count_that_is_not_a_count(count):
-    obj = dict(model_to_json(two_input_block()), saturation_count=count)
+    obj = dict(block_to_json(two_input_block()), saturation_count=count)
     with pytest.raises(ValueError, match="saturation_count"):
         model_from_json(obj)
     obj["saturation_count"] = 7
@@ -309,8 +310,8 @@ def test_block_json_rejects_a_saturation_count_that_is_not_a_count(count):
 def test_block_json_keeps_fault_cells_at_both_ends():
     blk = two_input_block()
     last = blk.backend.rows * blk.backend.cols - 1
-    obj = dict(model_to_json(blk), fault_cells=[0, last])
-    mask = model_from_json(obj).backend.fault_mask
+    obj = dict(block_to_json(blk), fault_cells=[0, last])
+    mask = model_from_json(obj).blocks[0].backend.fault_mask
     assert np.flatnonzero(mask).tolist() == [0, last]
 
 
@@ -327,7 +328,7 @@ def test_pipeline_json_round_trip():
 def test_relation_block_json_round_trip():
     rel = Relation(UX, UZ, mode="additive", mu=np.full((UZ.count, UX.count), 2.5))
     blk = Block(rel, [("x", UX)], UZ, device_params=DEFAULT_PARAMS)
-    back = model_from_json(model_to_json(blk))
+    back = model_from_json(block_to_json(blk)).blocks[0]
     assert isinstance(back.backend, Relation)
     assert back.backend.mode == "additive"
     assert np.array_equal(back.backend.mu, rel.mu)
@@ -353,10 +354,10 @@ def trained_relation_block(mode: str, read_mode: str) -> Block:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: saturated_faulty_block("exact"),
-        lambda: saturated_faulty_block("ideal"),
-        lambda: trained_relation_block("additive", "exact"),
-        lambda: trained_relation_block("hardware", "ideal"),
+        lambda: Pipeline([saturated_faulty_block("exact")]),
+        lambda: Pipeline([saturated_faulty_block("ideal")]),
+        lambda: Pipeline([trained_relation_block("additive", "exact")]),
+        lambda: Pipeline([trained_relation_block("hardware", "ideal")]),
         lambda: Pipeline(
             [trained_siso_block(np.sqrt), trained_siso_block(np.square, 1, read_mode="ideal")]
         ),
@@ -364,8 +365,14 @@ def trained_relation_block(mode: str, read_mode: str) -> Block:
     ids=["crossbar-exact", "crossbar-ideal", "relation-additive", "relation-hardware", "pipeline"],
 )
 def test_model_json_round_trips_byte_for_byte(build):
-    obj = json.loads(json.dumps(model_to_json(build())))
-    assert json.dumps(model_to_json(model_from_json(obj))) == json.dumps(obj)
+    model = build()
+    obj = json.loads(json.dumps(model_to_json(model)))
+    back = model_from_json(obj)
+    assert json.dumps(model_to_json(back)) == json.dumps(obj)
+    assert len(back.blocks) == len(model.blocks)
+    # A one-stage model is written as its block, byte for byte.
+    first = model.blocks[0]
+    assert json.dumps(model_to_json(Pipeline([first]))) == json.dumps(block_to_json(first))
 
 
 def test_crossbar_block_refuses_other_device_params():
@@ -381,7 +388,8 @@ def test_blocks_call_methods_wrapped_after_they_are_built(monkeypatch):
     # attributes are wrapped (as a tracer does), then the blocks are used.
     rel_blk = Block(Relation(UX, UZ, mode="hardware"), [("x", UX)], UZ,
                     device_params=DEFAULT_PARAMS)
-    xb_blk = model_from_json(model_to_json(Block.pristine([("x", UX)], UZ, DEFAULT_PARAMS)))
+    xb_blk, = model_from_json(block_to_json(Block.pristine([("x", UX)], UZ,
+                                                           DEFAULT_PARAMS))).blocks
     calls = []
     for cls, name in ((Relation, "accumulate"), (Relation, "infer"),
                       (Crossbar, "write_pulse"), (Crossbar, "read_exact")):
@@ -410,7 +418,8 @@ def test_a_block_without_kind_loads_at_the_top_and_as_a_stage():
     """No ``kind`` means a block, in a top-level model as in a pipeline stage."""
     blk = Block.pristine([("x", UX)], UZ, DEFAULT_PARAMS)
     blk.backend.write_pulse(np.linspace(0.0, 1.0, UX.count), np.ones(UZ.count), T0)
-    for model, stage in ((blk, None), (Pipeline([blk, Block(Relation(UZ, UZ), [("z", UZ)], UZ)]), 1)):
+    for model, stage in ((Pipeline([blk]), None),
+                         (Pipeline([blk, Block(Relation(UZ, UZ), [("z", UZ)], UZ)]), 1)):
         want = model_to_json(model)
         obj = json.loads(json.dumps(want))
         del (obj if stage is None else obj["blocks"][stage])["kind"]
