@@ -8,12 +8,13 @@ Subcommands:
   export      dump a model's stored-value surface to CSV
 
 Every model file loads as a ``Pipeline``; a block's file is a one-stage
-model. ``infer`` reads as evaluation does: it builds the input's one drive
-row with the first stage's ``concat_grades``, reads it with
-``pipeline_rows`` and defuzzifies it with ``centroid_rows``, so the grades
-it prints are sign-corrected and peak-normalized for every model. An input
-that reads out no signal prints one ``{"error": "untrained region: stage K
-read out no signal"}`` line and exits 1. ``compose`` chains the stages of
+model. ``infer`` reads as evaluation does, through ``pipeline_rows``, the
+one model read: ``pipeline_infer`` is its one-row case, and the output is
+defuzzified with ``centroid_rows``, so the grades it prints are
+sign-corrected and peak-normalized for every model. An input that reads out
+no signal makes ``pipeline_infer`` raise ``EmptyOutputError``, which
+``infer`` prints as one ``{"error": "untrained region: stage K read out no
+signal"}`` line, exiting 1. ``compose`` chains the stages of
 every model file it is given, in order; ``Pipeline`` refuses a chain whose
 later stages take more than one input or whose domains do not overlap.
 ``export`` needs ``--block`` when the model has more than one stage.
@@ -24,15 +25,18 @@ codec (``crossfuzzy.jsonio``): ``ExperimentConfig.from_json``,
 fuzzy number if it has a ``universe`` or ``grades`` key, else an object of
 them keyed by input variable, under the path ``input``. Bad input of any
 command exits 2 with one ``error: ...`` line on stderr, which names the
-JSON path of a bad value and, for a model file, the file. A warning, such
-as a crisp input outside its universe, is one ``warning: ...`` line on
-stderr.
+JSON path of a bad value and, for a model file, the file; so does a file
+that cannot be read or written (missing, a directory, a name too long). An
+``--input`` that names no readable file is parsed as the input itself. A
+warning, such as a crisp input outside its universe, is one ``warning:
+...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from collections.abc import Mapping
@@ -41,7 +45,7 @@ from pathlib import Path
 
 from . import jsonio
 from .crossbar import save_delta_csv
-from .fuzzy import FuzzyNumber, centroid_rows, fuzzify_gaussian
+from .fuzzy import EmptyOutputError, FuzzyNumber, centroid_rows, fuzzify_gaussian
 from .harness import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -49,7 +53,7 @@ from .harness import (
     merge_json,
     run_experiment,
 )
-from .system import Pipeline, model_from_json, model_to_json, pipeline_rows
+from .system import Pipeline, model_from_json, model_to_json, pipeline_infer
 
 
 def _load_model(path: str) -> Pipeline:
@@ -76,7 +80,8 @@ def _cmd_train(args) -> int:
 def _parse_input(model: Pipeline, raw: str, sigma: float | None):
     """Interpret --input: comma-separated crisp values, inline JSON, or a file holding either."""
     text = raw
-    if not raw.lstrip().startswith("{") and Path(raw).is_file():
+    # isfile answers False where Path.is_file raises, as on a name too long for a file
+    if not raw.lstrip().startswith("{") and os.path.isfile(raw):
         text = Path(raw).read_text()
     if text.lstrip().startswith("{"):
         obj = json.loads(text)
@@ -96,11 +101,11 @@ def _parse_input(model: Pipeline, raw: str, sigma: float | None):
 def _cmd_infer(args) -> int:
     model = _load_model(args.model)
     inputs = _parse_input(model, args.input, args.sigma)
-    rows, died = pipeline_rows(model, model.blocks[0].concat_grades(inputs)[None])
-    if died[0] < len(model.blocks):
-        print(json.dumps({"error": f"untrained region: stage {died[0]} read out no signal"}))
+    try:
+        output = pipeline_infer(model, inputs)
+    except EmptyOutputError as exc:
+        print(json.dumps({"error": str(exc)}))
         return 1
-    output = FuzzyNumber(model.output_universe, rows[0])
     crisp = float(centroid_rows(output.universe, output.grades))
     print(json.dumps({"centroid": crisp, "output": output.to_json()}))
     return 0
@@ -147,7 +152,7 @@ def _cmd_export(args) -> int:
         raise ValueError(f"--block {index} is out of range: the model has {len(stages)} stage(s)")
     blk = stages[index]
     delta = blk.section_delta(args.section) if args.section else blk.snapshot_delta()
-    save_delta_csv(args.surface, delta, blk.device_params.r_off)
+    save_delta_csv(args.surface, delta, blk.backend.params.r_off)
     print(json.dumps({"surface": args.surface, "shape": list(delta.shape)}))
     return 0
 
@@ -202,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.fn(args)
-        except (ValueError, FileNotFoundError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

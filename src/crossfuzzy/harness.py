@@ -20,12 +20,13 @@ time of the two side by side; the files are the same either way.
 A probe set is an array with one named float field per variable
 (``eval_points``), evaluated in chunks of ``_CHUNK`` probes. Per probe,
 ``evaluate_mse`` calls only ``fuzzify_gaussian`` once per variable and the
-backend once per live stage (the model's ``infer_rows``). A named target is
-a numpy array function and is called once per chunk, on its columns; any
-other target, such as an expression, is called once per probe with scalars,
-as it may branch on them. The signal test, the conditioning after each
-stage, the centroids, the errors and the flags are array operations on the
-chunk.
+backend once per live stage, through ``system.pipeline_rows``, the one model
+read; a bare ``Block`` is not a model and fails there, before any read. A
+named target is a numpy array function and is called once per chunk, on its
+columns; any other target, such as an expression, is called once per probe
+with scalars, as it may branch on them. The signal test, the conditioning
+after each stage, the centroids, the errors and the flags are array
+operations on the chunk.
 
 A training set is a ``Dataset`` of arrays, not a list of per-sample
 objects: its crisp points are a random probe set (``eval_points`` with the
@@ -80,7 +81,8 @@ from . import jsonio
 from .crossbar import save_delta_csv
 from .device import DEFAULT_PARAMS, MemristorParams, beta
 from .fuzzy import EmptyOutputError, Universe, centroid_rows, fuzzify_gaussian
-from .system import READ_MODES, Block, Pipeline, Section, model_to_json, section_layout
+from .system import (READ_MODES, Block, Pipeline, Section, model_to_json, pipeline_rows,
+                     section_layout)
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -409,7 +411,8 @@ def evaluate_mse(
     for start in range(0, len(points), _CHUNK):
         chunk = points[start : start + _CHUNK]
         drives, target = _probe_rows(chunk, model.sections, input_sigmas, target_fn)
-        rows, live = model.infer_rows(drives)
+        rows, died = pipeline_rows(model, drives)
+        live = died == len(model.blocks)
         prediction = np.full(len(chunk), midpoint)
         prediction[live] = centroid_rows(out_u, rows[live])
         per_point[start : start + len(chunk)] = (prediction - target) ** 2

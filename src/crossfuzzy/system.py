@@ -30,9 +30,11 @@ one, and model JSON stores it under the same name.
 adds that it has one input section on the relation's universes. It then
 binds one write and one read by method name (``write_pulse`` and
 ``read_exact``/``read_ideal``, or ``accumulate`` and ``infer``), so
-``block_train``, ``block_infer``, ``pipeline_infer`` and the harness's
+``block_train``, ``block_infer``, ``pipeline_rows`` and the harness's
 ``train_block`` test no type. ``Block.backend`` is read-only, so the bound
-calls never go to a backend the block no longer names. Each bound callable
+calls never go to a backend the block no longer names; a block holds no
+copy of the backend's state, and its device and clamp count are read as
+``backend.params`` and ``backend.saturation_count``. Each bound callable
 looks its method up on the backend when it runs, so a wrapper put on the
 class later still sees every call. A block pickles and deep-copies through
 its model JSON, which settles any deferred writes; the copy shares nothing
@@ -58,15 +60,15 @@ top-level block follow the one rule. ``model_to_json`` writes a one-stage
 model as its block's JSON and a longer one as ``_PipelineJSON``; the branch
 is on the stage count.
 
-``pipeline_rows`` is the one model read path, and ``Pipeline.infer_rows``
-its view of which rows came through. It infers a matrix of first-stage
-column drives, one probe per row, with one ``Block.infer_rows`` per stage
-(one backend read per row, raw read-outs), and after each stage conditions
-the rows as arrays and reads only the rows that still carry signal at the
-next. Evaluation and the CLI's ``infer`` both read through it.
-``block_infer`` is a stage's one-row read and ``pipeline_infer`` one row of
-``pipeline_rows``; they are kept as names the benchmark's tracer wraps, and
-``block_infer`` as the per-probe oracle's read (``tests/oracles.py``).
+``pipeline_rows`` is the one way a model is read. It infers a matrix of
+first-stage column drives, one probe per row: at each stage it makes one
+backend read per live row, tests the raw read-outs against
+``SIGNAL_FLOOR``, conditions them as arrays and reads only the rows that
+still carry signal at the next stage. Evaluation reads through it, and the
+CLI's ``infer`` through ``pipeline_infer``, its one-row case.
+``block_infer`` is a stage's raw one-row read, the per-probe oracle's read
+(``tests/oracles.py``); it and ``pipeline_infer`` are kept as names the
+benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ __all__ = [
     "section_layout",
     "Block",
     "Pipeline",
-    "signal_rows",
     "block_train",
     "block_infer",
     "pipeline_rows",
@@ -107,11 +108,6 @@ READ_MODES = ("exact", "ideal")
 #: the input scale), while genuine stored patterns read out around 1e-4, so
 #: anything under a picovolt is treated as an untrained region.
 SIGNAL_FLOOR = 1e-12
-
-
-def signal_rows(rows: np.ndarray) -> np.ndarray:
-    """Per row of a read-out matrix: whether any grade exceeds ``SIGNAL_FLOOR`` in magnitude."""
-    return (np.abs(rows) > SIGNAL_FLOOR).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,6 @@ class Block:
         # Looked up on each call, so a wrapper put on the class later sees it.
         self._write = lambda col, row, t0: getattr(backend, write)(col, row, t0)
         self._read = lambda col: getattr(backend, read)(col)
-        self.device_params = backend.params
         self.read_sign = -1.0 if backend.inverts else 1.0
 
     @classmethod
@@ -193,23 +188,6 @@ class Block:
     @property
     def backend(self) -> Crossbar | Relation:
         return self._backend
-
-    @property
-    def saturation_count(self) -> int:
-        return self.backend.saturation_count
-
-    def infer_rows(self, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One read per row of full column drives, and which read-out rows carry signal.
-
-        Row k of the read-outs is the grade vector ``block_infer`` returns
-        for drive k; the drives are taken as built, without the
-        per-variable checks of ``concat_grades``.
-        """
-        rows = np.empty((len(drives), self.output_universe.count))
-        read = self._read
-        for k, col in enumerate(drives):
-            rows[k] = read(col)
-        return rows, signal_rows(rows)
 
     def _as_mapping(self, inputs) -> dict[str, FuzzyNumber]:
         if isinstance(inputs, FuzzyNumber):
@@ -292,31 +270,33 @@ class Pipeline:
 
     @property
     def saturation_count(self) -> int:
-        return sum(blk.saturation_count for blk in self.blocks)
-
-    def infer_rows(self, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``pipeline_rows`` of first-stage drives, and which rows came through every stage."""
-        rows, died = pipeline_rows(self, drives)
-        return rows, died == len(self.blocks)
+        return sum(blk.backend.saturation_count for blk in self.blocks)
 
 
 def pipeline_rows(pipe: Pipeline, drives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Propagate rows of first-stage column drives through the chain.
 
-    After every stage the read-outs are sign-corrected (crossbar reads
-    invert), peak-normalized, and regridded onto the next stage's input
-    universe. A row dies at the first stage whose read-out has no signal
-    (``signal_rows``) or no positive grade after the sign (untrained
-    region); only live rows are read at the next stage. Returns the output
-    rows, zero for dead ones, and per row the stage it died at, or
-    ``len(pipe.blocks)`` if it came through.
+    Each stage reads each live row once, in the block's read mode; row k of
+    a stage's read-out is the grade vector ``block_infer`` returns for
+    drive k. The drives are taken as built, without the per-variable checks
+    of ``concat_grades``. After every stage the read-outs are sign-corrected
+    (crossbar reads invert), peak-normalized, and regridded onto the next
+    stage's input universe. A row dies at the first stage whose read-out has
+    no grade above ``SIGNAL_FLOOR`` in magnitude or no positive grade after
+    the sign (untrained region); only live rows are read at the next stage.
+    Returns the output rows, zero for dead ones, and per row the stage it
+    died at, or ``len(pipe.blocks)`` if it came through.
     """
     n_stages = len(pipe.blocks)
     died = np.full(len(drives), n_stages)
     alive = np.arange(len(drives))
     signal = drives
     for i, blk in enumerate(pipe.blocks):
-        out, ok = blk.infer_rows(signal)
+        out = np.empty((len(signal), blk.output_universe.count))
+        read = blk._read
+        for k, col in enumerate(signal):
+            out[k] = read(col)
+        ok = (np.abs(out) > SIGNAL_FLOOR).any(axis=1)
         out *= blk.read_sign
         ok &= out.max(axis=1) > 0.0
         died[alive[~ok]] = i
@@ -394,7 +374,7 @@ def block_to_json(block: Block) -> dict:
     b = block.backend
     shared = dict(inputs=tuple(_Input(sec.name, sec.universe) for sec in block.sections),
                   output_universe=block.output_universe, read_mode=block.read_mode,
-                  device=block.device_params)
+                  device=b.params)
     if isinstance(b, Crossbar):
         return jsonio.to_json(_CrossbarJSON(**shared, memristance=b.memristance,
                                             fault_cells=np.flatnonzero(b.fault_mask),

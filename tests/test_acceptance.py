@@ -155,10 +155,10 @@ def threshold_config(name: str, output_dir: str):
 
 def _argmax_tracking(result_model_path: str, target, sigma: float):
     with open(result_model_path) as fh:
-        model = model_from_json(json.load(fh))
-    delta = model.snapshot_delta()
-    in_u = model.sections[0].universe
-    out_u = model.output_universe
+        stage, = model_from_json(json.load(fh)).blocks
+    delta = stage.snapshot_delta()
+    in_u = stage.sections[0].universe
+    out_u = stage.output_universe
     tolerance = 2.0 * out_u.resolution
     worst = 0.0
     bad = 0

@@ -449,13 +449,20 @@ def test_every_command_rejects_a_malformed_model(tmp_path, capsys, edit, named):
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):
-    code = main(["infer", "--model", str(tmp_path / "missing.json"), "--input", "0.5"])
-    capsys.readouterr()
-    assert code == 2
-    code = main(["export", "--model", str(tmp_path / "missing.json"), "--surface", "s.csv"])
-    capsys.readouterr()
-    assert code == 2
+    missing, folder = str(tmp_path / "missing.json"), str(tmp_path)
     model = trained_model_path(tmp_path, capsys)
+    padded = "0.3" + " " * 5000  # longer than a file name may be
+    for argv in (["infer", "--model", missing, "--input", "0.5"],
+                 ["export", "--model", missing, "--surface", "s.csv"],
+                 ["infer", "--model", folder, "--input", "0.5"],
+                 ["train", "--config", folder],
+                 ["experiment", "exp-f1", "--config", folder],
+                 ["export", "--model", model, "--surface", folder],
+                 ["infer", "--model", model, "--input", "x" + padded]):
+        assert run_failing(capsys, *argv).count("\n") == 1, argv
+    # An --input too long for a file name is the input itself.
+    assert run_cli(capsys, "infer", "--model", model, "--input", padded) == \
+        run_cli(capsys, "infer", "--model", model, "--input", "0.3")
     for sigma in ("0", "-0.0"):  # not the default width: a width of 0 is refused
         code = main(["infer", "--model", model, "--input", "0.5", "--sigma", sigma])
         captured = capsys.readouterr()

@@ -12,7 +12,7 @@ from crossfuzzy.device import DEFAULT_PARAMS, apply_flux
 from crossfuzzy.fuzzy import FuzzyNumber, Universe
 from crossfuzzy.harness import default_config
 from crossfuzzy.relation import Relation, implication_f
-from crossfuzzy.system import Block, block_to_json, model_from_json
+from crossfuzzy.system import Block, block_infer, block_to_json, model_from_json
 from oracles import (
     closed_form_memristance,
     delta_csv_rows,
@@ -299,8 +299,8 @@ def test_read_config_dispatch():
     xb = Crossbar(2, 2, DEFAULT_PARAMS)
     xb.write_pulse([1.0, 0.3], [0.8, 0.0], 1e-4)
     x = FuzzyNumber(u, [0.5, 0.25])
-    (exact,), _ = Block(xb, [("x", u)], u).infer_rows(x.grades[None])
-    (ideal,), _ = Block(xb, [("x", u)], u, read_mode="ideal").infer_rows(x.grades[None])
+    exact = block_infer(Block(xb, [("x", u)], u), x).grades
+    ideal = block_infer(Block(xb, [("x", u)], u, read_mode="ideal"), x).grades
     assert np.array_equal(exact, xb.read_exact(x.grades))
     assert np.array_equal(ideal, xb.read_ideal(x.grades))
     assert not np.array_equal(exact, ideal)
@@ -311,7 +311,7 @@ def test_read_config_dispatch():
     blk = Block(xb, [("x", u)], u, read_mode="ideal")
     with pytest.raises(AttributeError):
         blk.read_mode = "exact"  # the mode is fixed when the block is built
-    assert np.array_equal(blk.infer_rows(x.grades[None])[0][0], ideal)
+    assert np.array_equal(block_infer(blk, x).grades, ideal)
 
 
 def test_fault_mask_is_changed_only_by_inject_faults():

@@ -24,7 +24,8 @@ from crossfuzzy.device import DEFAULT_PARAMS, beta
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import auto_t0, default_config, generate_dataset, train_block
 from crossfuzzy.relation import Relation
-from crossfuzzy.system import Block, Pipeline, block_infer, block_to_json, block_train
+from crossfuzzy.system import (Block, Pipeline, block_infer, block_to_json, block_train,
+                               pipeline_rows)
 from oracles import sequential_writes
 
 R_OFF = DEFAULT_PARAMS.r_off
@@ -153,7 +154,7 @@ def test_only_observers_pay_for_deferred_writes(monkeypatch):
         for k in range(5):
             block_train(blk, fuzzify_gaussian(0.1 + 0.2 * k, 0.1, u),
                         fuzzify_gaussian(0.9 - 0.2 * k, 0.1, u), 1e-4)
-            assert blk.saturation_count == 0 and blk.backend.saturation_count == 0
+            assert blk.backend.saturation_count == 0
         assert int(xb_blk.backend.fault_mask.sum()) == 9
     assert calls == []
     for blk in (xb_blk, rel_blk):
@@ -171,7 +172,7 @@ def test_only_observers_pay_for_deferred_writes(monkeypatch):
                 Block(Relation(inputs[0][1], out, mode="hardware"), inputs, out,
                       device_params=cfg.device)):
         train_block(blk, dataset, cfg.resolved_t0())
-        assert blk.saturation_count == 0 and calls == []
+        assert blk.backend.saturation_count == 0 and calls == []
         blk.snapshot_delta()
         assert len(calls) == 1
         calls.clear()
@@ -249,7 +250,7 @@ def test_copies_infer_alike_and_share_no_backend(build, copier, monkeypatch):
     assert len(calls) == len(blocks)  # every block still held writes, settled by the copy
     twins = twin.blocks
     drive = blocks[0].concat_grades(probe)[None]
-    assert np.array_equal(twin.infer_rows(drive)[0], model.infer_rows(drive)[0])
+    assert np.array_equal(pipeline_rows(twin, drive)[0], pipeline_rows(model, drive)[0])
     for blk, other in zip(blocks, twins):
         assert other.backend is not blk.backend
         assert json.dumps(block_to_json(other)) == json.dumps(block_to_json(blk))

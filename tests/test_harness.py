@@ -209,9 +209,9 @@ def test_train_block_equals_the_per_sample_oracle_bit_for_bit(training, v_th):
     dataset = generate_dataset(cfg.dataset, cfg.input_universes, out_u)
     got = train_block(pristine(), dataset, t0)
     assert got.snapshot_delta().tobytes() == want.snapshot_delta().tobytes()
-    assert got.saturation_count == want.saturation_count
+    assert got.backend.saturation_count == want.backend.saturation_count
     assert want.snapshot_delta().max() > 1.0  # ohm: the run wrote something
-    assert (want.saturation_count > 0) == (training == "crossbar-saturating")
+    assert (want.backend.saturation_count > 0) == (training == "crossbar-saturating")
 
 
 UX, UY, U_OUT = Universe(1.0, 10.0, 9), Universe(1.0, 10.0, 6), Universe(0.0, 1.12, 10)
@@ -378,6 +378,19 @@ def test_evaluate_mse_perfect_lookup_table():
     assert not flagged
     assert len(per_point) == 50
     assert mse <= u.resolution**2
+
+
+def test_evaluate_mse_refuses_a_bare_block_before_any_read(monkeypatch):
+    # A block is a stage, not a model: its raw read-outs are neither
+    # sign-corrected nor normalized, so evaluation must not score them.
+    u = Universe(0.0, 1.0, 100)
+    blk = Block(Crossbar.from_delta(np.eye(100) * 50.0, DEFAULT_PARAMS), [("x", u)], u)
+    reads = []
+    monkeypatch.setattr(Crossbar, "read_exact", lambda self, x: reads.append(x))
+    pts = eval_points(EvalSpec(kind="random", domains={"x": (0.0, 0.99)}, n=5, seed=9))
+    with pytest.raises(AttributeError, match="blocks"):
+        evaluate_mse(blk, target_function("identity", ("x",)), pts, {"x": 0.05})
+    assert reads == []
 
 
 def test_evaluate_mse_flags_untrained_regions():
