@@ -5,7 +5,8 @@ the negated other, so the cell at (row i, column j) sees the voltage
 ``col[j] + row[i]`` for ``t0`` seconds. The part of that drive above the
 device's write threshold becomes flux (``device.pulse_flux``), which the
 cell integrates per the device closed form (``device.drift``). Stuck cells
-(fault mask) ignore writes and always hold ``r_off``.
+(fault mask) always hold ``r_off``: they take no flux, and a constructor given
+a mask and an M that disagree refuses them.
 
 A crossbar is a ``device.StoredArray`` over M, as a ``Relation`` is over
 its ``mu``. The base class decides whether a checked pulse is written now
@@ -13,8 +14,8 @@ or, on the default threshold-free device, held as two line sums and settled
 when M is next observed: by the ``memristance`` property (and so
 ``snapshot_delta`` and serialization), by building a read matrix and by
 ``inject_faults``. The crossbar defines the eager write ``_step``:
-``drift``, stuck cells kept at ``r_off``, and the clamp count. Writes and
-reads check their inputs with ``device.check_lines`` and
+``drift`` of a flux that is zero at stuck cells, and the clamp count.
+Writes and reads check their inputs with ``device.check_lines`` and
 ``device.check_read``, as a ``Relation``'s do. ``saturation_count`` and
 ``fault_mask`` are exact without a settle, so reading them never settles.
 
@@ -80,7 +81,8 @@ class Crossbar(StoredArray):
             fault_mask = np.array(fault_mask, dtype=bool)
             if fault_mask.shape != (rows, cols):
                 raise ValueError(f"fault mask shape {fault_mask.shape} != ({rows}, {cols})")
-            memristance[fault_mask] = params.r_off
+            if not (memristance[fault_mask] == params.r_off).all():
+                raise ValueError("stuck cells (fault mask) must hold r_off")
         fault_mask.setflags(write=False)  # replaced only by inject_faults
         self._fault_mask = fault_mask
         # Largest |x| a read takes, whatever M holds: as r_off / M <= r_off / r_on
@@ -122,11 +124,11 @@ class Crossbar(StoredArray):
 
     def _step(self, m: np.ndarray, flux: np.ndarray) -> np.ndarray:
         # One eager write of ``flux`` onto M. A settle of held pulses is one
-        # such write, which the headroom rule proves clamps no cell.
+        # such write, which the headroom rule proves clamps no cell. Under zero
+        # flux a stuck cell's r_off stays bit for bit and never clamps.
+        np.copyto(flux, 0.0, where=self._fault_mask)
         new_m, clamped = drift(m, flux, self.params)
-        clamped[self._fault_mask] = False
         self.saturation_count += int(np.count_nonzero(clamped))
-        np.copyto(new_m, m, where=self._fault_mask)
         return new_m
 
     def inject_faults(self, fraction: float, seed: int) -> None:

@@ -66,12 +66,6 @@ __all__ = [
     "MemristorParams",
     "DEFAULT_PARAMS",
     "beta",
-    "drift",
-    "check_pulse",
-    "check_lines",
-    "check_read",
-    "pulse_flux",
-    "StoredArray",
     "apply_flux",
 ]
 

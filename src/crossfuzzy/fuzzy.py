@@ -36,11 +36,8 @@ __all__ = [
     "Universe",
     "FuzzyNumber",
     "fuzzify_gaussian",
-    "centroid_rows",
     "defuzzify_centroid",
-    "normalize_peak_rows",
     "normalize_peak",
-    "regrid_rows",
     "regrid",
 ]
 

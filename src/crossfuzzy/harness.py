@@ -99,7 +99,6 @@ __all__ = [
     "auto_t0",
     "default_config",
     "run_experiment",
-    "merge_json",
 ]
 
 EXPERIMENT_NAMES = ("exp-f1", "exp-f2", "exp-compose", "exp-2input", "exp-2input-faulty")
@@ -239,13 +238,13 @@ def _check_domains(domains: dict[str, tuple[float, float]]) -> None:
 
 def _check_draw(what: str, domains: dict[str, tuple[float, float]], n, seed) -> None:
     """Valid domains, and an integer count 1 <= n <= ``_MAX_N`` of points drawn
-    from an integer seed; a count no array can hold is refused here, not by
-    ``auto_t0`` or numpy."""
+    from a non-negative integer seed; a count no array can hold and a seed
+    numpy's generator refuses are refused here, not by ``auto_t0`` or numpy."""
     _check_domains(domains)
     if not (isinstance(n, numbers.Integral) and 1 <= n <= _MAX_N):
         raise ValueError(f"{what} needs an integer n from 1 to {_MAX_N}, got n={n!r}")
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"{what} needs an integer seed, got {seed!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"{what} needs a non-negative integer seed, got seed={seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,8 +478,8 @@ class ExperimentConfig:
             raise ValueError(f"read mode must be one of {READ_MODES}, got {self.read_mode!r}")
         if not (0.0 <= self.fault_fraction <= 1.0):
             raise ValueError("fault fraction must lie in [0, 1]")
-        if not isinstance(self.fault_seed, numbers.Integral):
-            raise ValueError(f"fault seed must be an integer, got {self.fault_seed!r}")
+        if not (isinstance(self.fault_seed, numbers.Integral) and self.fault_seed >= 0):
+            raise ValueError(f"fault_seed must be a non-negative integer, got {self.fault_seed!r}")
         longest = auto_t0(self.device, self.dataset.n)  # refuses a device no pulse can write
         t0 = self.resolved_t0()
         if not (math.isfinite(t0) and t0 > 0):

@@ -85,18 +85,12 @@ from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, normalize_peak_rows,
 from .relation import Relation
 
 __all__ = [
-    "READ_MODES",
-    "SIGNAL_FLOOR",
     "Section",
-    "section_layout",
     "Block",
     "Pipeline",
     "block_train",
     "block_infer",
-    "pipeline_rows",
     "pipeline_infer",
-    "block_to_json",
-    "block_from_json",
     "model_to_json",
     "model_from_json",
 ]

@@ -366,7 +366,7 @@ def test_specs_accept_every_in_range_draw(domain, n, seed, shape):
 # Per spec field: its out-of-range draws and the specs that read it.
 BAD_FIELDS = {
     "n": (st.one_of(NOT_INTEGER, st.integers(max_value=0)), ("dataset", "random")),
-    "seed": (NOT_INTEGER, ("dataset", "random")),
+    "seed": (st.one_of(NOT_INTEGER, st.integers(max_value=-1)), ("dataset", "random")),
     "shape": (st.one_of(NOT_INTEGER, st.integers(max_value=1)), ("lattice",)),
     "domain": (BAD_DOMAIN, ("dataset", "random", "lattice")),
 }
@@ -601,12 +601,14 @@ def test_json_refuses_a_malformed_array_or_block_list(source, path, value):
     (("blocks", 0, "memristance"), [[1e9] * 3] * 4, "blocks[0]: memristance outside [r_on, r_off]"),
     (("blocks", 1, "mu"), [[-1.0] * 4] * 3, "blocks[1]: hardware relation needs every mu"),
     (("blocks", 1, "read_mode"), "fast", "blocks[1]: read mode must be one of"),
+    (("blocks", 1, "mode"), "soft", "blocks[1]: mode must be one of"),
+    (("blocks", 1, "mu"), [[0.0] * 3] * 4, "blocks[1]: mu shape (4, 3) != (3, 4)"),
     (("blocks", 0, "inputs", 0, "universe", "count"), 1,
      "blocks[0].inputs[0].universe: universe needs an integer count"),
     (("blocks", 1, "kind"), "pipeline", "blocks[1].kind must be 'block', got 'pipeline'"),
     (("blocks", 0, "kind"), "banana", "blocks[0].kind must be 'block', got 'banana'"),
-], ids=["stage-memristance", "stage-mu", "stage-read-mode", "stage-universe", "stage-pipeline",
-        "stage-banana"])
+], ids=["stage-memristance", "stage-mu", "stage-read-mode", "stage-mode", "stage-mu-shape",
+        "stage-universe", "stage-pipeline", "stage-banana"])
 def test_a_stage_refusal_names_its_stage_once(path, value, refusal):
     """A value a pipeline stage's backend, block or universe refuses, and a stage
     whose ``kind`` is not ``"block"``, fail as ``ValueError`` whose message

@@ -57,7 +57,7 @@ def test_experiment_on_threshold_device_via_config(tmp_path, capsys):
     assert result["mse"] == out["mse"]
 
 
-def test_experiment_fault_flags(tmp_path, capsys):
+def test_experiment_fault_flags(tmp_path, capsys, monkeypatch):
     override = tiny_override(tmp_path, "exp-f1")
     code, out = run_cli(
         capsys,
@@ -73,6 +73,9 @@ def test_experiment_fault_flags(tmp_path, capsys):
     assert code == 0
     result = json.loads((tmp_path / "exp-f1" / "result.json").read_text())
     assert result["config"]["fault"] == {"fraction": 0.25, "seed": 77}
+    monkeypatch.setattr("crossfuzzy.harness.generate_dataset", never_train)
+    assert run_failing(capsys, "experiment", "exp-2input-faulty", "--seed", "-1") == (
+        "error: fault_seed must be a non-negative integer, got -1\n")
 
 
 def test_experiment_that_stored_nothing_fails(tmp_path, capsys):
@@ -202,12 +205,19 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, monkeypatch, config,
     ("exp-f1", '{"eval": {"domains": {"z": [0, 1]}}}', "eval domains"),
     ("exp-f1", '{"dataset": {"domains": {"x": [0]}}}', "malformed JSON"),
     ("exp-f1", '{"fault": {"fraction": 0.5, "seed": 1.5}}', "fault.seed must be an integer"),
+    ("exp-f1", '{"dataset": {"seed": -3}}',
+     "dataset: a dataset needs a non-negative integer seed, got seed=-3"),
+    ("exp-f1", '{"eval": {"seed": -2}}',
+     "eval: random evaluation needs a non-negative integer seed, got seed=-2"),
+    ("exp-2input-faulty", '{"fault": {"seed": -1}}',
+     "fault_seed must be a non-negative integer, got -1"),
     *(("exp-f1", json.dumps(override), named) for override, named in BAD_TARGETS),
     *(("exp-f1", json.dumps(override), named) for override, named in UNREAD_OVERRIDES),
 ], ids=["list", "t0-text", "fraction-text", "dataset-n-float", "eval-n-float",
         "dataset-n-beyond-arrays", "eval-n-beyond-arrays", "eval-seed-float", "shape-float",
         "dataset-domain-inf", "eval-domain-inf", "eval-variable", "domain-one-end",
-        "fault-seed-float", *BAD_TARGET_IDS, *UNREAD_OVERRIDE_IDS])
+        "fault-seed-float", "dataset-seed-negative", "eval-seed-negative", "fault-seed-negative",
+        *BAD_TARGET_IDS, *UNREAD_OVERRIDE_IDS])
 def test_experiment_rejects_a_malformed_override(tmp_path, capsys, monkeypatch, name,
                                                  override, named):
     """Each bad override fails where it is read, before anything is trained."""
@@ -425,6 +435,12 @@ def with_text_cell(obj: dict) -> dict:
     return obj
 
 
+def with_stuck_cell_below_r_off(obj: dict) -> dict:
+    obj["memristance"][1][1] = 99e3
+    obj["fault_cells"] = [4]  # the flat index of (1, 1)
+    return obj
+
+
 # Model JSON edits and the start of the error each gives, after the file's name.
 @pytest.mark.parametrize("edit, named", [
     (lambda obj: dict(obj, backend="crosbar"),
@@ -435,8 +451,9 @@ def with_text_cell(obj: dict) -> dict:
     (lambda obj: with_count(obj, True), "inputs[0].universe.count must be an integer"),
     (with_true_cell, "memristance must be a 2-D array of numbers"),
     (with_text_cell, "memristance must be a 2-D array of numbers"),
+    (with_stuck_cell_below_r_off, "stuck cells (fault mask) must hold r_off"),
 ], ids=["backend-misspelt", "device-vth", "added-key", "relation-key", "count-true", "cell-true",
-        "cell-text"])
+        "cell-text", "stuck-cell-below-r_off"])
 def test_every_command_rejects_a_malformed_model(tmp_path, capsys, edit, named):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(edit(small_model_json())))
@@ -491,6 +508,8 @@ def test_export_block_index_within_the_stages(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: --block {block} is out of range")
+    assert run_failing(capsys, "export", "--model", pipe, "--surface", surface) == (
+        "error: pipeline model: pick a stage with --block INDEX\n")
 
 
 # Grades on exp-f1's input universe, which the parser would read as numbers.
@@ -513,6 +532,8 @@ TEXT_GRADES = json.dumps({"x": {"universe": F1_INPUT, "grades": ["0.5"] * 100}})
                  "error: input.x: grades shape (2,)", id="grades-too-few"),
     pytest.param(json.dumps({"x": {"universe": dict(F1_INPUT, count=1), "grades": [1]}}),
                  "error: input.x.universe: universe needs an integer count", id="count-1"),
+    pytest.param("0.2,0.4", "error: model expects 1 input value(s), got 2",
+                 id="crisp-values-too-many"),
 ])
 def test_infer_rejects_malformed_json_input(tmp_path, capsys, raw, named):
     model = trained_model_path(tmp_path, capsys)

@@ -294,6 +294,24 @@ def test_read_dimension_mismatch():
         xb.read_ideal([1.0, 2.0, 3.0, 4.0])
 
 
+STUCK = np.eye(2, 3, dtype=bool)
+
+
+@pytest.mark.parametrize("arrays, refusal", [
+    ({"memristance": np.full((3, 2), R_OFF)}, r"memristance shape \(3, 2\) != \(2, 3\)"),
+    ({"fault_mask": np.zeros((3, 2), dtype=bool)}, r"fault mask shape \(3, 2\) != \(2, 3\)"),
+    ({"memristance": np.where(STUCK, 99e3, R_OFF), "fault_mask": STUCK},
+     r"stuck cells \(fault mask\) must hold r_off"),
+], ids=["memristance-shape", "fault-mask-shape", "stuck-cell-below-r_off"])
+def test_constructor_refuses_arrays_that_do_not_fit(arrays, refusal):
+    """Arrays of another shape than the grid, and stuck cells that do not hold
+    r_off, are refused, not reshaped or overwritten; live cells may hold any M."""
+    with pytest.raises(ValueError, match=refusal):
+        Crossbar(2, 3, DEFAULT_PARAMS, **arrays)
+    xb = Crossbar(2, 3, DEFAULT_PARAMS, memristance=np.where(STUCK, R_OFF, 99e3), fault_mask=STUCK)
+    assert np.array_equal(xb.memristance, np.where(STUCK, R_OFF, 99e3))
+
+
 def test_read_config_dispatch():
     u = Universe(0.0, 1.0, 2)
     xb = Crossbar(2, 2, DEFAULT_PARAMS)
@@ -408,9 +426,10 @@ def test_csv_round_trip(tmp_path):
     (HEADER, "-1.5", "cells must be finite and non-negative"),
     (HEADER, "abc", "could not convert"),
     ("# rows=6 cols=3 r_off=1e5", None, "data shape"),
+    ("rows=7 cols=3 r_off=1e5", None, "missing header line"),
 ], ids=["no-r_off", "r_off-no-value", "extra-key", "repeated-key", "float-count",
         "text-count", "nan-r_off", "inf-r_off", "negative-r_off", "text-r_off", "nan-cell",
-        "inf-cell", "negative-cell", "text-cell", "wrong-count"])
+        "inf-cell", "negative-cell", "text-cell", "wrong-count", "no-hash"])
 def test_csv_load_refuses_what_save_cannot_write(tmp_path, header, cell, refusal):
     """The round-trip surface with its header replaced, or its cell (3, 0): a
     header or cell that ``save_delta_csv`` cannot have written is refused by

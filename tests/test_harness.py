@@ -77,6 +77,9 @@ def test_dataset_spec_validation():
         small_spec(input_sigmas={"y": 0.05})
     with pytest.raises(ValueError):
         small_spec(output_sigma=0.0)
+    universes, out_u = small_universes()
+    with pytest.raises(ValueError, match="input universes must cover exactly the dataset"):
+        generate_dataset(small_spec(), {"y": universes["x"]}, out_u)
 
 
 NAN = float("nan")
@@ -329,11 +332,17 @@ def test_config_holds_copies_of_the_mappings_it_was_given():
 
 
 def test_replace_checks_the_derived_config():
-    cfg = default_config("exp-f1")
-    for change, named in (({"t0": 1e-4}, "write budget"), ({"fault_fraction": 2}, "fault"),
-                          ({"eval_target": "q"}, "unknown name 'q'")):
+    for name, change, named in (
+            ("exp-f1", {"t0": 1e-4}, "write budget"),
+            ("exp-f1", {"fault_fraction": 2}, "fault"),
+            ("exp-f1", {"eval_target": "q"}, "unknown name 'q'"),
+            ("exp-f1", {"eval_target": 5}, "a target must be a name or an expression string"),
+            ("exp-2input", {"pipeline_targets": ("f1",)}, "chained experiments need a single"),
+            ("exp-f1", {"read_mode": "fast"}, "read mode must be one of"),
+            ("exp-f1", {"fault_seed": 1.5}, "fault_seed must be a non-negative integer, got 1.5"),
+            ("exp-f1", {"fault_seed": -1}, "fault_seed must be a non-negative integer, got -1")):
         with pytest.raises(ValueError, match=named):
-            replace(cfg, **change)
+            replace(default_config(name), **change)
 
 
 def test_default_universe_resolutions():

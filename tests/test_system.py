@@ -83,6 +83,8 @@ def test_block_layout_validation():
     xb2 = Crossbar(UZ.count + 1, UX.count, DEFAULT_PARAMS)
     with pytest.raises(ValueError):
         Block(xb2, [("x", UX)], UZ)
+    with pytest.raises(TypeError, match="unsupported backend type ndarray"):
+        Block(np.zeros((UZ.count, UX.count)), [("x", UX)], UZ)
 
 
 def test_block_input_validation():
@@ -99,6 +101,8 @@ def test_block_input_validation():
         block_train(blk, inputs, fuzzify_gaussian(0.5, 0.06, UX), T0)  # wrong output
     with pytest.raises(ValueError):
         block_infer(blk, inputs["x"])  # bare fuzzy number on a 2-input block
+    with pytest.raises(ValueError, match="no section named 'w'"):
+        blk.section_delta("w")
 
 
 def test_block_infer_zero_and_section_linearity():
