@@ -12,10 +12,10 @@ except ImportError:
     from crossfuzzy.harness import EXPERIMENT_NAMES, default_config, run_experiment
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output-root", default="results", help="directory for per-run folders")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rows = []
     for name in EXPERIMENT_NAMES:

@@ -16,7 +16,8 @@ no signal makes ``pipeline_infer`` raise ``EmptyOutputError``, which
 ``infer`` prints as one ``{"error": "untrained region: stage K read out no
 signal"}`` line, exiting 1. ``compose`` chains the stages of
 every model file it is given, in order; ``Pipeline`` refuses a chain whose
-later stages take more than one input or whose domains do not overlap.
+later stages take more than one input or whose grids do not overlap
+(``fuzzy.check_overlap``).
 ``export`` needs ``--block`` when the model has more than one stage.
 
 Config, model and ``--input`` JSON are read by the package's one strict

@@ -33,15 +33,18 @@ product with the stored-value matrix. Reads never disturb the stored state.
 ``memristance`` and ``fault_mask`` are read-only properties over read-only
 arrays, with no setter: M changes only through the constructor,
 ``write_pulse`` and ``inject_faults``, the mask only through the
-constructor and ``inject_faults``. Each read mode builds its matrix
-(``r_off / M`` or ``r_off - M``) on its first read after M changed, and the
-base class drops it when M changes, so a read costs one matrix-vector
-product.
+constructor and ``inject_faults``. ``saturation_count`` is read-only too:
+the constructor takes the count to start from (a model file's) and refuses
+one that is negative or not an integer, and only writes add to it. Each
+read mode builds its matrix (``r_off / M`` or ``r_off - M``) on its first
+read after M changed, and the base class drops it when M changes, so a
+read costs one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from contextlib import ExitStack
 
@@ -64,7 +67,10 @@ class Crossbar(StoredArray):
         params: MemristorParams,
         memristance: np.ndarray | None = None,
         fault_mask: np.ndarray | None = None,
+        saturation_count: int = 0,
     ):
+        if not (isinstance(saturation_count, numbers.Integral) and saturation_count >= 0):
+            raise ValueError(f"saturation_count must be >= 0 and integral, got {saturation_count}")
         if rows < 1 or cols < 1:
             raise ValueError(f"crossbar needs positive dimensions, got {rows}x{cols}")
         if memristance is None:
@@ -90,7 +96,7 @@ class Crossbar(StoredArray):
         # float range.
         r_off = params.r_off
         self._max_input = np.finfo(float).max / (2.0 * cols * (r_off / params.r_on + r_off))
-        self.saturation_count = 0
+        self._saturation_count = saturation_count
         super().__init__(memristance, params)
 
     #: The memristance matrix M (ohm), with every held pulse settled; read-only.
@@ -100,6 +106,9 @@ class Crossbar(StoredArray):
     def fault_mask(self) -> np.ndarray:
         """Cells stuck at r_off; read-only."""
         return self._fault_mask
+
+    #: Clamp events, counted on from the constructor's ``saturation_count``; read-only.
+    saturation_count = property(lambda self: self._saturation_count)
 
     @classmethod
     def from_delta(cls, delta: np.ndarray, params: MemristorParams) -> "Crossbar":
@@ -128,7 +137,7 @@ class Crossbar(StoredArray):
         # flux a stuck cell's r_off stays bit for bit and never clamps.
         np.copyto(flux, 0.0, where=self._fault_mask)
         new_m, clamped = drift(m, flux, self.params)
-        self.saturation_count += int(np.count_nonzero(clamped))
+        self._saturation_count += int(np.count_nonzero(clamped))
         return new_m
 
     def inject_faults(self, fraction: float, seed: int) -> None:
@@ -136,9 +145,9 @@ class Crossbar(StoredArray):
 
         Cell choice is uniform and fully determined by the seed. Already
         stored values at the chosen cells are lost (the film reads r_off).
+        The fraction and the seed must pass ``check_faults``.
         """
-        if not (0.0 <= fraction <= 1.0):
-            raise ValueError(f"fault fraction must lie in [0, 1], got {fraction}")
+        check_faults(fraction, seed)
         n_faults = int(fraction * self.rows * self.cols)
         rng = np.random.default_rng(seed)
         m = self.memristance  # settled under the old mask
@@ -172,6 +181,19 @@ class Crossbar(StoredArray):
     def snapshot_delta(self) -> np.ndarray:
         """Stored-value matrix r_off - M (ohm); zero at stuck cells."""
         return self.params.r_off - self.memristance
+
+
+def check_faults(fraction: float, seed) -> None:
+    """The one rule of a fault draw: a fraction in [0, 1] and a non-negative integer seed.
+
+    A seed of ``None`` would draw an unseeded mask, so it is refused with the
+    rest; ``inject_faults`` and an experiment's config both call this.
+    Raises ``ValueError``.
+    """
+    if not (0.0 <= fraction <= 1.0):
+        raise ValueError(f"fault fraction must lie in [0, 1], got {fraction}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"fault_seed must be a non-negative integer, got {seed!r}")
 
 
 def save_delta_csv(path, delta: np.ndarray, r_off: float, sections=None) -> None:

@@ -10,7 +10,8 @@ which is fine because centroid defuzzification is scale- and sign-invariant.
 ``centroid_rows``, ``normalize_peak_rows`` and ``regrid_rows`` work on
 grade matrices, one fuzzy number per row (the last axis holds the grades, so
 a single grade vector is one row); ``defuzzify_centroid``,
-``normalize_peak`` and ``regrid`` are their one-row case.
+``normalize_peak`` and ``regrid`` are their one-row case. ``check_overlap``
+is the one test that a regrid's two universes overlap.
 
 Universes and fuzzy numbers are written and read as JSON by ``jsonio``: a
 universe's keys are ``lo``, ``hi`` and ``count``, a fuzzy number's its
@@ -186,22 +187,33 @@ def normalize_peak(fn: FuzzyNumber) -> FuzzyNumber:
     return FuzzyNumber(fn.universe, normalize_peak_rows(fn.grades))
 
 
-def regrid_rows(rows: np.ndarray, source: Universe, target: Universe) -> np.ndarray:
-    """Linearly interpolate each row's membership curve from ``source`` onto ``target``.
+def check_overlap(source: Universe, target: Universe) -> None:
+    """Refuse a regrid from ``source`` onto ``target`` whose grid points share no span.
 
-    Grades are zero outside the source domain, and the domains must
-    overlap. Each value is computed as ``np.interp`` computes it (a grid
-    point hit exactly is copied; between two points it is
-    ``slope * (x - x_j) + y_j``), so every row equals
-    ``np.interp(target.values, source.values, row, left=0.0, right=0.0)``
-    bit for bit.
+    The test is on the grid points, not on ``[lo, hi)``: a target that lies
+    past the source's last point would read zeros only. Every boundary that
+    chains one universe into another (``regrid_rows``, ``Pipeline`` and a
+    chained experiment's config) calls this one test. Raises ``ValueError``.
     """
-    src, tgt = source.values, target.values
-    if src[-1] < tgt[0] or tgt[-1] < src[0]:
+    if source.values[-1] < target.values[0] or target.values[-1] < source.values[0]:
         raise ValueError(
             f"disjoint domains: source [{source.lo}, {source.hi}] vs "
             f"target [{target.lo}, {target.hi}]"
         )
+
+
+def regrid_rows(rows: np.ndarray, source: Universe, target: Universe) -> np.ndarray:
+    """Linearly interpolate each row's membership curve from ``source`` onto ``target``.
+
+    Grades are zero outside the source domain, and the domains must
+    overlap (``check_overlap``). Each value is computed as ``np.interp``
+    computes it (a grid point hit exactly is copied; between two points it
+    is ``slope * (x - x_j) + y_j``), so every row equals
+    ``np.interp(target.values, source.values, row, left=0.0, right=0.0)``
+    bit for bit.
+    """
+    check_overlap(source, target)
+    src, tgt = source.values, target.values
     j = np.clip(np.searchsorted(src, tgt, side="right") - 1, 0, src.size - 1)
     inside = (src[0] <= tgt) & (tgt <= src[-1])
     hit = inside & (src[j] == tgt)

@@ -43,10 +43,14 @@ the one-sample case.
 
 An ``ExperimentConfig`` is frozen, down to the read-only mappings it and its
 specs hold, and checked once, when it is built: its variables agree, every
-target it names resolves through ``target_function`` and its pulse duration
-keeps within the write budget below. A changed config is derived with
-``dataclasses.replace``, which checks it again, so a bad config fails where
-it is read and ``run_experiment`` trains only valid ones. Configs and their
+target it names resolves through ``target_function``, a chain's output grid
+overlaps its input grid and its pulse duration keeps within the write budget
+below. Each rule it shares with the part that takes the value is stated once,
+there, and called here: ``fuzzy.check_overlap`` (the regrid between stages),
+``crossbar.check_faults`` (the fault draw) and ``device.check_pulse``
+(``t0``). A changed config is derived with ``dataclasses.replace``, which
+checks it again, so a bad config fails where it is read and
+``run_experiment`` trains only valid ones. Configs and their
 specs are written and read as JSON by ``jsonio``: an unknown key, a value of
 the wrong JSON type and a domain that is not two numbers fail as
 ``ValueError`` naming their JSON path (``device.vth: unknown key``), and a
@@ -78,9 +82,9 @@ from types import MappingProxyType
 import numpy as np
 
 from . import jsonio
-from .crossbar import save_delta_csv
-from .device import DEFAULT_PARAMS, MemristorParams, beta
-from .fuzzy import EmptyOutputError, Universe, centroid_rows, fuzzify_gaussian
+from .crossbar import check_faults, save_delta_csv
+from .device import DEFAULT_PARAMS, MemristorParams, beta, check_pulse
+from .fuzzy import EmptyOutputError, Universe, centroid_rows, check_overlap, fuzzify_gaussian
 from .system import (READ_MODES, Block, Pipeline, Section, model_to_json, pipeline_rows,
                      section_layout)
 
@@ -161,13 +165,18 @@ _EXPR_NAMES = {
 def target_function(target: str, variables: tuple[str, ...]):
     """Resolve a target id or arithmetic expression to a callable of the variables.
 
-    Anything that is not a named target or a well-formed expression over the
-    variables and the names in ``_EXPR_NAMES`` raises ``ValueError``.
+    Anything that is not a named target whose parameters are exactly the
+    variables, or a well-formed expression over the variables and the names
+    in ``_EXPR_NAMES``, raises ``ValueError``.
     """
     if not isinstance(target, str):
         raise ValueError(f"a target must be a name or an expression string, got {target!r}")
     if target in NAMED_TARGETS:
-        return NAMED_TARGETS[target]
+        fn = NAMED_TARGETS[target]
+        takes = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        if set(takes) != set(variables):
+            raise ValueError(f"target {target!r} takes the variables {takes}, got {variables}")
+        return fn
     try:
         code = compile(target, "<target>", "eval")
     except SyntaxError as exc:
@@ -236,13 +245,18 @@ def _check_domains(domains: dict[str, tuple[float, float]]) -> None:
             raise ValueError(f"invalid domain for {name!r}: need finite lo < hi, got [{lo}, {hi}]")
 
 
+def _check_count(what: str, n) -> None:
+    """An integer count ``1 <= n <= _MAX_N``, the most points an array can hold."""
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= _MAX_N):
+        raise ValueError(f"{what} needs an integer n from 1 to {_MAX_N}, got n={n!r}")
+
+
 def _check_draw(what: str, domains: dict[str, tuple[float, float]], n, seed) -> None:
     """Valid domains, and an integer count 1 <= n <= ``_MAX_N`` of points drawn
     from a non-negative integer seed; a count no array can hold and a seed
-    numpy's generator refuses are refused here, not by ``auto_t0`` or numpy."""
+    numpy's generator refuses are refused here, not by numpy."""
     _check_domains(domains)
-    if not (isinstance(n, numbers.Integral) and 1 <= n <= _MAX_N):
-        raise ValueError(f"{what} needs an integer n from 1 to {_MAX_N}, got n={n!r}")
+    _check_count(what, n)
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"{what} needs a non-negative integer seed, got seed={seed!r}")
 
@@ -427,12 +441,14 @@ def auto_t0(params: MemristorParams, n: int) -> float:
 
     Worst case: all n pulses land on one cell at the maximum summed grade of
     2, which moves flux ``(2 - v_th) * t0`` per pulse; a longer pulse breaks
-    the write budget. A ``v_th`` that no such drive exceeds raises ``ValueError``.
+    the write budget. A ``v_th`` that no such drive exceeds, and an ``n`` that
+    a dataset could not have (``_check_count``), raise ``ValueError``.
     """
     if not params.v_th < 2.0:
         raise ValueError(
             f"v_th={params.v_th} V is at or above the largest drive of 2 V: no pulse can write"
         )
+    _check_count("auto_t0", n)
     budget = params.r_off**2 * (1.0 - (1.0 - MAX_DELTA_FRACTION) ** 2)
     return budget / ((2.0 - params.v_th) * n * beta(params))
 
@@ -443,8 +459,10 @@ class ExperimentConfig:
 
     A config that exists is valid: its variables agree, every target it
     names (the dataset's, each chained stage's and the evaluation's) resolves
-    through ``target_function``, and its pulse duration keeps the worst-case
-    stored value within the write budget. It is frozen all the way down: it
+    through ``target_function``, a chain of stages can regrid each output
+    onto the next input, the fault draw is one ``inject_faults`` takes, and
+    its pulse duration keeps the worst-case stored value within the write
+    budget. It is frozen all the way down: it
     and its specs hold their mappings as read-only copies, domains as
     ``(lo, hi)`` tuples. ``dataclasses.replace`` derives a new one, which is
     checked again.
@@ -471,19 +489,17 @@ class ExperimentConfig:
             raise ValueError("input universes and eval domains must name the dataset variables")
         if self.pipeline_targets and len(variables) != 1:
             raise ValueError("chained experiments need a single input variable")
+        if len(self.pipeline_targets or ()) > 1:  # each stage's output feeds the next's input
+            check_overlap(self.output_universe, self.input_universes[variables[0]])
         eval_target = self.dataset.target if self.eval_target is None else self.eval_target
         for target in (self.dataset.target, *(self.pipeline_targets or ()), eval_target):
             target_function(target, variables)
         if self.read_mode not in READ_MODES:
             raise ValueError(f"read mode must be one of {READ_MODES}, got {self.read_mode!r}")
-        if not (0.0 <= self.fault_fraction <= 1.0):
-            raise ValueError("fault fraction must lie in [0, 1]")
-        if not (isinstance(self.fault_seed, numbers.Integral) and self.fault_seed >= 0):
-            raise ValueError(f"fault_seed must be a non-negative integer, got {self.fault_seed!r}")
+        check_faults(self.fault_fraction, self.fault_seed)
         longest = auto_t0(self.device, self.dataset.n)  # refuses a device no pulse can write
         t0 = self.resolved_t0()
-        if not (math.isfinite(t0) and t0 > 0):
-            raise ValueError(f"t0 must be positive and finite, got {t0}")
+        check_pulse(t0)
         if t0 > longest * (1.0 + 1e-9):
             raise ValueError(
                 f"t0={t0:g} violates the write budget: past {longest:g} s the worst-case "

@@ -81,7 +81,8 @@ import numpy as np
 from . import jsonio
 from .crossbar import Crossbar
 from .device import MemristorParams
-from .fuzzy import EmptyOutputError, FuzzyNumber, Universe, normalize_peak_rows, regrid_rows
+from .fuzzy import (EmptyOutputError, FuzzyNumber, Universe, check_overlap, normalize_peak_rows,
+                    regrid_rows)
 from .relation import Relation
 
 __all__ = [
@@ -245,13 +246,8 @@ class Pipeline:
             raise ValueError("pipeline needs at least one block")
         if any(len(blk.sections) != 1 for blk in blocks[1:]):
             raise ValueError("stages after the first must be single-input blocks")
-        for up, down in zip(blocks, blocks[1:]):
-            out_u, in_u = up.output_universe, down.sections[0].universe
-            if out_u.hi <= in_u.lo or in_u.hi <= out_u.lo:
-                raise ValueError(
-                    f"stage domains do not overlap: [{out_u.lo}, {out_u.hi}] then "
-                    f"[{in_u.lo}, {in_u.hi}]"
-                )
+        for up, down in zip(blocks, blocks[1:]):  # the regrid between them must be defined
+            check_overlap(up.output_universe, down.sections[0].universe)
         self.blocks = blocks
 
     @property
@@ -392,16 +388,14 @@ def block_from_json(obj: dict, path: str = "") -> Block:
         memristance = np.array(j.memristance, dtype=float)
         if j.fault_cells and not 0 <= min(j.fault_cells) <= max(j.fault_cells) < memristance.size:
             raise ValueError(f"{at}fault_cells must be indices in [0, {memristance.size})")
-        if j.saturation_count < 0:
-            raise ValueError(f"{at}saturation_count must be >= 0, got {j.saturation_count}")
         mask = np.zeros(memristance.shape, dtype=bool)
         mask.flat[list(j.fault_cells)] = True
     try:
         if backend == "relation":
             store = Relation(inputs[0][1], j.output_universe, mode=j.mode, mu=j.mu, params=j.device)
         else:
-            store = Crossbar(*memristance.shape, j.device, memristance=memristance, fault_mask=mask)
-            store.saturation_count = j.saturation_count
+            store = Crossbar(*memristance.shape, j.device, memristance=memristance, fault_mask=mask,
+                             saturation_count=j.saturation_count)
         return Block(store, inputs, j.output_universe, read_mode=j.read_mode)
     except ValueError as exc:  # a backend or the block refused a value: name the block
         raise ValueError(f"{path}: {exc}" if path else str(exc)) from None

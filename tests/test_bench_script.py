@@ -1,4 +1,5 @@
-"""Smoke runs of ``scripts/bench.py`` (tiny sizes, well under 2 s) and ``scripts/loc.py``."""
+"""Smoke runs of ``scripts/bench.py`` (tiny sizes, well under 2 s), ``scripts/loc.py``
+and ``scripts/run_all_experiments.py`` (the five named experiments, ~1 s)."""
 
 import importlib.util
 import json
@@ -64,3 +65,19 @@ def test_loc_script_totals_the_modules_of_the_package():
     source = ('"""Doc."""\n# a comment\n\nx = {\n    1: 2}  # trailing\n\n'
               'def f():\n    """Two\n    lines."""\n    return x\n')
     assert loc.code_lines(source) == 4  # x = {, 1: 2}, def f(), return x
+
+
+def test_run_all_experiments_prints_one_row_per_experiment(tmp_path, capsys):
+    from crossfuzzy.harness import EXPERIMENT_NAMES
+
+    script = ROOT / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all", script)
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    assert run_all.main(["--output-root", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("experiment "))
+    table = lines[header + 1 : lines.index("", header)]  # the table ends at a blank line
+    assert [row.split()[0] for row in table] == list(EXPERIMENT_NAMES)
+    for name in EXPERIMENT_NAMES:
+        assert (tmp_path / name / "result.json").is_file()

@@ -211,13 +211,17 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, monkeypatch, config,
      "eval: random evaluation needs a non-negative integer seed, got seed=-2"),
     ("exp-2input-faulty", '{"fault": {"seed": -1}}',
      "fault_seed must be a non-negative integer, got -1"),
+    ("exp-compose", '{"output_universe": {"lo": 0.995, "hi": 3, "count": 100}}',
+     "disjoint domains: source [0.995, 3] vs target [0.0, 1.0]"),
+    ("exp-2input", '{"dataset": {"target": "f1"}}',
+     "target 'f1' takes the variables ('x',), got ('x', 'y')"),
     *(("exp-f1", json.dumps(override), named) for override, named in BAD_TARGETS),
     *(("exp-f1", json.dumps(override), named) for override, named in UNREAD_OVERRIDES),
 ], ids=["list", "t0-text", "fraction-text", "dataset-n-float", "eval-n-float",
         "dataset-n-beyond-arrays", "eval-n-beyond-arrays", "eval-seed-float", "shape-float",
         "dataset-domain-inf", "eval-domain-inf", "eval-variable", "domain-one-end",
         "fault-seed-float", "dataset-seed-negative", "eval-seed-negative", "fault-seed-negative",
-        *BAD_TARGET_IDS, *UNREAD_OVERRIDE_IDS])
+        "stages-disjoint", "named-target-variables", *BAD_TARGET_IDS, *UNREAD_OVERRIDE_IDS])
 def test_experiment_rejects_a_malformed_override(tmp_path, capsys, monkeypatch, name,
                                                  override, named):
     """Each bad override fails where it is read, before anything is trained."""

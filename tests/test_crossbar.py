@@ -370,6 +370,33 @@ def test_inject_faults_extremes():
         xb.inject_faults(1.5, seed=1)
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+def test_inject_faults_refuses_a_seed_that_is_not_a_count(seed):
+    """No mask is drawn from OS entropy or refused inside numpy: the draw is
+    refused by name, and the crossbar is left as it was."""
+    xb = Crossbar(3, 3, DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match=f"fault_seed must be a non-negative integer, got {seed}"):
+        xb.inject_faults(0.5, seed)
+    assert not xb.fault_mask.any()
+
+
+def test_saturation_count_is_read_only():
+    """Only writes add to the clamp count; the constructor takes the count a
+    model file holds and refuses one that no run can have."""
+    xb, twin = Crossbar(1, 2, DEFAULT_PARAMS, saturation_count=4), Crossbar(1, 2, DEFAULT_PARAMS)
+    with pytest.raises(AttributeError):
+        xb.saturation_count = -2
+    assert xb.saturation_count == 4
+    for _ in range(3):  # clamps as in test_saturation_counting
+        for b in (xb, twin):
+            b.write_pulse([1.0, 0.0], [1.0], 0.2)
+    assert twin.saturation_count >= 1 and xb.saturation_count == 4 + twin.saturation_count
+    for count in (-2, 2.5):
+        refusal = f"saturation_count must be >= 0 and integral, got {count}"
+        with pytest.raises(ValueError, match=refusal):
+            Crossbar(1, 2, DEFAULT_PARAMS, saturation_count=count)
+
+
 def test_csv_rows_are_the_per_cell_repr(tmp_path):
     tiny = np.finfo(float).tiny
     delta = np.array(

@@ -259,6 +259,14 @@ def test_auto_t0_meets_write_budget():
     )
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_auto_t0_refuses_a_count_no_dataset_has(n):
+    """``n`` follows a dataset's count rule: no negative pulse duration, no
+    ZeroDivisionError."""
+    with pytest.raises(ValueError, match=f"needs an integer n from 1 to .*, got n={n}"):
+        auto_t0(DEFAULT_PARAMS, n)
+
+
 @pytest.mark.parametrize(
     "v_th, t0",
     [

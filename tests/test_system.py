@@ -260,6 +260,12 @@ def test_pipeline_validation():
     b = Block.pristine([("x", far)], far, DEFAULT_PARAMS)
     with pytest.raises(ValueError):
         Pipeline([a, b])
+    # [0, 1) and [0.6, 2) overlap, but the first grid's points (0 and 0.5) all
+    # lie below the second's: every read would fail to regrid.
+    two = Block.pristine([("x", Universe(0.0, 1.0, 2))], Universe(0.0, 1.0, 2), DEFAULT_PARAMS)
+    later = Universe(0.6, 2.0, 10)
+    with pytest.raises(ValueError, match="disjoint domains"):
+        Pipeline([two, Block.pristine([("x", later)], later, DEFAULT_PARAMS)])
     for probe in (fuzzify_gaussian(10.5, 0.1, far), {"x": fuzzify_gaussian(10.5, 0.1, far)}):
         with pytest.raises(ValueError):
             pipeline_infer(Pipeline([a]), probe)
