@@ -30,7 +30,9 @@ JSON path of a bad value and, for a model file, the file; so does a file
 that cannot be read or written (missing, a directory, a name too long). An
 ``--input`` that names no readable file is parsed as the input itself. A
 warning, such as a crisp input outside its universe, is one ``warning:
-...`` line on stderr.
+...`` line on stderr. ``train`` and ``experiment`` warn so when the run's
+``skill`` is at or below 0: the model predicts the probes no better than
+the mean of their targets. The exit status stays 0.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .fuzzy import EmptyOutputError, FuzzyNumber, centroid_rows, fuzzify_gaussia
 from .harness import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
+    ExperimentResult,
     default_config,
     merge_json,
     run_experiment,
@@ -69,10 +72,20 @@ def _with_flags(cfg: ExperimentConfig, **flags) -> ExperimentConfig:
     return replace(cfg, **{k: v for k, v in flags.items() if v not in (None, "")})
 
 
+def _run(cfg: ExperimentConfig) -> ExperimentResult:
+    """``run_experiment`` of ``cfg``; a skill at or below 0 adds one warning line."""
+    result = run_experiment(cfg.name, cfg)
+    if result.skill is not None and result.skill <= 0:
+        print(f"warning: {cfg.name}: skill {result.skill:.3g} <= 0: mse {result.mse:.4g} is no "
+              f"better than {result.baseline_mse:.4g}, that of predicting the targets' mean",
+              file=sys.stderr)
+    return result
+
+
 def _cmd_train(args) -> int:
     cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     cfg = _with_flags(cfg, output_dir=args.output_dir)
-    result = run_experiment(cfg.name, cfg)
+    result = _run(cfg)
     print(json.dumps({"mse": result.mse, "model": result.model_path,
                       "result": str(Path(cfg.output_dir) / "result.json")}, indent=2))
     return 0
@@ -126,7 +139,7 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json(merge_json(default_config(args.name).to_json(), override))
     cfg = _with_flags(cfg, fault_fraction=args.fault_fraction, fault_seed=args.seed,
                       output_dir=args.output_dir)
-    result = run_experiment(args.name, cfg)
+    result = _run(cfg)
     print(
         json.dumps(
             {

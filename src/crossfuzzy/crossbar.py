@@ -33,12 +33,12 @@ product with the stored-value matrix. Reads never disturb the stored state.
 ``memristance`` and ``fault_mask`` are read-only properties over read-only
 arrays, with no setter: M changes only through the constructor,
 ``write_pulse`` and ``inject_faults``, the mask only through the
-constructor and ``inject_faults``. ``saturation_count`` is read-only too:
-the constructor takes the count to start from (a model file's) and refuses
-one that is negative or not an integer, and only writes add to it. Each
-read mode builds its matrix (``r_off / M`` or ``r_off - M``) on its first
-read after M changed, and the base class drops it when M changes, so a
-read costs one matrix-vector product.
+constructor and ``inject_faults``. ``saturation_count`` is the base
+class's read-only count: the constructor takes the count to start from (a
+model file's) and refuses one that is negative or not an integer, and only
+writes add to it. Each read mode builds its matrix (``r_off / M`` or
+``r_off - M``) on its first read after M changed, and the base class drops
+it when M changes, so a read costs one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ class Crossbar(StoredArray):
     def fault_mask(self) -> np.ndarray:
         """Cells stuck at r_off; read-only."""
         return self._fault_mask
-
-    #: Clamp events, counted on from the constructor's ``saturation_count``; read-only.
-    saturation_count = property(lambda self: self._saturation_count)
 
     @classmethod
     def from_delta(cls, delta: np.ndarray, params: MemristorParams) -> "Crossbar":
@@ -196,6 +193,24 @@ def check_faults(fraction: float, seed) -> None:
         raise ValueError(f"fault_seed must be a non-negative integer, got {seed!r}")
 
 
+def _check_surface(path, r_off, delta: np.ndarray | None = None) -> float:
+    """The one rule of a surface file's values, for ``save_delta_csv`` and ``load_delta_csv``.
+
+    ``r_off``, a number or a header's text, must be finite and positive, and
+    every cell of a non-empty ``delta``, if given, finite and non-negative.
+    Returns ``r_off`` as a float; raises one ``ValueError`` that names ``path``.
+    """
+    try:
+        value = float(r_off)
+    except ValueError:
+        value = math.nan  # text that is no number: refused below
+    if not 0 < value < math.inf:
+        raise ValueError(f"{path}: r_off must be finite and positive, got {r_off!r}")
+    if delta is not None and not (delta.min() >= 0 and delta.max() < math.inf):  # NaN fails
+        raise ValueError(f"{path}: cells must be finite and non-negative")
+    return value
+
+
 def save_delta_csv(path, delta: np.ndarray, r_off: float, sections=None) -> None:
     """Row-major CSV dump of a stored-value (or relation) surface.
 
@@ -208,13 +223,10 @@ def save_delta_csv(path, delta: np.ndarray, r_off: float, sections=None) -> None
     are not finite and non-negative.
     """
     delta = np.asarray(delta, dtype=float)
-    if not 0 < r_off < math.inf:
-        raise ValueError(f"{path}: r_off must be finite and positive, got {r_off!r}")
     if delta.ndim != 2 or delta.size == 0:
         raise ValueError(f"{path}: a surface must be a non-empty 2-D array, got shape "
                          f"{delta.shape}")
-    if not (delta.min() >= 0 and delta.max() < math.inf):  # NaN fails the first test
-        raise ValueError(f"{path}: cells must be finite and non-negative")
+    _check_surface(path, r_off, delta)
     rows, cols = delta.shape
     with ExitStack() as stack:
         files = []
@@ -246,18 +258,12 @@ def load_delta_csv(path) -> tuple[np.ndarray, float]:
             raise ValueError(f"{path}: header must be '# rows=R cols=C r_off=X' with positive "
                              f"integer counts, got {header!r}")
         rows, cols = int(match[1]), int(match[2])
-        try:
-            r_off = float(match[3])
-        except ValueError:
-            r_off = math.nan  # refused below
-        if not 0 < r_off < math.inf:
-            raise ValueError(f"{path}: r_off must be finite and positive, got {match[3]!r}")
+        r_off = _check_surface(path, match[3])
         try:
             delta = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if delta.shape != (rows, cols):
         raise ValueError(f"{path}: data shape {delta.shape} does not match header")
-    if not (delta.min() >= 0 and delta.max() < math.inf):  # NaN fails the first test
-        raise ValueError(f"{path}: cells must be finite and non-negative")
+    _check_surface(path, r_off, delta)
     return delta, r_off

@@ -228,7 +228,14 @@ class StoredArray:
     A subclass defines its eager write ``_step(state, flux)``, which returns
     the new state, and may override ``_lowest(state)``, the smallest
     memristance a state holds (by default its smallest entry).
+
+    ``saturation_count``, the clamp events on the array, is read-only on
+    both backends. It reads the class default of 0, which only a crossbar's
+    constructor and eager writes replace: a relation counts no clamp.
     """
+
+    _saturation_count = 0
+    saturation_count = property(lambda self: self._saturation_count)
 
     def __init__(self, state: np.ndarray, params: MemristorParams):
         self.params = params

@@ -11,7 +11,8 @@ which is fine because centroid defuzzification is scale- and sign-invariant.
 grade matrices, one fuzzy number per row (the last axis holds the grades, so
 a single grade vector is one row); ``defuzzify_centroid``,
 ``normalize_peak`` and ``regrid`` are their one-row case. ``check_overlap``
-is the one test that a regrid's two universes overlap.
+is the one test that a regrid's two universes overlap, ``check_span`` the one
+rule of a domain's ends and ``check_sigma`` the one rule of a bell's width.
 
 Universes and fuzzy numbers are written and read as JSON by ``jsonio``: a
 universe's keys are ``lo``, ``hi`` and ``count``, a fuzzy number's its
@@ -50,6 +51,17 @@ class EmptyOutputError(ValueError):
     """
 
 
+def check_span(lo: float, hi: float, prefix: str = "") -> None:
+    """The one rule of a domain's ends: finite ``lo < hi``, a finite width apart.
+
+    ``Universe`` and an experiment's domains both call this; ``prefix``
+    starts the message, naming the value at the boundary that took it. Raises
+    ``ValueError``.
+    """
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"{prefix}need finite lo < hi, got [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class Universe:
     lo: float
@@ -59,8 +71,7 @@ class Universe:
     def __post_init__(self) -> None:
         if not (isinstance(self.count, numbers.Integral) and self.count >= 2):
             raise ValueError(f"universe needs an integer count >= 2, got {self.count!r}")
-        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
-            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
+        check_span(self.lo, self.hi)
 
     @cached_property
     def resolution(self) -> float:
@@ -104,13 +115,24 @@ class FuzzyNumber:
     to_json = jsonio.to_json
 
 
+def check_sigma(sigma: float) -> None:
+    """The one rule of a bell width: positive and finite (NaN fails).
+
+    ``fuzzify_gaussian`` and a dataset's spec both call this, one sigma at a
+    time. Raises ``ValueError``.
+    """
+    if not (0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
 def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber:
     """Bell-shaped membership vector centered on the crisp value ``x0``.
 
     ``sigma`` is the bell width in concept units. Widths below a tenth of the
     grid resolution degrade gracefully to a one-hot at the nearest grid point
     (the crisp limit). Finite values outside the universe are accepted but
-    warned; a non-finite ``x0`` or ``sigma`` raises ``ValueError``. The grades
+    warned; a non-finite ``x0`` raises ``ValueError``, as a ``sigma`` that
+    fails ``check_sigma`` does. The grades
     are made from these checked scalars, so they are not validated again.
     A bell centred more than 40 sigma outside the universe is all zeros, as
     exp(-800) underflows. Any other bell whose ``(v - x0) ** 2`` would
@@ -118,8 +140,7 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
     would underflow to 0 (a sigma below about 1e-162), is computed in units of
     sigma, inside the universe as outside it.
     """
-    if not (0 < sigma < math.inf):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_sigma(sigma)
     if not math.isfinite(x0):
         raise ValueError(f"crisp value x0 must be finite, got {x0}")
     v = universe.values

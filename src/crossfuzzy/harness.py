@@ -12,7 +12,10 @@ otherwise, and one more per section of a multi-input stage.
 ``result.json``'s ``phase_s`` gives the seconds spent on ``dataset``,
 ``train``, ``eval`` and ``persist`` (surfaces and ``model.json``). Writes
 the threshold-free device holds settle at the first read, so their cost
-counts under ``eval``.
+counts under ``eval``. Its ``baseline_mse`` is the population variance of
+the probe targets, the MSE of always predicting their mean, and its
+``skill`` is ``1 - mse / baseline_mse`` (``null`` for a constant target):
+a model with a skill at or below 0 predicts no better than that mean.
 Where ``os.fork`` exists, ``model.json`` is encoded and written by a forked
 child while this process writes the surfaces, so ``persist`` is the wall
 time of the two side by side; the files are the same either way.
@@ -47,12 +50,13 @@ target it names resolves through ``target_function``, a chain's output grid
 overlaps its input grid and its pulse duration keeps within the write budget
 below. Each rule it shares with the part that takes the value is stated once,
 there, and called here: ``fuzzy.check_overlap`` (the regrid between stages),
-``crossbar.check_faults`` (the fault draw) and ``device.check_pulse``
-(``t0``). A changed config is derived with ``dataclasses.replace``, which
-checks it again, so a bad config fails where it is read and
-``run_experiment`` trains only valid ones. Configs and their
-specs are written and read as JSON by ``jsonio``: an unknown key, a value of
-the wrong JSON type and a domain that is not two numbers fail as
+``fuzzy.check_span`` (a domain's ends), ``fuzzy.check_sigma`` (a bell's
+width), ``system.check_read_mode`` (the read mode), ``crossbar.check_faults``
+(the fault draw) and ``device.check_pulse`` (``t0``). A changed config is
+derived with ``dataclasses.replace``, which checks it again, so a bad config
+fails where it is read and ``run_experiment`` trains only valid ones. Configs
+and their specs are written and read as JSON by ``jsonio``: an unknown key, a
+value of the wrong JSON type and a domain that is not two numbers fail as
 ``ValueError`` naming their JSON path (``device.vth: unknown key``), and a
 missing key takes its field's default. ``ExperimentConfig``'s JSON nests the
 fault fields under ``"fault"`` and adds ``resolved_t0``; that key and the
@@ -69,7 +73,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import numbers
 import os
 import time
@@ -84,8 +87,9 @@ import numpy as np
 from . import jsonio
 from .crossbar import check_faults, save_delta_csv
 from .device import DEFAULT_PARAMS, MemristorParams, beta, check_pulse
-from .fuzzy import EmptyOutputError, Universe, centroid_rows, check_overlap, fuzzify_gaussian
-from .system import (READ_MODES, Block, Pipeline, Section, model_to_json, pipeline_rows,
+from .fuzzy import (EmptyOutputError, Universe, centroid_rows, check_overlap, check_sigma,
+                    check_span, fuzzify_gaussian)
+from .system import (Block, Pipeline, Section, check_read_mode, model_to_json, pipeline_rows,
                      section_layout)
 
 __all__ = [
@@ -209,9 +213,8 @@ class DatasetSpec:
         _check_draw("a dataset", self.domains, self.n, self.seed)
         if set(self.input_sigmas) != set(self.domains):
             raise ValueError("input_sigmas keys must match domains keys")
-        sigmas = [*self.input_sigmas.values(), self.output_sigma]
-        if not all(0 < s < math.inf for s in sigmas):
-            raise ValueError(f"sigmas must be positive and finite, got {sigmas}")
+        for sigma in (*self.input_sigmas.values(), self.output_sigma):
+            check_sigma(sigma)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -237,12 +240,11 @@ def _hold_read_only(spec, **fields: dict) -> None:
 
 
 def _check_domains(domains: dict[str, tuple[float, float]]) -> None:
-    """At least one variable, each on a domain with finite ends lo < hi a finite width apart."""
+    """At least one variable, each on a domain whose ends pass ``fuzzy.check_span``."""
     if not domains:
         raise ValueError("need at least one input variable")
     for name, (lo, hi) in domains.items():
-        if not (lo < hi and math.isfinite(hi - lo)):
-            raise ValueError(f"invalid domain for {name!r}: need finite lo < hi, got [{lo}, {hi}]")
+        check_span(lo, hi, f"invalid domain for {name!r}: ")
 
 
 def _check_count(what: str, n) -> None:
@@ -494,8 +496,7 @@ class ExperimentConfig:
         eval_target = self.dataset.target if self.eval_target is None else self.eval_target
         for target in (self.dataset.target, *(self.pipeline_targets or ()), eval_target):
             target_function(target, variables)
-        if self.read_mode not in READ_MODES:
-            raise ValueError(f"read mode must be one of {READ_MODES}, got {self.read_mode!r}")
+        check_read_mode(self.read_mode)
         check_faults(self.fault_fraction, self.fault_seed)
         longest = auto_t0(self.device, self.dataset.n)  # refuses a device no pulse can write
         t0 = self.resolved_t0()
@@ -545,6 +546,8 @@ class ExperimentResult:
     """One run's outcome; its fields in ``result.json``'s order (``jsonio``)."""
 
     mse: float
+    baseline_mse: float  # the probe targets' variance: the MSE of predicting their mean
+    skill: float | None  # 1 - mse / baseline_mse; None for a constant target
     n_train: int
     saturation_count: int
     config: dict
@@ -712,6 +715,7 @@ def run_experiment(
         fn = target_function(eval_target, tuple(cfg.eval.domains))
         points = eval_points(cfg.eval)
         mse, per_point, flagged = evaluate_mse(model, fn, points, cfg.dataset.input_sigmas)
+        baseline = float(np.var(_target_values(fn, points)))
     if len(flagged) == len(points):
         raise EmptyOutputError(f"{cfg.name}: evaluation read no stored signal at any probe")
     runtime = time.perf_counter() - started
@@ -728,6 +732,8 @@ def run_experiment(
     result = ExperimentResult(
         name=cfg.name,
         mse=mse,
+        baseline_mse=baseline,
+        skill=1.0 - mse / baseline if baseline > 0 else None,
         n_train=cfg.dataset.n * len(model.blocks),
         saturation_count=model.saturation_count,
         runtime_s=runtime,

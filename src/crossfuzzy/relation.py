@@ -38,7 +38,9 @@ property is read, which ``infer``, ``snapshot_delta`` and serialization do.
 A relation and a crossbar given the same pulses hold the same sums, so a
 relation trained from zero still holds exactly ``r_off - M`` of its
 crossbar when both settle at one point. Its smallest memristance
-(``_lowest``, for the headroom rule) is ``r_off - mu.max()``.
+(``_lowest``, for the headroom rule) is ``r_off - mu.max()``. Its
+``saturation_count`` is the base class's read-only 0: a relation's writes
+hold ``mu`` at its top without counting a clamp.
 
 Inference is a plain matrix-vector product: output grades = mu @ input
 grades. No normalization is applied; centroid defuzzification ignores
@@ -85,7 +87,6 @@ class Relation(StoredArray):
     additive one holds any finite ``mu >= 0``.
     """
 
-    saturation_count = 0  # clamp events are counted by crossbars only
     inverts = False  # reads are the plain matrix product
 
     def __init__(

@@ -19,7 +19,8 @@ re-sampled onto the next block's input grid when the universes differ.
 A crossbar block reads in one of ``READ_MODES``: ``"exact"`` (the full
 amplifier algebra, ``Crossbar.read_exact``) or ``"ideal"`` (its first-order
 limit, ``Crossbar.read_ideal``); the read-only ``Block.read_mode`` picks
-one, and model JSON stores it under the same name.
+one, and model JSON stores it under the same name. ``check_read_mode`` is
+the one rule of its value.
 
 ``section_layout`` lays the sections out, for a block and for a training
 ``Dataset`` alike. Both backends keep one contract: they own their device
@@ -98,6 +99,16 @@ __all__ = [
 
 READ_MODES = ("exact", "ideal")
 
+
+def check_read_mode(read_mode: str) -> None:
+    """The one rule of a read mode: one of ``READ_MODES``.
+
+    ``Block`` and an experiment's config both call this. Raises ``ValueError``.
+    """
+    if read_mode not in READ_MODES:
+        raise ValueError(f"read mode must be one of {READ_MODES}, got {read_mode!r}")
+
+
 #: Read-outs at or below this magnitude carry no stored signal. Exact-mode
 #: reads of an untouched crossbar cancel only to float rounding (~1e-14 of
 #: the input scale), while genuine stored patterns read out around 1e-4, so
@@ -131,8 +142,7 @@ class Block:
         read_mode: str = "exact",
         device_params: MemristorParams | None = None,
     ):
-        if read_mode not in READ_MODES:
-            raise ValueError(f"read mode must be one of {READ_MODES}, got {read_mode!r}")
+        check_read_mode(read_mode)
         self.sections = sections = section_layout(inputs)
         self.output_universe = output_universe
         self._read_mode = read_mode

@@ -77,6 +77,8 @@ def test_run_all_experiments_prints_one_row_per_experiment(tmp_path, capsys):
     assert run_all.main(["--output-root", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     header = next(i for i, line in enumerate(lines) if line.startswith("experiment "))
+    assert lines[header].split() == ["experiment", "mse", "baseline", "skill", "n_train",
+                                     "saturated", "flagged", "time/s"]
     table = lines[header + 1 : lines.index("", header)]  # the table ends at a blank line
     assert [row.split()[0] for row in table] == list(EXPERIMENT_NAMES)
     for name in EXPERIMENT_NAMES:

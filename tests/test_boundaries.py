@@ -8,6 +8,7 @@ hand-picked cases.
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossfuzzy.crossbar import Crossbar
+from crossfuzzy.crossbar import Crossbar, load_delta_csv, save_delta_csv
 from crossfuzzy.device import DEFAULT_PARAMS, MemristorParams, beta
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
 from crossfuzzy.harness import (EXPERIMENT_NAMES, DatasetSpec, EvalSpec, ExperimentConfig,
@@ -639,3 +640,41 @@ def test_json_extras_written_or_once_written_are_read_past():
         model_from_json(dict(SOURCES[name], r_c=None))
     pipe = SOURCES["pipeline"]
     model_from_json(dict(pipe, blocks=[dict(b, r_c=None) for b in pipe["blocks"]]))
+
+
+# -- one rule per value -------------------------------------------------------------
+
+
+def surface_file(folder, r_off="1e5", cell="0.5") -> str:
+    """A one-row surface file with the given header ``r_off`` and second cell."""
+    path = folder / "surface.csv"
+    path.write_text(f"# rows=1 cols=2 r_off={r_off}\n0.5,{cell}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("owner, boundary, refusal", [
+    (lambda _: Block.pristine([("x", U3)], U3, DEFAULT_PARAMS, read_mode="fast"),
+     lambda _: replace(default_config("exp-f1"), read_mode="fast"),
+     "read mode must be one of ('exact', 'ideal'), got 'fast'"),
+    (lambda _: fuzzify_gaussian(0.5, NAN, U3),
+     lambda _: DatasetSpec("f1", {"x": (0.0, 1.0)}, 5, {"x": 0.05}, NAN, 1),
+     "sigma must be positive and finite, got nan"),
+    (lambda _: Universe(1.0, 0.0, 3),
+     lambda _: EvalSpec("lattice", {"x": (1.0, 0.0)}, shape=(3,)),
+     "need finite lo < hi, got [1.0, 0.0]"),
+    (lambda folder: save_delta_csv(folder / "out.csv", np.ones((1, 2)), NAN),
+     lambda folder: load_delta_csv(surface_file(folder, r_off="nan")),
+     "r_off must be finite and positive"),
+    (lambda folder: save_delta_csv(folder / "out.csv", np.array([[0.5, NAN]]), 1e5),
+     lambda folder: load_delta_csv(surface_file(folder, cell="nan")),
+     "cells must be finite and non-negative"),
+], ids=["read-mode", "sigma", "domain-span", "surface-r_off", "surface-cells"])
+def test_each_value_rule_refuses_alike_where_it_is_stated_and_taken(tmp_path, owner,
+                                                                     boundary, refusal):
+    """The same bad value fails with the owner's message at both boundaries:
+    the read mode (a block, a config), a bell width (``fuzzify_gaussian``, a
+    dataset spec), a domain's ends (a universe, an evaluation spec) and a
+    surface's values (``save_delta_csv``, ``load_delta_csv``)."""
+    for call in (owner, boundary):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            call(tmp_path)

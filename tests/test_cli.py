@@ -8,7 +8,8 @@ import pytest
 from crossfuzzy.cli import main
 from crossfuzzy.crossbar import load_delta_csv
 from crossfuzzy.fuzzy import Universe, fuzzify_gaussian
-from crossfuzzy.harness import DatasetSpec, EvalSpec, default_config, merge_json
+from crossfuzzy.harness import (DatasetSpec, EvalSpec, ExperimentConfig, default_config,
+                                eval_points, merge_json)
 
 
 def tiny_override(tmp_path, name, n=15):
@@ -55,6 +56,27 @@ def test_experiment_on_threshold_device_via_config(tmp_path, capsys):
     model = json.loads((tmp_path / "exp-f1" / "model.json").read_text())
     assert model["device"]["v_th"] == 1.0
     assert result["mse"] == out["mse"]
+
+
+@pytest.mark.parametrize("v_th, warned", [(0.0, 1), (1.0, 0)])
+def test_a_run_without_skill_warns_once(tmp_path, capsys, v_th, warned):
+    """The default device's exp-f1 predicts worse than the mean of its probe
+    targets (skill < 0) and ``experiment`` and ``train`` each say so on one
+    stderr line; the 1 V device's predicts better and neither warns. Both exit 0."""
+    override = tiny_override(tmp_path, "exp-f1")
+    override.write_text(json.dumps({**json.loads(override.read_text()), "device": {"v_th": v_th}}))
+    assert main(["experiment", "exp-f1", "--config", str(override)]) == 0
+    err = capsys.readouterr().err
+    result = json.loads((tmp_path / "exp-f1" / "result.json").read_text())
+    points = eval_points(ExperimentConfig.from_json(result["config"]).eval)
+    assert result["baseline_mse"] == pytest.approx(np.var(points["x"] ** 2), rel=1e-12)
+    assert result["skill"] == 1.0 - result["mse"] / result["baseline_mse"]
+    assert (result["skill"] < 0, result["skill"] > 0) == (v_th == 0.0, v_th == 1.0)
+    assert err.count("warning: exp-f1: skill") == err.count("\n") == warned
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(result["config"]))
+    assert main(["train", "--config", str(config), "--output-dir", str(tmp_path / "train")]) == 0
+    assert capsys.readouterr().err == err
 
 
 def test_experiment_fault_flags(tmp_path, capsys, monkeypatch):

@@ -510,6 +510,14 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
     assert again.mse == result.mse
 
 
+def test_a_constant_target_has_no_skill(tmp_path):
+    """Its baseline, the targets' variance, is 0, so ``skill`` is ``null``."""
+    result = run_experiment("exp-f1", replace(tiny_config(tmp_path), eval_target="0.5"))
+    blob = json.loads((tmp_path / "exp-f1" / "result.json").read_text())
+    assert (result.baseline_mse, result.skill) == (0.0, None)
+    assert (blob["baseline_mse"], blob["skill"]) == (0.0, None)
+
+
 def test_run_experiment_two_input_sections(tmp_path):
     cfg = tiny_config(tmp_path, name="exp-2input")
     result = run_experiment("exp-2input", cfg)

@@ -362,6 +362,16 @@ def trained_relation_block(mode: str, read_mode: str) -> Block:
     return blk
 
 
+def test_a_relation_clamp_count_takes_no_write():
+    """A relation counts no clamp and its JSON holds no count, so a written
+    count would be lost on a save and load: the backend refuses it."""
+    blk = trained_relation_block("hardware", "exact")
+    with pytest.raises(AttributeError):
+        blk.backend.saturation_count = 5
+    assert Pipeline([blk]).saturation_count == 0
+    assert model_from_json(model_to_json(Pipeline([blk]))).saturation_count == 0
+
+
 @pytest.mark.parametrize(
     "build",
     [
