@@ -6,12 +6,13 @@
 
 Each named experiment runs with its default config on the threshold-free
 device (``v_th0``) and on the 1 V device (``v_th1``). Per run the record
-holds the sha256 of ``model.json`` and of every surface CSV, the MSE as
-``float.hex``, and the flagged and saturation counts. ``tests/test_golden.py``
-re-runs the ten configs and compares: hashes and counts exactly, the MSE
-within 1e-12 relative (it passes through matrix products, whose rounding
-may follow the BLAS). A change that means to move these outputs re-records
-the file with this script and says why.
+holds the sha256 of ``model.json`` and of every surface CSV, the MSE and the
+baseline MSE (the probe targets' variance) as ``float.hex``, and the flagged
+and saturation counts. ``tests/test_golden.py`` re-runs the ten configs and
+compares: hashes and counts exactly, the two MSEs within 1e-12 relative (they
+pass through matrix products and sums, whose rounding may follow the BLAS).
+A change that means to move these outputs re-records the file with this
+script and says why.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def record(out_dir: Path) -> dict:
             files = [Path(result.model_path), *map(Path, result.surface_paths)]
             runs[run] = {
                 "mse": result.mse.hex(),
+                "baseline_mse": result.baseline_mse.hex(),
                 "flagged": len(result.flagged_points),
                 "saturation_count": result.saturation_count,
                 "sha256": {p.name: _sha256(p) for p in files},

@@ -24,22 +24,29 @@ A probe set is an array with one named float field per variable
 (``eval_points``), evaluated in chunks of ``_CHUNK`` probes. Per probe,
 ``evaluate_mse`` calls only ``fuzzify_gaussian`` once per variable and the
 backend once per live stage, through ``system.pipeline_rows``, the one model
-read; a bare ``Block`` is not a model and fails there, before any read. A
-named target is a numpy array function and is called once per chunk, on its
-columns; any other target, such as an expression, is called once per probe
-with scalars, as it may branch on them. The signal test, the conditioning
-after each stage, the centroids, the errors and the flags are array
-operations on the chunk.
+read; a bare ``Block`` is not a model and fails there, before any read. The
+signal test, the conditioning after each stage, the centroids, the errors
+and the flags are array operations on the chunk.
+
+A point set's targets, a dataset's or a probe set's, are computed once for
+the whole set, by ``_target_values``, the one statement of the target rule.
+A named target is a numpy array function and is called once, on the set's
+columns; any other target, such as an expression, is called once per point
+with scalars, as it may branch on them. Every value must be a finite real
+number: a value that is not, or an expression that raises at a point, fails
+as one ``ValueError`` naming the target, the point (``sample k`` or
+``probe k``) and its inputs. ``evaluate_mse`` computes the targets before
+its first read, so a bad target is refused before the model is read.
 
 A training set is a ``Dataset`` of arrays, not a list of per-sample
 objects: its crisp points are a random probe set (``eval_points`` with the
 dataset's domains, size and seed), its targets one value per point, its
 drives one column-drive row per sample along the block's sections
 (``system.section_layout``) and its outputs one output-grade row per sample.
-Training and evaluation share one probe-row path: ``_probe_rows`` builds a
-probe set's drive rows and targets for ``generate_dataset`` and for each
-chunk of ``evaluate_mse``, and ``_bells`` fills every grade row, output
-bells included, with one ``fuzzify_gaussian`` per value. ``train_block``
+Training and evaluation share one drive-row path: ``_drive_rows`` builds a
+point set's drive rows for ``generate_dataset`` and for each chunk of
+``evaluate_mse``, and ``_bells`` fills every grade row, output bells
+included, with one ``fuzzify_gaussian`` per value. ``train_block``
 checks a dataset's sections and output universe against the block once,
 then writes one pulse per row, in dataset order; ``system.block_train`` is
 the one-sample case.
@@ -127,31 +134,32 @@ _MAX_N = int(np.iinfo(np.intp).max)
 # -- targets --------------------------------------------------------------
 
 
-# The named targets take scalars (datasets) and arrays (evaluation chunks)
-# and give the same bits for both. Squares go through ``np.float_power``, which
-# is libm ``pow`` for every element, as ``** 2`` is on a Python or numpy
-# scalar; ``** 2`` on an array is one multiply and differs from ``pow`` in the
-# last bit for about one input in 1 200.
+# The named targets take a point set's columns (``_target_values``) and, in
+# the tests' oracles, scalars, and give the same bits for both. Squares go
+# through ``np.float_power``, which is libm ``pow`` for every element, as
+# ``** 2`` is on a Python or numpy scalar; ``** 2`` on an array is one
+# multiply and differs from ``pow`` in the last bit for about one input in
+# 1 200. Each is named after its key, which error messages quote.
 
 
-def _f1(x):
+def f1(x):
     return np.float_power(x, 2)
 
 
-def _f2(x):
+def f2(x):
     return np.sqrt(x)
 
 
-def _two_sinc(x, y):
+def eq30(x, y):  # the two-input sinc surface
     return 0.5 * np.sqrt(2.0 * np.float_power(np.sin(x) / x, 2)
                          + 3.0 * np.float_power(np.sin(y) / y, 2))
 
 
-def _identity(x):
+def identity(x):
     return x
 
 
-NAMED_TARGETS = {"f1": _f1, "f2": _f2, "eq30": _two_sinc, "identity": _identity}
+NAMED_TARGETS = {fn.__name__: fn for fn in (f1, f2, eq30, identity)}
 
 _EXPR_NAMES = {
     "sin": np.sin,
@@ -171,7 +179,8 @@ def target_function(target: str, variables: tuple[str, ...]):
 
     Anything that is not a named target whose parameters are exactly the
     variables, or a well-formed expression over the variables and the names
-    in ``_EXPR_NAMES``, raises ``ValueError``.
+    in ``_EXPR_NAMES``, raises ``ValueError``. The callable's ``__name__`` is
+    ``target`` as written.
     """
     if not isinstance(target, str):
         raise ValueError(f"a target must be a name or an expression string, got {target!r}")
@@ -192,6 +201,7 @@ def target_function(target: str, variables: tuple[str, ...]):
     def fn(**kwargs):
         return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **kwargs})
 
+    fn.__name__ = target
     return fn
 
 
@@ -302,13 +312,8 @@ def generate_dataset(
         raise ValueError("input universes must cover exactly the dataset variables")
     points = eval_points(EvalSpec("random", spec.domains, n=spec.n, seed=spec.seed))
     sections = section_layout(list(input_universes.items()))
-    fn = target_function(spec.target, spec.variables)
-    drives, targets = _probe_rows(points, sections, spec.input_sigmas, fn)
-    if not np.isfinite(targets).all():
-        i = int(np.argmin(np.isfinite(targets)))  # the first sample that is not finite
-        inputs = dict(zip(spec.variables, points[i].tolist()))
-        raise ValueError(f"target {spec.target!r} is not finite at sample {i} "
-                         f"with inputs {inputs}: {targets[i]}")
+    targets = _target_values(target_function(spec.target, spec.variables), points, "sample")
+    drives = _drive_rows(points, sections, spec.input_sigmas)
     outputs = _bells(np.empty((spec.n, output_universe.count)), targets, spec.output_sigma,
                      output_universe)
     return Dataset(points, targets, drives, outputs, sections, output_universe)
@@ -378,27 +383,45 @@ def _bells(rows: np.ndarray, values: np.ndarray, sigma: float, universe: Univers
     return rows
 
 
-def _probe_rows(points: np.ndarray, sections: list[Section], sigmas: dict[str, float],
-                target_fn) -> tuple[np.ndarray, np.ndarray]:
-    """A probe set's column drives, one row per probe with one bell per section, and targets."""
+def _drive_rows(points: np.ndarray, sections: list[Section],
+                sigmas: dict[str, float]) -> np.ndarray:
+    """A point set's column drives: one row per point, with one bell per section."""
     drives = np.empty((len(points), sections[-1].stop))
     for sec in sections:
         _bells(drives[:, sec.start : sec.stop], points[sec.name], sigmas[sec.name], sec.universe)
-    return drives, _target_values(target_fn, points)
+    return drives
 
 
-def _target_values(target_fn, chunk: np.ndarray) -> np.ndarray:
-    """``target_fn`` at every probe of a chunk, with the probe's values as keyword arguments.
+def _target_values(target_fn, points: np.ndarray, where: str = "probe") -> np.ndarray:
+    """``target_fn`` at every point of a point set, with the point's values as keyword arguments.
 
-    A named target takes the chunk's columns in one call. Any other callable
-    takes one probe's values at a time, as Python floats: an expression may
+    A named target takes the set's columns in one call. Any other callable
+    takes one point's values at a time, as Python floats: an expression may
     branch on them or divide by zero, which an array would turn into a
-    ``ValueError`` or an inf.
+    ``ValueError`` or an inf. Every value must be a finite real number: the
+    first point whose value is not, or where the expression raises
+    ``ArithmeticError``, ``TypeError`` or ``ValueError``, raises one
+    ``ValueError`` naming the target (``target_fn.__name__``), the point
+    (``where`` and its index) and the point's inputs.
     """
-    names = chunk.dtype.names
+    names = points.dtype.names
+    raised = {}  # the point where an expression raised, and what it raised
     if target_fn in NAMED_TARGETS.values():
-        return target_fn(**{name: chunk[name] for name in names})
-    return np.array([float(target_fn(**dict(zip(names, pt)))) for pt in chunk.tolist()])
+        values = target_fn(**{name: points[name] for name in names})
+    else:
+        values = np.full(len(points), np.nan)
+        try:
+            for k, pt in enumerate(points.tolist()):
+                values[k] = float(target_fn(**dict(zip(names, pt))))
+        except (ArithmeticError, TypeError, ValueError) as exc:  # no later point is evaluated
+            raised[k] = exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))  # the first point that is not finite
+        inputs = dict(zip(names, points[k].tolist()))
+        raise ValueError(f"target {target_fn.__name__!r} is not finite at {where} {k} "
+                         f"with inputs {inputs}: {raised.get(k, values[k])}")
+    return values
 
 
 def evaluate_mse(
@@ -410,27 +433,29 @@ def evaluate_mse(
     """Probe the trained model on crisp points against the target function.
 
     ``points`` is a probe set from ``eval_points``. Each point is fuzzified,
-    run through the model, and centroid-defuzzified. A named target from
-    ``target_function`` is called once per chunk of points with their
-    columns as keyword arrays; any other ``target_fn`` once per point with
-    the point's values as scalar keyword arguments. Both give the same
-    values. An output with no signal (untrained region) is scored against
-    the output-domain midpoint and flagged rather than skipped, so abstention
-    cannot lower the error. Returns the MSE, the per-point squared errors
-    and the flagged point indices.
+    run through the model, and centroid-defuzzified. The targets are
+    computed once for the whole set, before the model is read: a named
+    target from ``target_function`` is called once with the set's columns as
+    keyword arrays, any other ``target_fn`` once per point with the point's
+    values as scalar keyword arguments, and both give the same values. A
+    target that is not finite at a probe raises ``ValueError``
+    (``_target_values``). An output with no signal (untrained region) is
+    scored against the output-domain midpoint and flagged rather than
+    skipped, so abstention cannot lower the error. Returns the MSE, the
+    per-point squared errors and the flagged point indices.
     """
+    targets = _target_values(target_fn, points)
     out_u = model.output_universe
     midpoint = 0.5 * (out_u.lo + out_u.hi)
     per_point = np.empty(len(points))
     flagged = []
     for start in range(0, len(points), _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        drives, target = _probe_rows(chunk, model.sections, input_sigmas, target_fn)
-        rows, died = pipeline_rows(model, drives)
+        span = slice(start, start + _CHUNK)
+        rows, died = pipeline_rows(model, _drive_rows(points[span], model.sections, input_sigmas))
         live = died == len(model.blocks)
-        prediction = np.full(len(chunk), midpoint)
+        prediction = np.full(len(live), midpoint)
         prediction[live] = centroid_rows(out_u, rows[live])
-        per_point[start : start + len(chunk)] = (prediction - target) ** 2
+        per_point[span] = (prediction - targets[span]) ** 2
         flagged += (start + np.flatnonzero(~live)).tolist()
     return float(np.mean(per_point)), per_point.tolist(), flagged
 
@@ -707,6 +732,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Train, evaluate, and persist one named experiment."""
     cfg = config if config is not None else default_config(name)
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # a path that cannot be one fails before training
     phase_s = dict.fromkeys(("dataset", "train", "eval", "persist"), 0.0)
     started = time.perf_counter()
     model = _build_and_train(cfg, phase_s)
@@ -721,8 +748,6 @@ def run_experiment(
     runtime = time.perf_counter() - started
 
     with _timed(phase_s, "persist"):
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         model_path = out_dir / "model.json"
         join = _write_model_beside(model_path, model)
         try:

@@ -147,6 +147,56 @@ def test_train_command_with_full_config(tmp_path, capsys):
     assert out["mse"] >= 0.0
 
 
+def test_an_evaluation_target_that_is_not_finite_fails_before_a_result(tmp_path, capsys):
+    """A probe target of nan is refused as one error line, as a training
+    target is, and the run writes no ``result.json`` holding an MSE of nan."""
+    override = tiny_override(tmp_path, "exp-f1")
+    override.write_text(json.dumps({**json.loads(override.read_text()),
+                                    "eval_target": "log(x - 0.5)"}))
+    with np.errstate(invalid="ignore"):  # numpy's log of a negative gives nan
+        err = run_failing(capsys, "experiment", "exp-f1", "--config", str(override))
+    assert err.startswith("error: target 'log(x - 0.5)' is not finite at probe ")
+    assert "with inputs {'x': " in err and err.endswith(": nan\n") and err.count("\n") == 1
+    assert not (tmp_path / "exp-f1" / "result.json").exists()
+
+
+# Expressions that raise, or give a value that is not a real number, at every point.
+RAISING_TARGETS = ["x/0", "sin", "x, x", '"a"']
+
+
+@pytest.mark.parametrize("target", RAISING_TARGETS)
+@pytest.mark.parametrize("key, point", [("dataset", "sample"), ("eval_target", "probe")])
+def test_a_target_that_raises_at_a_point_fails_as_one_error(tmp_path, capsys, monkeypatch,
+                                                           target, key, point):
+    """Each fails as one ``error:`` line naming the target, the point and its
+    inputs, not as a traceback; a bad dataset target trains nothing."""
+    override = tiny_override(tmp_path, "exp-f1")
+    blob = json.loads(override.read_text())
+    if key == "dataset":
+        blob["dataset"]["target"] = target
+        monkeypatch.setattr("crossfuzzy.harness.train_block", never_train)
+    else:
+        blob["eval_target"] = target
+    override.write_text(json.dumps(blob))
+    err = run_failing(capsys, "experiment", "exp-f1", "--config", str(override))
+    assert err.startswith(f"error: target {target!r} is not finite at {point} 0 with inputs "
+                          "{'x': ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "exp-f1" / "result.json").exists()
+
+
+def test_an_output_directory_that_cannot_be_made_fails_before_the_dataset(tmp_path, capsys,
+                                                                          monkeypatch):
+    monkeypatch.setattr("crossfuzzy.harness.generate_dataset", never_train)
+    override = tiny_override(tmp_path, "exp-2input")
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    err = run_failing(capsys, "experiment", "exp-2input", "--config", str(override),
+                      "--output-dir", str(blocker / "out"))
+    assert "Not a directory" in err and err.count("\n") == 1
+
+
+
 def never_train(*args, **kwargs):
     raise AssertionError("a malformed config reached dataset generation")
 

@@ -201,11 +201,12 @@ def test_named_target_chunks_equal_per_probe_calls(name, n):
 
 def test_expression_targets_are_called_per_probe_with_scalars():
     """Scalars keep a branching expression valid and Python's division by
-    zero an error, where an array would give a ``ValueError`` and an inf."""
+    zero an error, where an array would give a ``ValueError`` and an inf;
+    the error is refused as the target rule's ``ValueError``."""
     points = eval_points(EvalSpec(kind="lattice", domains={"x": (0.0, 1.0)}, shape=(5,)))
     branching = target_function("x if x > 0.5 else 1 - x", ("x",))
     assert _target_values(branching, points).tolist() == [1.0, 0.75, 0.5, 0.75, 1.0]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match=r"^target '1 / x' is not finite at probe 0 .*division"):
         _target_values(target_function("1 / x", ("x",)), points)
 
 

@@ -4,8 +4,8 @@
 Stored arrays are written by elementwise IEEE operations and ``repr`` is
 exact, so ``model.json`` and every surface CSV must hash the same, and the
 flagged and saturation counts must be equal. The MSE passes through matrix
-products and is compared within 1e-12 relative. Per-point errors are not
-recorded.
+products and the baseline MSE through a sum; both are compared within 1e-12
+relative. Per-point errors are not recorded.
 """
 
 import importlib.util
@@ -33,5 +33,6 @@ def test_named_runs_match_the_golden_record(tmp_path):
         g = got[run]
         assert g["sha256"] == w["sha256"], run
         assert (g["flagged"], g["saturation_count"]) == (w["flagged"], w["saturation_count"]), run
-        assert float.fromhex(g["mse"]) == pytest.approx(float.fromhex(w["mse"]), rel=1e-12,
-                                                        abs=0.0), run
+        for key in ("mse", "baseline_mse"):
+            assert float.fromhex(g[key]) == pytest.approx(float.fromhex(w[key]), rel=1e-12,
+                                                          abs=0.0), (run, key)

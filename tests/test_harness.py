@@ -410,6 +410,23 @@ def test_evaluate_mse_refuses_a_bare_block_before_any_read(monkeypatch):
     assert reads == []
 
 
+def test_evaluate_mse_refuses_a_target_that_is_not_finite_before_any_read(monkeypatch):
+    # The one probe whose target is nan is the last, in the second chunk: the
+    # whole probe set's targets are checked before the first chunk is read.
+    u = Universe(0.0, 1.0, 100)
+    blk = Block(Crossbar.from_delta(np.eye(100) * 50.0, DEFAULT_PARAMS), [("x", u)], u)
+    reads = []
+    monkeypatch.setattr(Crossbar, "read_exact", lambda self, x: reads.append(x))
+    pts = eval_points(EvalSpec(kind="lattice", domains={"x": (0.0, 1.0)},
+                               shape=(harness._CHUNK + 5,)))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=rf"^target 'log\(0.999 - x\)' is not finite at probe "
+                              rf"{harness._CHUNK + 4} with inputs \{{'x': 1.0\}}: nan$"):
+        evaluate_mse(Pipeline([blk]), target_function("log(0.999 - x)", ("x",)), pts,
+                     {"x": 0.05})
+    assert reads == []
+
+
 def test_evaluate_mse_flags_untrained_regions():
     universes, out_u = small_universes()
     blk = Block.pristine(list(universes.items()), out_u, DEFAULT_PARAMS)
