@@ -14,7 +14,8 @@ per call, in seconds):
   read (a matrix-vector product only). The gap between the two is what
   keeping the matrix saves per read.
 - ``fuzzify_gaussian`` and ``defuzzify_centroid``, one call each, on grids
-  of 100 and 500 points.
+  of 100 and 500 points; ``fuzzify_gaussian`` both on values that never
+  repeat and (``.repeat``) on 100 values cycled as a lattice axis is.
 - ``evaluate_mse`` on the exp-2input model (one stage) over a 100x100 probe
   lattice, in both read modes, and on the two-stage exp-compose pipeline
   over 2 000 random probes (per pass, with the probe count). Both read
@@ -166,13 +167,20 @@ def time_writes(rows: int, cols: int, n: int, calls: int, repeats: int,
 
 
 def time_fuzzy(counts: list[int], calls: int, repeats: int, rng) -> dict:
-    """Per-call time of one ``fuzzify_gaussian`` and one ``defuzzify_centroid``."""
+    """Per-call time of one ``fuzzify_gaussian`` and one ``defuzzify_centroid``.
+
+    ``fuzzify_gaussian.{count}`` draws new crisp values at every repeat, so
+    none repeats; ``.repeat`` cycles 100 values, as a probe lattice's axis
+    does, after one untimed pass that fills the bell cache.
+    """
     out = {}
+    axis = np.linspace(0.0, 1.0, 100).tolist()
+    cycled = (axis * (calls // len(axis) + 1))[:calls]
     for count in counts:
         u = cf.Universe(0.0, 1.0, count)
-        xs = rng.uniform(0.0, 1.0, calls).tolist()
         fuzzify, defuzzify = [], []
         for _ in range(repeats):
+            xs = rng.uniform(0.0, 1.0, calls).tolist()
             start = time.perf_counter()
             numbers = [cf.fuzzify_gaussian(x, 0.05, u) for x in xs]
             fuzzify.append((time.perf_counter() - start) / calls)
@@ -180,7 +188,15 @@ def time_fuzzy(counts: list[int], calls: int, repeats: int, rng) -> dict:
             for fn in numbers:
                 cf.defuzzify_centroid(fn)
             defuzzify.append((time.perf_counter() - start) / calls)
+        repeat = []
+        for timed in [False] + [True] * repeats:
+            start = time.perf_counter()
+            for x in cycled:
+                cf.fuzzify_gaussian(x, 0.05, u)
+            if timed:
+                repeat.append((time.perf_counter() - start) / calls)
         out[f"fuzzify_gaussian.{count}"] = _stats(fuzzify)
+        out[f"fuzzify_gaussian.{count}.repeat"] = _stats(repeat)
         out[f"defuzzify_centroid.{count}"] = _stats(defuzzify)
     return out
 

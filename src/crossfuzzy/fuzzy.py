@@ -14,6 +14,11 @@ a single grade vector is one row); ``defuzzify_centroid``,
 is the one test that a regrid's two universes overlap, ``check_span`` the one
 rule of a domain's ends and ``check_sigma`` the one rule of a bell's width.
 
+``fuzzify_gaussian`` keeps the last bells it made on small universes (at
+most ``_BELL_ENTRIES`` of at most ``_BELL_POINTS`` grid points), so a value
+that a probe lattice repeats costs its checks, not its arithmetic; those
+bells' grades are read-only, as a universe's ``values`` are.
+
 Universes and fuzzy numbers are written and read as JSON by ``jsonio``: a
 universe's keys are ``lo``, ``hi`` and ``count``, a fuzzy number's its
 ``universe`` and its ``grades``, a ``jsonio.Array[1]`` of JSON numbers
@@ -125,37 +130,76 @@ def check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
+# The bell cache, (x0, sigma, lo, hi, count) -> read-only grades: 128 bells of at
+# most 256 points hold at most 256 KB. Without a lock, threads that fill it at once
+# may compute one bell twice or overrun the bound by one bell each, never mix bells.
+_BELL_ENTRIES = 128
+_BELL_POINTS = 256
+_BELLS: dict[tuple, np.ndarray] = {}
+
+
 def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber:
     """Bell-shaped membership vector centered on the crisp value ``x0``.
 
     ``sigma`` is the bell width in concept units. Widths below a tenth of the
     grid resolution degrade gracefully to a one-hot at the nearest grid point
     (the crisp limit). Finite values outside the universe are accepted but
-    warned; a non-finite ``x0`` raises ``ValueError``, as a ``sigma`` that
-    fails ``check_sigma`` does. The grades
-    are made from these checked scalars, so they are not validated again.
-    A bell centred more than 40 sigma outside the universe is all zeros, as
-    exp(-800) underflows. Any other bell whose ``(v - x0) ** 2`` would
-    overflow (a sigma or a universe past about 1e152), or whose ``2 sigma ** 2``
-    would underflow to 0 (a sigma below about 1e-162), is computed in units of
-    sigma, inside the universe as outside it.
+    warned, at every call; a non-finite ``x0`` raises ``ValueError``, as a
+    ``sigma`` that fails ``check_sigma`` does. The grades are ``_bell``'s.
+
+    A universe of at most ``_BELL_POINTS`` (256) points serves a repeated
+    ``(x0, sigma)`` from a cache of the last bells made, at most
+    ``_BELL_ENTRIES`` (128) of them, which is emptied when full. Equal
+    universes share its entries, as ``0.0`` and ``-0.0`` or an int and its
+    float do, and their bells are the same bits. Such a bell's grades are
+    read-only and may be shared by callers; ``fn.universe`` is always the
+    ``universe`` passed. A larger universe's bell, or one whose ``x0`` or
+    ``sigma`` cannot be hashed (a 0-d array), is made afresh, writeable.
     """
     check_sigma(sigma)
     if not math.isfinite(x0):
         raise ValueError(f"crisp value x0 must be finite, got {x0}")
-    v = universe.values
-    one_hot = sigma < universe.resolution / 10.0
     if not (universe.lo <= x0 <= universe.hi):
         warnings.warn(
             f"crisp value {x0} lies outside universe [{universe.lo}, {universe.hi}]",
             stacklevel=2,
         )
-        if not one_hot and max(universe.lo - x0, x0 - universe.hi) > 40.0 * sigma:
-            return FuzzyNumber._unchecked(universe, np.zeros(universe.count))
-    if one_hot:
+    if universe.count > _BELL_POINTS:
+        return FuzzyNumber._unchecked(universe, _bell(x0, sigma, universe))
+    key = (x0, sigma, universe.lo, universe.hi, universe.count)
+    try:
+        grades = _BELLS.get(key)
+    except TypeError:  # an unhashable number, such as a 0-d array, is not cached
+        return FuzzyNumber._unchecked(universe, _bell(x0, sigma, universe))
+    if grades is None:
+        grades = _bell(x0, sigma, universe)
+        grades.setflags(False)  # write=False, by position: the keyword doubles the cost
+        if len(_BELLS) >= _BELL_ENTRIES:
+            _BELLS.clear()
+        _BELLS[key] = grades
+    return FuzzyNumber._unchecked(universe, grades)
+
+
+def _bell(x0: float, sigma: float, universe: Universe) -> np.ndarray:
+    """The grades of ``fuzzify_gaussian(x0, sigma, universe)``, from its checked scalars.
+
+    Pure: the same arguments give the same bits. The grades are made from
+    checked scalars, so they are not validated again. A bell centred more
+    than 40 sigma outside the universe is all zeros, as exp(-800)
+    underflows. Any other bell whose ``(v - x0) ** 2`` would overflow (a
+    sigma or a universe past about 1e152), or whose ``2 sigma ** 2`` would
+    underflow to 0 (a sigma below about 1e-162), is computed in units of
+    sigma, inside the universe as outside it.
+    """
+    v = universe.values
+    if sigma < universe.resolution / 10.0:  # one-hot
         grades = np.zeros(universe.count)
         grades[int(np.argmin(np.abs(v - x0)))] = 1.0
-    elif not 1e-150 < sigma < 1e100 and (-2.0 * sigma * sigma == 0.0 or math.inf == (
+        return grades
+    if not (universe.lo <= x0 <= universe.hi) and (
+            max(universe.lo - x0, x0 - universe.hi) > 40.0 * sigma):
+        return np.zeros(universe.count)
+    if not 1e-150 < sigma < 1e100 and (-2.0 * sigma * sigma == 0.0 or math.inf == (
             far := max(abs(universe.lo - x0), abs(float(v[-1]) - x0))) * far):
         # 2 sigma^2 underflows to 0 or (v - x0) ** 2 overflows (Python floats give 0
         # and inf without a warning), where (v - x0) / sigma stays in range. Neither
@@ -165,10 +209,9 @@ def fuzzify_gaussian(x0: float, sigma: float, universe: Universe) -> FuzzyNumber
         # a number that is not subnormal is exact, and a wide bell's quotient does not
         # see the last bit of one that is. A narrow bell keeps a subnormal sigma whole.
         h = 0.5 if sigma > 1.0 else 1.0
-        grades = np.exp(np.square((v * h - x0 * h) / (sigma * h)) / -2.0)
-    else:  # bit for bit exp(-((v - x0) ** 2) / (2 sigma^2)), with one ufunc fewer
-        grades = np.exp(np.square(v - x0) / (-2.0 * sigma * sigma))
-    return FuzzyNumber._unchecked(universe, grades)
+        return np.exp(np.square((v * h - x0 * h) / (sigma * h)) / -2.0)
+    # bit for bit exp(-((v - x0) ** 2) / (2 sigma^2)), with one ufunc fewer
+    return np.exp(np.square(v - x0) / (-2.0 * sigma * sigma))
 
 
 def centroid_rows(universe: Universe, rows: np.ndarray) -> np.ndarray:

@@ -24,7 +24,9 @@ A probe set is an array with one named float field per variable
 (``eval_points``), evaluated in chunks of ``_CHUNK`` probes. Per probe,
 ``evaluate_mse`` calls only ``fuzzify_gaussian`` once per variable and the
 backend once per live stage, through ``system.pipeline_rows``, the one model
-read; a bare ``Block`` is not a model and fails there, before any read. The
+read; a bare ``Block`` is not a model and fails there, before any read. A
+value that the set repeats, as a lattice's axes do, is still one call per
+probe, and ``fuzzify_gaussian`` serves its bell from its cache. The
 signal test, the conditioning after each stage, the centroids, the errors
 and the flags are array operations on the chunk.
 
@@ -46,7 +48,8 @@ drives one column-drive row per sample along the block's sections
 Training and evaluation share one drive-row path: ``_drive_rows`` builds a
 point set's drive rows for ``generate_dataset`` and for each chunk of
 ``evaluate_mse``, and ``_bells`` fills every grade row, output bells
-included, with one ``fuzzify_gaussian`` per value. ``train_block``
+included, with one ``fuzzify_gaussian`` per value, copied into the row (a
+cached bell is read-only; the rows are not). ``train_block``
 checks a dataset's sections and output universe against the block once,
 then writes one pulse per row, in dataset order; ``system.block_train`` is
 the one-sample case.
@@ -198,8 +201,13 @@ def target_function(target: str, variables: tuple[str, ...]):
         if name not in _EXPR_NAMES and name not in variables:
             raise ValueError(f"unknown name {name!r} in target expression {target!r}")
 
+    # One globals dict per target holds Python's once-per-location warning registry,
+    # so a warning the expression raises at many points is shown once; each point's
+    # values go in a fresh locals dict, where they shadow the names in _EXPR_NAMES.
+    scope = {"__builtins__": {}, **_EXPR_NAMES}
+
     def fn(**kwargs):
-        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **kwargs})
+        return eval(code, scope, kwargs)
 
     fn.__name__ = target
     return fn
@@ -398,8 +406,9 @@ def _target_values(target_fn, points: np.ndarray, where: str = "probe") -> np.nd
     A named target takes the set's columns in one call. Any other callable
     takes one point's values at a time, as Python floats: an expression may
     branch on them or divide by zero, which an array would turn into a
-    ``ValueError`` or an inf. Every value must be a finite real number: the
-    first point whose value is not, or where the expression raises
+    ``ValueError`` or an inf. Every value must be a finite real number (a
+    string is refused, not parsed; a bool counts as 0 or 1): the first point
+    whose value is not, or where the expression raises
     ``ArithmeticError``, ``TypeError`` or ``ValueError``, raises one
     ``ValueError`` naming the target (``target_fn.__name__``), the point
     (``where`` and its index) and the point's inputs.
@@ -412,7 +421,10 @@ def _target_values(target_fn, points: np.ndarray, where: str = "probe") -> np.nd
         values = np.full(len(points), np.nan)
         try:
             for k, pt in enumerate(points.tolist()):
-                values[k] = float(target_fn(**dict(zip(names, pt))))
+                value = target_fn(**dict(zip(names, pt)))
+                if isinstance(value, (str, bytes)):  # float() would parse it
+                    raise TypeError(f"a target value must be a number, got {value!r}")
+                values[k] = float(value)
         except (ArithmeticError, TypeError, ValueError) as exc:  # no later point is evaluated
             raised[k] = exc
     finite = np.isfinite(values)

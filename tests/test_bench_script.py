@@ -28,6 +28,7 @@ def test_bench_script_writes_every_layer(tmp_path):
     assert "evaluate_mse.pipeline.random20" in names
     for count in (8, 16):
         assert f"fuzzify_gaussian.{count}" in names
+        assert f"fuzzify_gaussian.{count}.repeat" in names
         assert f"defuzzify_centroid.{count}" in names
     for size in ("8x12", "16x16"):
         assert f"save_delta_csv.{size}" in names

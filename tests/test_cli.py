@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,8 +161,25 @@ def test_an_evaluation_target_that_is_not_finite_fails_before_a_result(tmp_path,
     assert not (tmp_path / "exp-f1" / "result.json").exists()
 
 
+def test_a_target_that_warns_at_many_probes_warns_once(tmp_path, capsys):
+    """numpy's warning at each of about 100 probes below 0.5 is one
+    ``warning:`` line, under Python's default filter, before the one
+    ``error:`` line."""
+    override = tiny_override(tmp_path, "exp-f1")
+    override.write_text(json.dumps({**json.loads(override.read_text()), "eval": {"n": 200},
+                                    "eval_target": "log(x - 0.5)"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)  # not the suite's error filter
+        code = main(["experiment", "exp-f1", "--config", str(override)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    warning, error = captured.err.splitlines()
+    assert warning == "warning: invalid value encountered in log"
+    assert error.startswith("error: target 'log(x - 0.5)' is not finite at probe ")
+
+
 # Expressions that raise, or give a value that is not a real number, at every point.
-RAISING_TARGETS = ["x/0", "sin", "x, x", '"a"']
+RAISING_TARGETS = ["x/0", "sin", "x, x", '"a"', '"0.25"', 'b"0.25"']
 
 
 @pytest.mark.parametrize("target", RAISING_TARGETS)

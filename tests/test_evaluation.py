@@ -208,6 +208,12 @@ def test_expression_targets_are_called_per_probe_with_scalars():
     assert _target_values(branching, points).tolist() == [1.0, 0.75, 0.5, 0.75, 1.0]
     with pytest.raises(ValueError, match=r"^target '1 / x' is not finite at probe 0 .*division"):
         _target_values(target_function("1 / x", ("x",)), points)
+    # a comparison gives numpy bools, which are 0 and 1; a string is refused, not parsed
+    compare = target_function("sin(x) > 0.5", ("x",))
+    assert _target_values(compare, points).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match=r"^target '\"0.25\"' is not finite at probe 0 .*"
+                                         r"must be a number, got '0.25'$"):
+        _target_values(target_function('"0.25"', ("x",)), points)
 
 
 def test_sign_cancelling_output_raises():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossfuzzy import fuzzy
 from crossfuzzy.fuzzy import (
     EmptyOutputError,
     FuzzyNumber,
@@ -19,6 +20,8 @@ from crossfuzzy.fuzzy import (
     regrid,
     regrid_rows,
 )
+from crossfuzzy.harness import _drive_rows
+from crossfuzzy.system import section_layout
 from oracles import gaussian_grades, triangle, weighted_average
 
 
@@ -263,6 +266,89 @@ def test_fuzzify_gaussian_equals_the_oracle_bit_for_bit(data, universe, one_hot)
     assert fn.universe is universe
     assert fn.grades.dtype == float and fn.grades.shape == (universe.count,)
     assert fn.grades.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), universe=UNIVERSES, one_hot=st.booleans())
+def test_a_cached_bell_is_the_uncached_bell_bit_for_bit(data, universe, one_hot):
+    """A bell's first call fills the cache and its second, through an equal
+    but distinct universe, is served from it; both equal ``_bell``'s grades
+    bit for bit, and each names the universe it was passed. Another width or
+    universe at the same centre gets its own bell."""
+    width = universe.hi - universe.lo
+    x0 = data.draw(st.floats(universe.lo - 2 * width, universe.hi + 2 * width))
+    tenth = universe.resolution / 10.0
+    sigma = data.draw(st.floats(tenth * 1e-6, tenth, exclude_max=True) if one_hot
+                      else st.floats(tenth, 1e6 * width))
+    twin = Universe(universe.lo, universe.hi, universe.count)
+    fuzzy._BELLS.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # x0 outside the universe
+        first = fuzzify_gaussian(x0, sigma, universe)
+        second = fuzzify_gaussian(x0, sigma, twin)
+        wider = fuzzify_gaussian(x0, 2 * sigma, universe)
+        longer = fuzzify_gaussian(x0, sigma, Universe(universe.lo, universe.hi + width, 100))
+    want = fuzzy._bell(x0, sigma, universe)
+    assert first.universe is universe and second.universe is twin
+    assert first.grades.tobytes() == second.grades.tobytes() == want.tobytes()
+    assert wider.grades.tobytes() == fuzzy._bell(x0, 2 * sigma, universe).tobytes()
+    assert longer.grades.tobytes() == fuzzy._bell(x0, sigma, longer.universe).tobytes()
+    assert len(fuzzy._BELLS) == 3
+
+
+@pytest.mark.parametrize("sigma", [0.75, 0.01], ids=["bell", "one-hot"])
+def test_equal_centres_share_one_bell(sigma):
+    """0.0 and -0.0 share a cache entry, as an int and its float do, and
+    their bells are the same bits."""
+    u = Universe(-3.0, 5.0, 7)
+    fuzzy._BELLS.clear()
+    for x0, twin in ((0.0, -0.0), (2, 2.0)):
+        first = fuzzify_gaussian(x0, sigma, u)
+        assert fuzzify_gaussian(twin, sigma, u).grades is first.grades
+        assert first.grades.tobytes() == fuzzy._bell(twin, sigma, u).tobytes()
+    assert len(fuzzy._BELLS) == 2
+
+
+def test_cached_grades_are_read_only_and_drive_rows_writeable():
+    """A bell may be shared, so its grades refuse a write; the rows that
+    ``_drive_rows`` copies bells into stay writeable, and a bell too large
+    for the cache, or with a centre and width that cannot be hashed, is made
+    afresh, writeable."""
+    u = Universe(0.0, 1.0, 100)
+    fn = fuzzify_gaussian(0.5, 0.05, u)
+    with pytest.raises(ValueError, match="read-only"):
+        fn.grades[0] = 1.0
+    points = np.array([(0.5,), (0.5,)], dtype=[("x", float)])
+    rows = _drive_rows(points, section_layout([("x", u)]), {"x": 0.05})
+    rows[0] = 7.0
+    assert rows[1].tobytes() == fn.grades.tobytes() != rows[0].tobytes()
+    assert fuzzify_gaussian(0.5, 0.05, Universe(0.0, 1.0, 257)).grades.flags.writeable
+    zero_d = fuzzify_gaussian(np.asarray(0.5), np.asarray(0.05), u)  # cannot be a key
+    assert zero_d.grades.flags.writeable and zero_d.grades.tobytes() == fn.grades.tobytes()
+
+
+def test_an_out_of_universe_centre_warns_at_every_call():
+    """The warning is the call's, not the bell's: a hit warns as a miss does."""
+    fuzzy._BELLS.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            fuzzify_gaussian(1.5, 0.05, Universe(0.0, 1.0, 100))
+    assert [str(w.message) for w in caught] == [
+        "crisp value 1.5 lies outside universe [0.0, 1.0]"] * 3
+    assert len(fuzzy._BELLS) == 1  # one miss, then two hits
+
+
+def test_the_bell_cache_keeps_its_bound():
+    """At most 128 bells, each on at most 256 points: a 257-point universe adds no entry."""
+    fuzzy._BELLS.clear()
+    small = Universe(0.0, 1.0, 256)
+    for k in range(300):
+        fuzzify_gaussian(k / 300, 0.05, small)
+        assert 1 <= len(fuzzy._BELLS) <= 128
+    held = set(fuzzy._BELLS)
+    fuzzify_gaussian(0.5, 0.05, Universe(0.0, 1.0, 257))
+    assert set(fuzzy._BELLS) == held
 
 
 def test_json_round_trip():
