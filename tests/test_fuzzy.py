@@ -312,8 +312,7 @@ def test_equal_centres_share_one_bell(sigma):
 def test_cached_grades_are_read_only_and_drive_rows_writeable():
     """A bell may be shared, so its grades refuse a write; the rows that
     ``_drive_rows`` copies bells into stay writeable, and a bell too large
-    for the cache, or with a centre and width that cannot be hashed, is made
-    afresh, writeable."""
+    for the cache is made afresh, writeable."""
     u = Universe(0.0, 1.0, 100)
     fn = fuzzify_gaussian(0.5, 0.05, u)
     with pytest.raises(ValueError, match="read-only"):
@@ -323,8 +322,29 @@ def test_cached_grades_are_read_only_and_drive_rows_writeable():
     rows[0] = 7.0
     assert rows[1].tobytes() == fn.grades.tobytes() != rows[0].tobytes()
     assert fuzzify_gaussian(0.5, 0.05, Universe(0.0, 1.0, 257)).grades.flags.writeable
-    zero_d = fuzzify_gaussian(np.asarray(0.5), np.asarray(0.05), u)  # cannot be a key
-    assert zero_d.grades.flags.writeable and zero_d.grades.tobytes() == fn.grades.tobytes()
+    zero_d = fuzzify_gaussian(np.asarray(0.5), np.asarray(0.05), u)  # read as the floats
+    assert zero_d.grades.tobytes() == fn.grades.tobytes()
+
+
+def test_numpy_numbers_give_the_bell_of_the_floats_they_hold():
+    """``x0`` and ``sigma`` are read as floats, so a float32 width and the
+    float it holds get the same bits in either order, on a cached universe
+    and a larger one; a universe's numpy ends are stored as floats, so
+    universes that compare equal have the same grid and share bells."""
+    sigma = np.float32(0.05)
+    for u in (Universe(0.0, 1.0, 100), Universe(0.0, 1.0, 300)):
+        want = fuzzy._bell(0.5, float(sigma), u).tobytes()
+        for widths in ((sigma, float(sigma)), (float(sigma), sigma)):
+            fuzzy._BELLS.clear()
+            assert [fuzzify_gaussian(0.5, s, u).grades.tobytes() for s in widths] == [want] * 2
+    u = Universe(0.0, 1.0, 100)
+    narrow = Universe(np.float32(0.0), np.float32(1.0), 100)
+    assert narrow == u and type(narrow.lo) is type(narrow.hi) is float
+    assert narrow.values.tobytes() == u.values.tobytes()
+    fuzzy._BELLS.clear()
+    first = fuzzify_gaussian(0.3, 0.05, narrow)
+    assert fuzzify_gaussian(0.3, 0.05, u).grades.tobytes() == first.grades.tobytes() == (
+        fuzzy._bell(0.3, 0.05, u).tobytes())
 
 
 def test_an_out_of_universe_centre_warns_at_every_call():
