@@ -23,12 +23,17 @@ Reads: the row amplifiers sum cell currents against an ``r_off`` feedback
 resistor, and a compensation row cancels the raw input sum, leaving
 
     exact:  y_i = -(sum_j x_j * r_off / M_ij  -  sum_j x_j)
+                = sum_j x_j * (M_ij - r_off) / M_ij
     ideal:  y_i = -(1 / r_off) * sum_j (r_off - M_ij) * x_j
 
 computed by ``read_exact`` and ``read_ideal``; a ``Block``'s ``read_mode``
-picks one. The ideal form is the first-order limit of the exact one for
-stored values much smaller than ``r_off`` and is exactly a matrix-vector
-product with the stored-value matrix. Reads never disturb the stored state.
+picks one. ``read_exact`` folds the compensation row into each cell, so its
+read is one product with the matrix ``(M - r_off) / M``: a cell at ``r_off``
+(untouched or stuck) contributes exactly 0, and a row's read is accurate to
+rounding, not to the cancellation of two large sums. The ideal form is the
+first-order limit of the exact one for stored values much smaller than
+``r_off`` and is exactly a matrix-vector product with the stored-value
+matrix. Reads never disturb the stored state.
 
 ``memristance`` and ``fault_mask`` are read-only properties over read-only
 arrays, with no setter: M changes only through the constructor,
@@ -36,9 +41,10 @@ arrays, with no setter: M changes only through the constructor,
 constructor and ``inject_faults``. ``saturation_count`` is the base
 class's read-only count: the constructor takes the count to start from (a
 model file's) and refuses one that is negative or not an integer, and only
-writes add to it. Each read mode builds its matrix (``r_off / M`` or
-``r_off - M``) on its first read after M changed, and the base class drops
-it when M changes, so a read costs one matrix-vector product.
+writes add to it. Each read mode builds its matrix (``(M - r_off) / M``
+for exact reads, ``r_off - M`` for ideal ones) on its first read after M
+changed, and the base class drops it when M changes, so a read costs one
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -91,9 +97,10 @@ class Crossbar(StoredArray):
                 raise ValueError("stuck cells (fault mask) must hold r_off")
         fault_mask.setflags(write=False)  # replaced only by inject_faults
         self._fault_mask = fault_mask
-        # Largest |x| a read takes, whatever M holds: as r_off / M <= r_off / r_on
-        # and r_off - M < r_off, every sum either mode forms stays below half the
-        # float range.
+        # Largest |x| a read takes, whatever M holds: the exact matrix's entries
+        # lie in [1 - r_off / r_on, 0] and the ideal one's in [0, r_off), all below
+        # r_off / r_on + r_off in magnitude, so every sum either mode forms stays
+        # below half the float range.
         r_off = params.r_off
         self._max_input = np.finfo(float).max / (2.0 * cols * (r_off / params.r_on + r_off))
         self._saturation_count = saturation_count
@@ -156,8 +163,10 @@ class Crossbar(StoredArray):
 
     # -- reads (side-effect free) ----------------------------------------
 
-    def _gain(self, m: np.ndarray) -> np.ndarray:
-        return self.params.r_off / m
+    def _exact(self, m: np.ndarray) -> np.ndarray:
+        a = m - self.params.r_off  # built in place: one array of M's size
+        a /= m
+        return a
 
     def _stored(self, m: np.ndarray) -> np.ndarray:
         return self.params.r_off - m
@@ -165,15 +174,14 @@ class Crossbar(StoredArray):
     def read_exact(self, x) -> np.ndarray:
         """Full amplifier algebra, using the true memristance of every cell."""
         x = check_read(x, self.cols, self._max_input)
-        gain = self._derive(Crossbar._gain)
-        return np.add.reduce(x) - gain @ x  # -(gain @ x - sum x), one ufunc fewer
+        return self._derive(Crossbar._exact).dot(x)
 
     def read_ideal(self, x) -> np.ndarray:
         """First-order read-out: -(1/r_off) times stored-value matrix times x."""
         x = check_read(x, self.cols, self._max_input)
         stored = self._derive(Crossbar._stored)
         alpha = -1.0 / self.params.r_off
-        return alpha * (stored @ x)
+        return alpha * stored.dot(x)
 
     def snapshot_delta(self) -> np.ndarray:
         """Stored-value matrix r_off - M (ohm); zero at stuck cells."""

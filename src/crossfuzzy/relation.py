@@ -163,7 +163,7 @@ class Relation(StoredArray):
         """
         bound = self._derive(Relation._max_input)
         # Within the bound every sum is finite, so the product needs no check.
-        return self.mu @ check_read(x, self.cols, bound)
+        return self.mu.dot(check_read(x, self.cols, bound))
 
     def _max_input(self, mu: np.ndarray) -> float:
         return np.finfo(float).max / (2.0 * self.cols) / max(1.0, float(mu.max()))

@@ -109,10 +109,10 @@ def check_read_mode(read_mode: str) -> None:
         raise ValueError(f"read mode must be one of {READ_MODES}, got {read_mode!r}")
 
 
-#: Read-outs at or below this magnitude carry no stored signal. Exact-mode
-#: reads of an untouched crossbar cancel only to float rounding (~1e-14 of
-#: the input scale), while genuine stored patterns read out around 1e-4, so
-#: anything under a picovolt is treated as an untrained region.
+#: Read-outs at or below this magnitude carry no stored signal. Untouched
+#: and stuck cells read exactly 0 in both modes, while genuine stored
+#: patterns read out around 1e-4, so anything under a picovolt is treated
+#: as an untrained region.
 SIGNAL_FLOOR = 1e-12
 
 

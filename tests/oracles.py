@@ -6,7 +6,10 @@ time with ``math``, and the centroid oracle is a plain Python loop. They exist s
 structurally different computations. The crossbar read oracles rebuild
 their matrix from the memristance on every call, where the crossbar keeps
 it until its next write; the arithmetic is the same, so reads must agree
-bit for bit. ``sequential_writes`` applies write pulses one at a time,
+bit for bit. ``read_exact_rational`` is the exact read with no rounding at
+all, summed in rational arithmetic (``fractions.Fraction``) from the float
+memristances and inputs, so it measures the float read's own error.
+``sequential_writes`` applies write pulses one at a time,
 where crossbars and relations defer threshold-free pulses and settle their
 summed flux once; the two agree to float rounding. ``per_probe_mse``
 evaluates one probe at a time: it walks a model's stages itself, with one
@@ -24,6 +27,7 @@ must store the same arrays bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -87,9 +91,22 @@ def sequential_writes(m0, pulses, params, fault_mask=None):
 
 
 def read_exact(memristance, x, r_off: float):
-    """Exact amplifier read-out, with ``r_off / M`` computed afresh."""
+    """Exact amplifier read-out, with ``(M - r_off) / M`` computed afresh."""
     x = np.asarray(x, dtype=float)
-    return -((r_off / memristance) @ x - x.sum())
+    return ((memristance - r_off) / memristance) @ x
+
+
+def read_exact_rational(memristance, x, r_off: float):
+    """Exact amplifier read-out ``-(sum_j x_j r_off / M_ij - sum_j x_j)`` per row, in
+    ``Fraction``s with no rounding, and per row the largest magnitude of its terms."""
+    r_off = Fraction(r_off)
+    xs = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    reads, peaks = [], []
+    for row in np.asarray(memristance, dtype=float).tolist():
+        terms = [v * r_off / Fraction(m) for v, m in zip(xs, row)]
+        reads.append(sum(xs) - sum(terms))
+        peaks.append(max(abs(v - t) for v, t in zip(xs, terms)))
+    return reads, peaks
 
 
 def read_ideal(memristance, x, r_off: float):

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     closed_form_memristance,
     delta_csv_rows,
     read_exact,
+    read_exact_rational,
     read_ideal,
     rk4_memristance,
     sequential_writes,
@@ -193,8 +195,8 @@ def test_read_pristine_cancels():
     xb = Crossbar(5, 8, DEFAULT_PARAMS)
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, 8)
-    # exact mode cancels only to float rounding; ideal mode is exactly zero
-    assert np.allclose(xb.read_exact(x), 0.0, atol=1e-12)
+    # every cell at r_off reads exactly zero in both modes
+    assert np.all(xb.read_exact(x) == 0.0)
     assert np.all(xb.read_ideal(x) == 0.0)
 
 
@@ -511,6 +513,29 @@ def test_read_ideal_is_the_matrix_product(seed):
     x = rng.uniform(0, 1, xb.cols)
     oracle = (-1.0 / R_OFF) * (xb.snapshot_delta() @ x)
     assert np.array_equal(xb.read_ideal(x), oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_read_exact_is_accurate_to_rounding(seed):
+    """Against the rational read, every exact read row is within 1e-14 of the
+    largest magnitude of its terms, and a row whose terms are all zero reads
+    exactly 0: on small crossbars whose cells are untouched, hold a stored value
+    up to the write budget (0.1 % of r_off), are clamped at r_on or are stuck,
+    some rows wholly untouched or stuck, read with grades of which some are 0."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    kind = rng.integers(0, 4, (m, n))  # untouched, stored, clamped, stuck
+    kind[rng.uniform(size=m) < 0.25] = rng.choice([0, 3])
+    stored = rng.uniform(0.0, 1e-3 * R_OFF, (m, n)) * 10.0 ** -rng.integers(0, 6, (m, n))
+    memristance = np.select([kind == 1, kind == 2], [R_OFF - stored, R_ON], R_OFF)
+    xb = Crossbar(m, n, DEFAULT_PARAMS, memristance=memristance, fault_mask=kind == 3)
+    x = np.where(rng.uniform(size=n) < 0.2, 0.0, rng.uniform(0, 1, n))
+    reads, peaks = read_exact_rational(xb.memristance, x, R_OFF)
+    for y, want, peak in zip(xb.read_exact(x).tolist(), reads, peaks):
+        assert abs(Fraction(y) - want) <= Fraction(1e-14) * peak
+        if want == 0:
+            assert y == 0.0
 
 
 @settings(max_examples=200, deadline=None)
